@@ -16,6 +16,7 @@ package defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .param_space import halton_points
 from .quadrature import _moment_plan, cc_rule, estimate_mean, kernel_moments, moment_weights
 from .study import (
     StudyError,
+    _kernel_groups,
     evaluate_samples,
     kernel_reference,
     run_study,
@@ -44,18 +46,12 @@ EXIT_EXTERNAL = 4
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "jobs", None) is not None:
-        cfg = _replace(cfg, jobs=args.jobs)
+        cfg = dataclasses.replace(cfg, jobs=args.jobs)
     if getattr(args, "out", None) is not None:
-        cfg = _replace(cfg, out_dir=args.out)
+        cfg = dataclasses.replace(cfg, out_dir=args.out)
     if getattr(args, "n", None) is not None:
-        cfg = _replace(cfg, n=args.n)
+        cfg = dataclasses.replace(cfg, n=args.n)
     return cfg
-
-
-def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, **kw)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -124,12 +120,13 @@ def cmd_study(args) -> int:
     cfg = _load(args)
     study_cfg = cfg.study()
     if args.dry_run:
-        n_max = study_cfg.schedule[-1]
-        if study_cfg.reference.kind == "kernel":
-            n_max = max(n_max, study_cfg.reference.n_max)
-        _print_plan(cfg, n_max)
+        ref = study_cfg.reference  # a kernel reference covers the schedule
+        _print_plan(cfg, ref.n_max if ref.kind == "kernel" else study_cfg.schedule[-1])
         print(f"schedule: {list(study_cfg.schedule)}")
         print(f"kernels: {[k.column for k in study_cfg.kernels]}")
+        kinds, cols = len(_kernel_groups(study_cfg)), len(study_cfg.kernels)
+        kinds = f"{kinds} distinct kernel{'s' * (kinds != 1)}"
+        print(f"gram systems: {kinds} for {cols} column{'s' * (cols != 1)}")
         return EXIT_OK
     report = run_study(study_cfg)
     csv_path, json_path = write_report(report, _out_path(cfg, cfg.csv_name))

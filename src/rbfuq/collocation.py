@@ -3,15 +3,18 @@
 The interpolation matrix A[i,j] = k(y_i, y_j) is dense and symmetric.
 Solves go through a direct LU factorization, optionally after Tikhonov
 shifting (A + eps_reg I), or through a truncated SVD that discards
-singular values below a relative drop tolerance.  Multi-channel data is
-solved channel by channel against one shared factorization, which makes
-the result for each channel independent of how many other channels are
-solved alongside it, down to the last bit.
+singular values below a relative drop tolerance; a Gram matrix keeps its
+SVD, so every TSVD tolerance solved on it slices one set of singular
+triplets.  Multi-channel data is solved channel by channel against one
+shared factorization, which makes the result for each channel
+independent of how many other channels are solved alongside it, down to
+the last bit.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -63,9 +66,10 @@ Regularization = Tikhonov | TSVD | None
 class GramMatrix:
     """Dense symmetric kernel matrix over a collocation set.
 
-    Symmetry is enforced by construction: the strict upper triangle is
-    computed once and mirrored, and the diagonal is set to the kernel's
-    value at zero distance.
+    The pairwise distances are bitwise symmetric with a zero diagonal, so
+    the kernel values are too; the diagonal is then set to the kernel's
+    value at zero distance.  ``values`` may be a view, such as the
+    leading block of a larger Gram matrix over a nested point set.
     """
 
     values: np.ndarray
@@ -75,6 +79,11 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def svd(self) -> tuple:
+        """(u, s, vt) of the symmetric SVD, computed once and then kept."""
+        return np.linalg.svd(self.values, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -130,22 +139,24 @@ def assemble_gram(spec: KernelSpec, points: CollocationSet) -> GramMatrix:
             "Gram system is singular",
             stacklevel=2,
         )
-    full = kernel_matrix(spec, pts, pts)
-    upper = np.triu(full, 1)
-    values = upper + upper.T
+    values = kernel_matrix(spec, pts, pts)
     np.fill_diagonal(values, float(spec.profile(0.0)))
     return GramMatrix(values=values, spec=spec, points=points)
 
 
 class _LUFactor:
-    """Shared LU factorization with single-vector solves."""
+    """Shared LU factorization of A + shift I with single-vector solves."""
 
-    def __init__(self, matrix: np.ndarray, context: str):
+    def __init__(self, values: np.ndarray, shift: float, context: str):
+        # one private Fortran-ordered copy, shifted and factored in place
+        matrix = np.array(values, order="F")
+        matrix[np.diag_indices_from(matrix)] += shift
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", LinAlgWarning)
-            self._lu = lu_factor(matrix)
+            self._lu = lu_factor(matrix, overwrite_a=True)
         if any(issubclass(w.category, LinAlgWarning) for w in caught):
-            sv = np.linalg.svd(matrix, compute_uv=False, hermitian=True)
+            shifted = values + shift * np.eye(len(values))  # error path only
+            sv = np.linalg.svd(shifted, compute_uv=False, hermitian=True)
             cond = np.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
             raise SingularGramError(
                 f"{context}: Gram matrix is numerically singular "
@@ -159,10 +170,10 @@ class _LUFactor:
 
 
 class _TSVDFactor:
-    """Truncated pseudoinverse from one SVD, shared across solves."""
+    """Truncated pseudoinverse from the Gram matrix's shared SVD."""
 
-    def __init__(self, matrix: np.ndarray, drop_tol: float):
-        u, s, vt = np.linalg.svd(matrix, hermitian=True)
+    def __init__(self, gram: GramMatrix, drop_tol: float):
+        u, s, vt = gram.svd
         keep = s >= drop_tol * s[0]
         self._ut = u[:, keep].T.copy()
         self._v = vt[keep].T.copy()
@@ -175,12 +186,11 @@ class _TSVDFactor:
 def _factorize(gram: GramMatrix, reg: Regularization):
     """One factorization per (Gram, regularization); shared by all channels."""
     if reg is None:
-        return _LUFactor(gram.values, context="unregularized solve")
+        return _LUFactor(gram.values, 0.0, context="unregularized solve")
     if isinstance(reg, Tikhonov):
-        shifted = gram.values + reg.eps_reg * np.eye(gram.n)
-        return _LUFactor(shifted, context=f"Tikhonov(eps_reg={reg.eps_reg:g})")
+        return _LUFactor(gram.values, reg.eps_reg, context=f"Tikhonov(eps_reg={reg.eps_reg:g})")
     if isinstance(reg, TSVD):
-        return _TSVDFactor(gram.values, reg.drop_tol)
+        return _TSVDFactor(gram, reg.drop_tol)
     raise TypeError(f"unknown regularization {reg!r}")
 
 

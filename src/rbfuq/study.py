@@ -1,9 +1,11 @@
 """Convergence-study harness: mean estimation across kernel/N sweeps.
 
 A study evaluates the model once on the longest Halton prefix, then for
-every (kernel, N) pair reuses the first N samples: moment weights are
-solved on the leading N x N block of the kernel's Gram matrix (the
-low-discrepancy sequence is nested, so prefixes are valid sample sets).
+every (kernel, N) pair reuses the first N samples.  Columns that differ
+only in regularization share a kernel: it gets one Gram matrix and one
+moment vector on the longest prefix, and each N solves on the leading
+N x N block (the low-discrepancy sequence is nested, so prefixes are
+valid sample sets), with one SVD per block for all TSVD columns.
 Errors against the reference are reported per (kernel, N), with a
 least-squares order fitted on the tail of each log-log curve.
 """
@@ -195,6 +197,20 @@ def error_norm(estimate: GridField, reference: GridField, tag: str) -> float:
     return _norm_values(estimate.values, reference.values, tag)
 
 
+def _fit_tail(points, window: int, floor: float) -> tuple:
+    """Fitted order and the sample counts it used, or (None, ())."""
+    tail = list(points)[-window:]
+    if any(e <= 0.0 for _, e in tail):
+        raise ValueError("nonpositive error in fit window")
+    usable = [(n, e) for n, e in tail if e > 10.0 * floor]
+    if len(usable) < 2:
+        return None, ()
+    ns = np.log([n for n, _ in usable])
+    es = np.log([e for _, e in usable])
+    slope = np.polyfit(ns, es, 1)[0]
+    return -float(slope), tuple(n for n, _ in usable)
+
+
 def fit_order(points, window: int = 4, floor: float = 0.0):
     """Negated log-log slope of error vs N over the tail window.
 
@@ -202,93 +218,71 @@ def fit_order(points, window: int = 4, floor: float = 0.0):
     regularization level) are excluded as plateaued; with fewer than two
     usable points no order is fitted and None is returned.
     """
-    tail = list(points)[-window:]
-    if any(e <= 0.0 for _, e in tail):
-        raise ValueError("nonpositive error in fit window")
-    usable = [(n, e) for n, e in tail if e > 10.0 * floor]
-    if len(usable) < 2:
-        return None
-    ns = np.log([n for n, _ in usable])
-    es = np.log([e for _, e in usable])
-    slope = np.polyfit(ns, es, 1)[0]
-    return -float(slope)
+    return _fit_tail(points, window, floor)[0]
 
 
-def _tikhonov_floor(reg: Regularization) -> float:
-    return reg.eps_reg if isinstance(reg, Tikhonov) else 0.0
+def _kernel_groups(config: StudyConfig) -> dict:
+    """The study's kernel settings grouped by their kernel, in order."""
+    groups = {}
+    for setting in config.kernels:
+        groups.setdefault(setting.spec(config.domain.dim), []).append(setting)
+    return groups
 
 
-def _estimate_at(
-    setting: KernelSetting,
-    points: CollocationSet,
-    table: np.ndarray,
-    gram_full: np.ndarray,
-    b_full: np.ndarray,
-    n: int,
-    spec: KernelSpec,
-) -> np.ndarray:
-    sub = points.prefix(n)
-    gram = GramMatrix(values=gram_full[:n, :n].copy(), spec=spec, points=sub)
-    weights = moment_weights(gram, setting.regularization, b_full[:n])
-    return estimate_mean(weights, table[:n])
+def _estimates(settings, points: CollocationSet, table, rule, ns) -> dict:
+    """``{column: [estimate per N]}`` for settings that share one kernel.
+
+    One Gram matrix and one moment vector on the longest prefix serve
+    them all; each N solves on the leading N x N block, a view, whose SVD
+    the TSVD settings share.
+    """
+    spec = settings[0].spec(points.dim)
+    points = points.prefix(ns[-1])
+    gram_full = assemble_gram(spec, points).values
+    b_full = kernel_moments(spec, points, rule)
+    out = {setting.column: [] for setting in settings}
+    for n in ns:
+        gram = GramMatrix(values=gram_full[:n, :n], spec=spec, points=points.prefix(n))
+        for setting in settings:
+            try:
+                weights = moment_weights(gram, setting.regularization, b_full[:n])
+            except (SingularGramError, np.linalg.LinAlgError) as exc:
+                raise StudyError(setting.column, n, exc) from exc
+            out[setting.column].append(estimate_mean(weights, table[:n]))
+    return out
 
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Run the full sweep; deterministic end-to-end for analytic models."""
     t0 = time.monotonic()
-    n_sched = config.schedule[-1]
-    n_total = n_sched
-    if config.reference.kind == "kernel":
-        n_total = max(n_total, config.reference.n_max)
+    ref = config.reference  # a kernel reference covers the schedule
+    n_total = ref.n_max if ref.kind == "kernel" else config.schedule[-1]
     points = halton_points(config.domain, n_total)
     table = evaluate_samples(config.model, points, jobs=config.jobs)
     rule = cc_rule(config.domain, config.level, max_points=config.max_quad_points)
 
-    if config.reference.kind == "exact":
+    if ref.kind == "exact":
         ref_values = config.model.exact_mean().values
     else:
-        setting = config.reference.kernel
-        spec = setting.spec(config.domain.dim)
-        try:
-            gram_full = assemble_gram(spec, points).values
-            b_full = kernel_moments(spec, points, rule)
-            ref_values = _estimate_at(
-                setting, points, table, gram_full, b_full, config.reference.n_max, spec
-            )
-        except (SingularGramError, np.linalg.LinAlgError) as exc:
-            raise StudyError(setting.column, config.reference.n_max, exc) from exc
-        del gram_full
+        by_column = _estimates([ref.kernel], points, table, rule, (ref.n_max,))
+        ref_values = by_column[ref.kernel.column][0]
 
-    errors = {}
-    orders = {}
-    fit_points = {}
+    estimates = {}
+    for settings in _kernel_groups(config).values():
+        estimates.update(_estimates(settings, points, table, rule, config.schedule))
+    errors, orders, fit_points = {}, {}, {}
     for setting in config.kernels:
-        spec = setting.spec(config.domain.dim)
         column = setting.column
-        sched_points = points.prefix(n_sched)
-        gram_full = assemble_gram(spec, sched_points).values
-        b_full = kernel_moments(spec, sched_points, rule)
-        col_errors = []
-        for n in config.schedule:
-            try:
-                est = _estimate_at(
-                    setting, sched_points, table[:n_sched], gram_full, b_full, n, spec
-                )
-            except (SingularGramError, np.linalg.LinAlgError) as exc:
-                raise StudyError(column, n, exc) from exc
-            col_errors.append(_norm_values(est, ref_values, config.norm))
-        del gram_full
-        errors[column] = tuple(col_errors)
-        pairs = list(zip(config.schedule, col_errors))
-        floor = _tikhonov_floor(setting.regularization)
-        usable = [
-            (n, e) for n, e in pairs[-config.fit_window :] if e > 10.0 * floor
-        ]
-        if len(usable) >= 2 and all(e > 0.0 for _, e in pairs[-config.fit_window :]):
-            orders[column] = fit_order(pairs, window=config.fit_window, floor=floor)
-        else:
-            orders[column] = None
-        fit_points[column] = tuple(n for n, _ in usable) if orders[column] is not None else ()
+        errors[column] = tuple(
+            _norm_values(est, ref_values, config.norm) for est in estimates[column]
+        )
+        pairs = zip(config.schedule, errors[column])
+        reg = setting.regularization
+        floor = reg.eps_reg if isinstance(reg, Tikhonov) else 0.0
+        try:
+            orders[column], fit_points[column] = _fit_tail(pairs, config.fit_window, floor)
+        except ValueError:  # an estimate equal to the reference has no order
+            orders[column], fit_points[column] = None, ()
 
     return StudyReport(
         schedule=config.schedule,
@@ -312,10 +306,7 @@ def kernel_reference(config: StudyConfig, n_max: int, setting: KernelSetting) ->
     points = halton_points(config.domain, n_max)
     table = evaluate_samples(config.model, points, jobs=config.jobs)
     rule = cc_rule(config.domain, config.level, max_points=config.max_quad_points)
-    spec = setting.spec(config.domain.dim)
-    gram_full = assemble_gram(spec, points).values
-    b_full = kernel_moments(spec, points, rule)
-    est = _estimate_at(setting, points, table, gram_full, b_full, n_max, spec)
+    est = _estimates([setting], points, table, rule, (n_max,))[setting.column][0]
     return GridField(grid=_model_grid(config.model, est.size), values=est)
 
 

@@ -196,6 +196,22 @@ class TestStudy:
         assert "schedule: [4, 8]" in out
         assert not (tmp_path / "out" / "study.csv").exists()
 
+    def test_study_dry_run_counts_gram_systems(self, tmp_path, capsys):
+        shifts = [{"family": "wendland3", "eps_reg": e, "label": f"s{e:g}"} for e in (1e-8, 1e-4)]
+        tsvd = [{"family": "wendland3", "tsvd_tol": t, "label": f"t{t:g}"} for t in (1e-3, 1e-1)]
+        data = {
+            "domain": {"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 1},
+            "model": {"kind": "poisson"},
+            "kernels": shifts + tsvd + [{"family": "gaussian"}, {"family": "wendland3", "zeta": 2.0}],
+            "schedule": [4, 8],
+            "out": str(tmp_path / "out"),
+        }
+        assert main(["study", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
+        assert "gram systems: 3 distinct kernels for 6 columns\n" in capsys.readouterr().out
+        data["kernels"] = shifts[:1]
+        assert main(["study", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
+        assert "gram systems: 1 distinct kernel for 1 column\n" in capsys.readouterr().out
+
     def test_study_without_schedule_is_config_error(self, tmp_path, capsys):
         cfg = gfunction_cfg(tmp_path, kernels=[{"family": "gaussian"}])
         assert main(["study", "--config", cfg]) == EXIT_CONFIG

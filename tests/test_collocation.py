@@ -5,6 +5,7 @@ import pytest
 
 from rbfuq import (
     FAMILIES,
+    GramMatrix,
     KernelSpec,
     NormSpec,
     ParameterDomain,
@@ -12,9 +13,12 @@ from rbfuq import (
     Tikhonov,
     TSVD,
     assemble_gram,
+    cc_rule,
     condition_report,
     halton_points,
+    kernel_moments,
     lagrange_values,
+    moment_weights,
     solve,
 )
 
@@ -109,6 +113,17 @@ class TestSolve:
         residual = f - gram.values @ alpha
         assert np.max(np.abs(residual - eps * alpha)) < 1e-12
 
+    def test_tikhonov_shift_bitwise_and_gram_untouched(self):
+        from scipy.linalg import lu_factor, lu_solve
+
+        gram = random_gram("wendland1", n=40, seed=4)
+        before = gram.values.copy()
+        f = np.cos(np.arange(40.0))
+        interp = solve(gram, f, reg=Tikhonov(1e-6))
+        expect = lu_solve(lu_factor(before + 1e-6 * np.eye(40)), f)
+        assert np.array_equal(interp.coefficients[:, 0], expect)
+        assert np.array_equal(gram.values, before)
+
     def test_singular_without_regularization(self):
         from rbfuq import CollocationSet
 
@@ -139,6 +154,24 @@ class TestSolve:
         direct = solve(gram, f)
         truncated = solve(gram, f, reg=TSVD(1e-14))
         assert np.max(np.abs(direct.coefficients - truncated.coefficients)) < 1e-6
+
+    def test_shared_svd_tsvd_weights_bitwise(self, monkeypatch):
+        # weights on one Gram block share its SVD, and equal those of a
+        # fresh Gram over the same prefix, solved tolerance by tolerance
+        domain = ParameterDomain.unit(2)
+        spec = KernelSpec(family="wendland2", dim=2)
+        points = halton_points(domain, 48)
+        prefix = points.prefix(32)
+        b = kernel_moments(spec, prefix, cc_rule(domain, 5))
+        full = assemble_gram(spec, points).values
+        shared = GramMatrix(values=full[:32, :32], spec=spec, points=prefix)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for tol in (1e-3, 1e-1):
+            fresh = moment_weights(assemble_gram(spec, prefix), TSVD(tol), b)
+            assert np.array_equal(moment_weights(shared, TSVD(tol), b).omega, fresh.omega)
+        assert len(calls) == 3  # one shared, one per fresh Gram
 
     def test_data_length_checked(self):
         gram = random_gram("gaussian", n=10)

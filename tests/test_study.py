@@ -15,6 +15,7 @@ from rbfuq import (
     StudyConfig,
     StudyError,
     Tikhonov,
+    TSVD,
     error_norm,
     evaluate_samples,
     fit_order,
@@ -272,6 +273,50 @@ class TestRunStudy:
             run_study(config)
         assert info.value.kernel == "matern12"
         assert info.value.n == 8
+
+
+class TestSharedKernel:
+    def config(self, kernels):
+        return StudyConfig(
+            model=PoissonExact(),
+            domain=ParameterDomain.symmetric(math.sqrt(3.0), 1),
+            kernels=tuple(kernels),
+            schedule=(8, 16, 32, 64, 128),
+            level=5,
+        )
+
+    def test_sweep_matches_one_column_studies_bitwise(self):
+        regs = [Tikhonov(e) for e in (1e-8, 1e-6, 1e-4, 1e-2)] + [TSVD(1e-3), TSVD(1e-1)]
+        settings = [
+            KernelSetting(family="wendland3", regularization=r, label=f"c{i}")
+            for i, r in enumerate(regs)
+        ]
+        sweep = run_study(self.config(settings))
+        for setting in settings:
+            single = run_study(self.config([setting]))
+            column = setting.column
+            assert sweep.errors[column] == single.errors[column]
+            assert sweep.orders[column] == single.orders[column]
+            assert sweep.fit_points[column] == single.fit_points[column]
+
+    def test_one_gram_and_moment_vector_per_kernel(self, monkeypatch):
+        from rbfuq import study
+
+        calls = {"assemble_gram": 0, "kernel_moments": 0}
+        for name in calls:
+            original = getattr(study, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(study, name, counted)
+        settings = [
+            KernelSetting(family="matern32", label="a"),
+            KernelSetting(family="matern32", regularization=TSVD(1e-6), label="b"),
+        ]
+        run_study(self.config(settings))
+        assert calls == {"assemble_gram": 1, "kernel_moments": 1}
 
 
 class TestEvaluateSamples:
