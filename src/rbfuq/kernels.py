@@ -118,17 +118,22 @@ class KernelSpec:
         so that Gaussian(eps) with scale zeta is bitwise identical to
         Gaussian(eps * zeta) with unit scale.
         """
-        d = np.asarray(d, dtype=float)
-        if self.family == "gaussian":
-            a = (self.epsilon * self.norm.zeta) * d
-            return np.exp(-(a * a))
-        r = self.norm.zeta * d
-        if self.family == "matern12":
-            return np.exp(-r)
+        return self._profile_in_place(np.array(d, dtype=float))
+
+    def _profile_in_place(self, d: np.ndarray) -> np.ndarray:
+        """The profile at distances d, computed in d's own buffer."""
+        gaussian = self.family == "gaussian"
+        d *= self.epsilon * self.norm.zeta if gaussian else self.norm.zeta
+        if gaussian:
+            d *= d
+        if self.family in ("gaussian", "matern12"):
+            return np.exp(np.negative(d, out=d), out=d)
         if self.family == "matern32":
-            return (1.0 + r) * np.exp(-r)
-        k = int(self.family[-1])
-        return _wendland(r, self.dim, k)
+            decay = np.negative(d, out=np.empty_like(d))
+            np.exp(decay, out=decay)
+            d += 1.0
+            return np.multiply(d, decay, out=d)
+        return _wendland(d, self.dim, int(self.family[-1]))
 
     @property
     def support_radius(self) -> float:
@@ -142,30 +147,36 @@ def _wendland(r: np.ndarray, dim: int, k: int) -> np.ndarray:
     """Minimal-degree Wendland function phi_{dim,k}(r), normalized to phi(0)=1.
 
     ell = floor(dim/2) + k + 1; the polynomial factors for k = 2, 3 are the
-    standard ones with the usual normalizing denominators 3 and 15.
+    standard ones with the usual normalizing denominators 3 and 15.  It is
+    computed in r's buffer, with at most two more arrays of r's shape.
     """
     ell = dim // 2 + k + 1
-    base = np.maximum(1.0 - r, 0.0)
-    if k == 0:
-        return base ** ell
+    # the polynomial factor first, while r is still the distance
     if k == 1:
-        return base ** (ell + 1) * ((ell + 1.0) * r + 1.0)
-    if k == 2:
-        poly = (
-            (ell * ell + 4.0 * ell + 3.0) * r * r
-            + (3.0 * ell + 6.0) * r
-            + 3.0
-        )
-        return base ** (ell + 2) * poly / 3.0
-    if k == 3:
-        poly = (
-            (ell ** 3 + 9.0 * ell ** 2 + 23.0 * ell + 15.0) * r ** 3
-            + (6.0 * ell ** 2 + 36.0 * ell + 45.0) * r * r
-            + (15.0 * ell + 45.0) * r
-            + 15.0
-        )
-        return base ** (ell + 3) * poly / 15.0
-    raise ValueError(f"Wendland smoothness k must be 0..3, got {k}")
+        poly = r * (ell + 1.0)
+        poly += 1.0
+    elif k == 2:
+        poly = r * (ell * ell + 4.0 * ell + 3.0)
+        poly *= r
+        poly += r * (3.0 * ell + 6.0)
+        poly += 3.0
+    elif k == 3:
+        poly = r ** 3
+        poly *= ell ** 3 + 9.0 * ell ** 2 + 23.0 * ell + 15.0
+        term = r * (6.0 * ell ** 2 + 36.0 * ell + 45.0)
+        term *= r
+        poly += term
+        del term
+        poly += r * (15.0 * ell + 45.0)
+        poly += 15.0
+    base = np.maximum(np.subtract(1.0, r, out=r), 0.0, out=r)
+    base **= ell + k
+    if k == 0:
+        return base
+    base *= poly
+    if k >= 2:
+        base /= (3.0, 15.0)[k - 2]
+    return base
 
 
 def kernel_eval(spec: KernelSpec, y, y2) -> float:
@@ -190,7 +201,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"kernel of dimension {spec.dim} applied to point arrays of "
             f"dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    return spec.profile(spec.norm.pairwise(a, b))
+    return spec._profile_in_place(spec.norm.pairwise(a, b))
 
 
 def quadratic_form(spec: KernelSpec, points, alpha) -> float:

@@ -11,7 +11,8 @@ Per-sample file protocol under ``<root>/samples/<index>/``:
 The command template is split into tokens first and the placeholders
 ``{params}``, ``{dir}``, ``{index}`` are substituted per token, so paths
 containing spaces stay single arguments.  A sample whose directory holds
-a ``done`` marker is never launched again.
+a ``done`` marker is never launched again; its ``params.txt`` must then
+match the requested point bitwise, or the sample is refused as stale.
 """
 from __future__ import annotations
 
@@ -49,6 +50,10 @@ class OutputFormatError(ExternalError):
 
 class OutputValueError(ExternalError):
     """Output parsed but contains non-finite values."""
+
+
+class StaleSampleError(ExternalError):
+    """A cached sample was computed at a different parameter point."""
 
 
 @dataclass(frozen=True)
@@ -89,10 +94,10 @@ def read_qoi(path) -> np.ndarray:
 
 def _parse_output(spec: External, index: int, sample_dir: Path) -> np.ndarray:
     qoi = sample_dir / "qoi.bin"
-    if not qoi.exists():
-        raise OutputFormatError(index, f"no output file {qoi}")
     try:
         values = read_qoi(qoi)
+    except FileNotFoundError as exc:
+        raise OutputFormatError(index, f"no output file {qoi}") from exc
     except ValueError as exc:
         raise OutputFormatError(index, str(exc)) from exc
     if spec.expected_m is not None and values.size != spec.expected_m:
@@ -104,10 +109,9 @@ def _parse_output(spec: External, index: int, sample_dir: Path) -> np.ndarray:
     return values
 
 
-def _launch(spec: External, y, index: int, sample_dir: Path) -> None:
+def _launch(spec: External, line: str, index: int, sample_dir: Path) -> None:
     params = sample_dir / "params.txt"
-    line = " ".join(format(float(v), ".17g") for v in np.asarray(y).ravel())
-    params.write_text(line + "\n")
+    params.write_bytes(line.encode())
     fields = {"params": str(params), "dir": str(sample_dir), "index": str(index)}
     argv = [token.format(**fields) for token in shlex.split(spec.command)]
     try:
@@ -129,10 +133,22 @@ def _launch(spec: External, y, index: int, sample_dir: Path) -> None:
 def _evaluate_values(spec: External, y, index: int) -> tuple:
     """Returns (values, launched); cached samples never launch."""
     sample_dir = spec.samples_dir / str(index)
-    sample_dir.mkdir(parents=True, exist_ok=True)
+    # %.17g round-trips every double, so equal points give equal lines
+    line = " ".join(format(float(v), ".17g") for v in np.asarray(y).ravel()) + "\n"
     if (sample_dir / "done").exists():
+        try:
+            cached = (sample_dir / "params.txt").read_bytes()
+        except FileNotFoundError:
+            cached = b""
+        if cached != line.encode():
+            raise StaleSampleError(
+                index,
+                f"params.txt reads {cached.decode(errors='replace').strip()!r}, "
+                f"not {line.strip()!r}; remove {sample_dir} to relaunch it",
+            )
         return _parse_output(spec, index, sample_dir), False
-    _launch(spec, y, index, sample_dir)
+    sample_dir.mkdir(parents=True, exist_ok=True)
+    _launch(spec, line, index, sample_dir)
     values = _parse_output(spec, index, sample_dir)
     (sample_dir / "done").touch()
     return values, True

@@ -13,9 +13,10 @@ kinks, so the moments are integrated by radial reduction instead:
 
 - the Gaussian factorizes into a product of erf differences, in any D;
 - the other families go through the radial moments
-  M_j(R) = integral_0^R s^j phi(s) ds, in closed form (incomplete gamma
-  for the Matern families, an exact Chebyshev series for the Wendland
-  polynomials), and H(R) = M_{D-1}(R);
+  M_j(R) = integral_0^R s^j phi(s) ds, in elementary closed form
+  (c_j - e^{-R} q_j(R) with an integer polynomial q_j for the Matern
+  families, an exact Chebyshev series for the Wendland polynomials), and
+  H(R) = M_{D-1}(R);
 - the scaled box is split at the centre into 2^D orthants; D = 1 is then
   exact, and for D >= 2 each orthant is a union of D pyramids with apex
   at the centre, one per far face, whose radial direction integrates in
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, erfc, gammainc
+from scipy.special import erf, erfc
 
 from .collocation import GramMatrix, Regularization, _factorize
 from .kernels import KernelSpec
@@ -180,18 +181,65 @@ def _wendland_moment(family: str, dim: int, j: int) -> np.polynomial.Chebyshev:
     return series.integ(lbnd=0.0)
 
 
-def _radial_moment(unit: KernelSpec, j: int, r: np.ndarray) -> np.ndarray:
-    """M_j(r) = integral_0^r s^j phi(s) ds for the unit-scale profile phi."""
-    if unit.family == "matern12":
-        return math.factorial(j) * gammainc(j + 1, r)
-    if unit.family == "matern32":
-        return math.factorial(j) * gammainc(j + 1, r) + math.factorial(j + 1) * gammainc(
-            j + 2, r
-        )
+@lru_cache(maxsize=None)
+def _wendland_k(family: str, dim: int) -> np.polynomial.Chebyshev:
+    """K = M_1 - M_2 / r on [0, 1] for a Wendland profile: a polynomial of
+    the degree of M_1, since M_2 vanishes to third order at 0."""
+    m1, m2 = (_wendland_moment(family, dim, j) for j in (1, 2))
+    return np.polynomial.Chebyshev.interpolate(
+        lambda s: m1(s) - m2(s) / s, m1.degree(), domain=[0.0, 1.0]
+    )
+
+
+@lru_cache(maxsize=None)
+def _matern_moment(family: str, j: int) -> tuple:
+    """q_j, highest power first, with M_j(r) = q_j(0) - e^{-r} q_j(r).
+
+    integral_0^r s^j e^{-s} ds = j! - e^{-r} sum_{k<=j} j!/k! r^k, and
+    matern32 adds the same for j + 1.
+    """
+    powers = (j, j + 1) if family == "matern32" else (j,)
+    q = [
+        sum(math.factorial(n) // math.factorial(k) for n in powers if k <= n)
+        for k in range(powers[-1] + 1)
+    ]
+    return tuple(float(c) for c in reversed(q))
+
+
+def _horner(coeffs: tuple, r: np.ndarray) -> np.ndarray:
+    out = np.full(r.shape, coeffs[0])
+    for c in coeffs[1:]:
+        out *= r
+        out += c
+    return out
+
+
+def _radial_moment(unit: KernelSpec, j: int, r: np.ndarray, decay=None) -> np.ndarray:
+    """M_j(r) = integral_0^r s^j phi(s) ds for the unit-scale profile phi,
+    in closed form; ``decay`` may pass in e^{-r} for the Matern families."""
+    r = np.asarray(r, dtype=float)
+    if unit.family.startswith("matern"):
+        q = _matern_moment(unit.family, j)
+        return q[-1] - (np.exp(-r) if decay is None else decay) * _horner(q, r)
     # Wendland profiles vanish beyond r = 1, where M_j stays at M_j(1)
     series = _wendland_moment(unit.family, unit.dim, j)
-    r = np.asarray(r, dtype=float)
     out = np.full(r.shape, series(1.0))
+    inside = r < 1.0
+    out[inside] = series(r[inside])
+    return out
+
+
+def _big_k(unit: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """K(r) = M_1(r) - M_2(r) / r, with K(0) = 0, in one pass over r."""
+    if unit.family.startswith("matern"):
+        decay = np.exp(-r)
+        m2 = _radial_moment(unit, 2, r, decay)
+        over_r = np.divide(m2, r, out=np.zeros_like(r), where=r > 0)
+        return _radial_moment(unit, 1, r, decay) - over_r
+    # beyond the support K(r) = K(1) + M_2(1) (1 - 1/r)
+    series = _wendland_k(unit.family, unit.dim)
+    m2_end = _wendland_moment(unit.family, unit.dim, 2)(1.0)
+    out = series(1.0) + m2_end * (1.0 - 1.0 / np.maximum(r, 1.0))
     inside = r < 1.0
     out[inside] = series(r[inside])
     return out
@@ -255,16 +303,10 @@ def _face_triangles(unit: KernelSpec, h, face, support, q: int) -> np.ndarray:
     closed form as K = M_1 - H / R.  The support sphere (radius
     ``support``) crosses the face at rho^2 = support^2 - h^2.
     """
-
-    def big_k(r):
-        over_r = np.divide(_radial_moment(unit, 2, r), r, out=np.zeros_like(r), where=r > 0)
-        return _radial_moment(unit, 1, r) - over_r
-
     h = h[:, None, None]
-    k_h = big_k(h)
-
+    k_h = _big_k(unit, h)
     def radial(rho):
-        return h * (big_k(np.sqrt(h * h + rho * rho)) - k_h)
+        return h * (_big_k(unit, np.sqrt(h * h + rho * rho)) - k_h)
 
     kink = np.sqrt(np.maximum(support * support - h[:, 0, 0] ** 2, 0.0))
     return _edge_integral(face[:, 0], face[:, 1], radial, kink, q) + _edge_integral(

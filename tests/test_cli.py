@@ -304,6 +304,26 @@ class TestExitCodes:
         assert main(["mean", "--config", cfg]) == EXIT_EXTERNAL
         assert "external solver failure" in capsys.readouterr().err
 
+    def test_stale_cache_is_external_failure(self, tmp_path, capsys):
+        stub = tmp_path / "const.py"
+        stub.write_text((STUBS / "constant_stub.py").read_text())
+        data = {
+            "domain": {"kind": "unit", "dim": 1},
+            "model": {
+                "kind": "external",
+                "command": f"{PY} {stub} {{params}} {{dir}}",
+                "root": str(tmp_path / "runs"),
+            },
+            "kernels": [{"family": "gaussian"}],
+            "out": str(tmp_path / "out"),
+            "n": 4,
+        }
+        assert main(["mean", "--config", write_cfg(tmp_path, data)]) == EXIT_OK
+        # the same sample root under another domain asks for other points
+        data["domain"] = {"kind": "symmetric", "half_width": 1.0, "dim": 1}
+        assert main(["mean", "--config", write_cfg(tmp_path, data)]) == EXIT_EXTERNAL
+        assert "sample 0: params.txt reads" in capsys.readouterr().err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -11,6 +11,7 @@ from rbfuq import (
     ExternalTimeoutError,
     OutputFormatError,
     OutputValueError,
+    StaleSampleError,
     external_evaluate,
     read_qoi,
     run_campaign,
@@ -182,6 +183,23 @@ class TestCampaign:
         assert again.launched == 0
         assert again.cached == 3
         assert np.array_equal(again.table, pts)
+
+    def test_cached_sample_at_another_point_is_refused(self, tmp_path):
+        spec = echo_spec(tmp_path)
+        assert external_evaluate(spec, [0.5], 0).values[0] == 0.5
+        with pytest.raises(StaleSampleError, match="0.5") as info:
+            external_evaluate(spec, [0.9], 0)
+        assert info.value.sample_index == 0
+        # the refusal changes nothing on disk: the old point still hits the cache
+        assert run_campaign(spec, np.array([[0.5]])).cached == 1
+
+    def test_cached_sample_without_params_is_refused(self, tmp_path):
+        spec = echo_spec(tmp_path)
+        run_campaign(spec, np.array([[0.1], [0.2]]))
+        (spec.samples_dir / "1" / "params.txt").unlink()
+        with pytest.raises(StaleSampleError) as info:
+            run_campaign(spec, np.array([[0.1], [0.2]]))
+        assert info.value.sample_index == 1
 
     def test_parallel_matches_serial(self, tmp_path):
         spec = echo_spec(tmp_path)

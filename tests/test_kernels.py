@@ -144,3 +144,61 @@ class TestMatrixHelpers:
         pts = rng.random((20, 2))
         alpha = rng.standard_normal(20)
         assert quadratic_form(spec(family, 2), pts, alpha) > 0.0
+
+
+def _plain_profile(family, dim, eps_zeta, zeta, d):
+    """The kernel profiles as plain expressions that allocate every
+    intermediate, in the operation order of the in-place code."""
+    if family == "gaussian":
+        a = eps_zeta * d
+        return np.exp(-(a * a))
+    r = zeta * d
+    if family == "matern12":
+        return np.exp(-r)
+    if family == "matern32":
+        return (1.0 + r) * np.exp(-r)
+    k = int(family[-1])
+    ell = dim // 2 + k + 1
+    base = np.maximum(1.0 - r, 0.0) ** (ell + k)
+    if k == 0:
+        return base
+    if k == 1:
+        return base * ((ell + 1.0) * r + 1.0)
+    if k == 2:
+        return base * ((ell * ell + 4.0 * ell + 3.0) * r * r + (3.0 * ell + 6.0) * r + 3.0) / 3.0
+    poly = (
+        (ell ** 3 + 9.0 * ell ** 2 + 23.0 * ell + 15.0) * r ** 3
+        + (6.0 * ell ** 2 + 36.0 * ell + 45.0) * r * r
+        + (15.0 * ell + 45.0) * r
+        + 15.0
+    )
+    return base * poly / 15.0
+
+
+class TestGramBuffers:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_matrix_bitwise_equal_to_plain_expressions(self, family, dim):
+        rng = np.random.default_rng(dim)
+        a, b = rng.random((60, dim)), rng.random((45, dim))
+        norm = NormSpec(zeta=1.7, weights=tuple(rng.random(dim) + 0.5))
+        s = spec(family, dim, epsilon=0.8, norm=norm)
+        d = norm.pairwise(a, b)
+        assert np.array_equal(kernel_matrix(s, a, b), _plain_profile(family, dim, 0.8 * 1.7, 1.7, d))
+        assert np.array_equal(s.profile(d), _plain_profile(family, dim, 0.8 * 1.7, 1.7, d))
+
+    @pytest.mark.parametrize("family,dim", [("wendland3", 1), ("matern32", 3), ("gaussian", 2)])
+    def test_gram_peak_is_at_most_three_matrices(self, family, dim):
+        import tracemalloc
+
+        from rbfuq import ParameterDomain, assemble_gram, halton_points
+
+        n = 512
+        pts = halton_points(ParameterDomain.unit(dim), n)
+        tracemalloc.start()
+        try:
+            assemble_gram(spec(family, dim), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8 + 2 ** 18, f"peak {peak / (8 * n * n):.2f} matrices"

@@ -17,6 +17,7 @@ from rbfuq import (
     kernel_moments,
     moment_weights,
 )
+from rbfuq.quadrature import _big_k, _radial_moment
 
 
 class TestUnivariateRule:
@@ -293,7 +294,9 @@ class TestMomentOracles:
                 )
             assert abs(b[j] - exact) <= 1e-13 * exact, f"centre {c}: {b[j]!r} vs {exact!r}"
 
-    @pytest.mark.parametrize("height", [0.0, 1e-3, 0.1, 0.5])
+    # 1e-6 and 1e-9 put the foot of the face triangles at small r, where
+    # the Matern M_j = c_j - e^{-r} q_j(r) cancels
+    @pytest.mark.parametrize("height", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
     @pytest.mark.parametrize(
         "family", ["wendland0", "wendland1", "wendland2", "wendland3", "matern12", "matern32"]
     )
@@ -352,6 +355,40 @@ class TestMomentOracles:
         assert np.max(np.abs(coarse - finer)) > 0.0
         b7, b9 = (kernel_moments(spec, centers, cc_rule(dom, lv)) for lv in (7, 9))
         assert np.max(np.abs(b7 - b9)) <= 1e-14
+
+
+class TestRadialMoments:
+    """The closed-form radial moments against mpmath."""
+
+    @pytest.mark.parametrize("j", range(6))
+    @pytest.mark.parametrize("family", ["matern12", "matern32"])
+    def test_matern_closed_form(self, family, j):
+        mpmath = pytest.importorskip("mpmath")
+        r = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 3.0, 10.0, 50.0, 800.0])
+        got = _radial_moment(KernelSpec(family, 3), j, r)
+        with mpmath.workdps(40):
+            # integral_0^r s^n e^{-s} ds is the lower incomplete gamma(n + 1, r)
+            powers = (j, j + 1) if family == "matern32" else (j,)
+            exact = [sum(mpmath.gammainc(n + 1, 0, x) for n in powers) for x in r]
+        c_j = sum(math.factorial(n) for n in powers)
+        err = np.abs(got - np.array(exact, dtype=float))
+        assert np.max(err) <= 1e-14 * c_j, f"r = {r[np.argmax(err)]}: off by {np.max(err):.2e}"
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("family", ["wendland0", "wendland1", "wendland2", "wendland3"])
+    def test_wendland_k_series(self, family, dim):
+        mpmath = pytest.importorskip("mpmath")
+        r = np.concatenate([np.geomspace(1e-6, 1.0, 25), np.linspace(0.05, 2.0, 40)])
+        got = _big_k(KernelSpec(family, dim), r)
+
+        def moment(j, x):
+            top = min(x, 1)
+            return mpmath.quad(lambda s: s ** j * _oracle_profile(mpmath.mp, family, dim, s), [0, top])
+
+        with mpmath.workdps(30):
+            exact = [moment(1, mpmath.mpf(x)) - moment(2, mpmath.mpf(x)) / x for x in r]
+        err = np.abs(got - np.array(exact, dtype=float))
+        assert np.max(err) <= 1e-14, f"r = {r[np.argmax(err)]}: off by {np.max(err):.2e}"
 
 
 class TestMomentWeights:
