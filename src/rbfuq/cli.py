@@ -8,10 +8,14 @@ Subcommands:
 * ``reference``        compute and store a reference mean field
 * ``validate-config``  check a config file and exit
 
+``mean``, ``reference`` and ``study`` all compute through
+``study.estimate``, so the CLI and the library give bitwise the same
+numbers.
+
 Exit codes: 0 success, 2 configuration error (including usage errors),
-3 numerical failure (singular or unusable collocation system),
-4 external-solver failure.  Flags override config keys, which override
-package defaults.
+3 numerical failure (singular or unusable collocation system, named by
+kernel and N), 4 external-solver failure.  Flags override config keys,
+which override package defaults.
 """
 from __future__ import annotations
 
@@ -23,19 +27,14 @@ import sys
 
 import numpy as np
 
-from .collocation import SingularGramError, assemble_gram
+# assemble_gram, kernel_moments, moment_weights and evaluate_samples are unused
+# here (study.estimate calls them), but perfbench/layers.py wraps them on this module.
+from .collocation import SingularGramError, assemble_gram  # noqa: F401
 from .config import ConfigError, RunConfig, load_config
 from .models import External, ExternalError, write_qoi
 from .param_space import halton_points
-from .quadrature import _moment_plan, cc_rule, estimate_mean, kernel_moments, moment_weights
-from .study import (
-    StudyError,
-    _kernel_groups,
-    evaluate_samples,
-    kernel_reference,
-    run_study,
-    write_report,
-)
+from .quadrature import _moment_plan, cc_rule, kernel_moments, moment_weights  # noqa: F401
+from .study import StudyError, _kernel_groups, estimate, evaluate_samples, run_study, write_report  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,21 +93,15 @@ def cmd_mean(args) -> int:
     if args.dry_run:
         _print_plan(cfg, n)
         return EXIT_OK
-    points = halton_points(cfg.domain, n)
-    table = evaluate_samples(cfg.model, points, jobs=cfg.jobs)
-    rule = cc_rule(cfg.domain, cfg.level, max_points=cfg.max_quad_points)
-    spec = setting.spec(cfg.domain.dim)
-    gram = assemble_gram(spec, points)
-    b = kernel_moments(spec, points, rule)
-    weights = moment_weights(gram, setting.regularization, b)
-    mean = estimate_mean(weights, table)
+    result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.level, cfg.jobs, cfg.max_quad_points)
+    weights, mean = result.weights[setting, n], result.means[setting, n]
     mean_path = _out_path(cfg, "mean.bin")
     write_qoi(mean_path, mean)
     weights_path = _out_path(cfg, "weights.csv")
     header = "index," + ",".join(f"y{d + 1}" for d in range(cfg.domain.dim)) + ",weight"
     with open(weights_path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for i, (row, w) in enumerate(zip(points.points, weights.omega)):
+        for i, (row, w) in enumerate(zip(result.points.points, weights.omega)):
             fh.write(f"{i}," + _format_row(row) + "," + format(w, ".17g") + "\n")
     if mean.size == 1:
         print(f"mean estimate: {mean[0]:.17g}")
@@ -120,11 +113,11 @@ def cmd_study(args) -> int:
     cfg = _load(args)
     study_cfg = cfg.study()
     if args.dry_run:
-        ref = study_cfg.reference  # a kernel reference covers the schedule
-        _print_plan(cfg, ref.n_max if ref.kind == "kernel" else study_cfg.schedule[-1])
+        requests = study_cfg.requests()  # as run_study passes them to estimate
+        _print_plan(cfg, max(map(max, requests.values())))
         print(f"schedule: {list(study_cfg.schedule)}")
         print(f"kernels: {[k.column for k in study_cfg.kernels]}")
-        kinds, cols = len(_kernel_groups(study_cfg)), len(study_cfg.kernels)
+        kinds, cols = len(_kernel_groups(requests, cfg.domain.dim)), len(study_cfg.kernels)
         kinds = f"{kinds} distinct kernel{'s' * (kinds != 1)}"
         print(f"gram systems: {kinds} for {cols} column{'s' * (cols != 1)}")
         return EXIT_OK
@@ -146,43 +139,20 @@ def cmd_reference(args) -> int:
         _print_plan(cfg, n)
         return EXIT_OK
     if ref.kind == "exact":
-        field = cfg.model.exact_mean()
+        values = cfg.model.exact_mean().values
         meta = {"kind": "exact"}
     else:
-        study_cfg = _reference_study(cfg)
-        field = kernel_reference(study_cfg, ref.n_max, ref.kernel)
-        meta = {
-            "kind": "kernel",
-            "n_max": ref.n_max,
-            "kernel": ref.kernel.column,
-        }
+        args = (cfg.level, cfg.jobs, cfg.max_quad_points)
+        values = estimate(cfg.model, cfg.domain, {ref.kernel: (ref.n_max,)}, *args).means[ref.kernel, ref.n_max]
+        meta = {"kind": "kernel", "n_max": ref.n_max, "kernel": ref.kernel.column}
     path = _out_path(cfg, "reference.bin")
-    write_qoi(path, field.values)
+    write_qoi(path, values)
     meta_path = _out_path(cfg, "reference.json")
     with open(meta_path, "w", newline="\n") as fh:
-        json.dump({**meta, "m": int(field.m)}, fh, indent=2)
+        json.dump({**meta, "m": int(values.size)}, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {path} ({field.m} values)")
+    print(f"wrote {path} ({values.size} values)")
     return EXIT_OK
-
-
-def _reference_study(cfg: RunConfig):
-    # kernel_reference only needs model/domain/level plumbing; build a
-    # minimal single-point-schedule study around the reference kernel.
-    from .study import StudyConfig
-
-    return StudyConfig(
-        model=cfg.model,
-        domain=cfg.domain,
-        kernels=(cfg.reference.kernel,),
-        schedule=(1,),
-        level=cfg.level,
-        norm=cfg.norm,
-        reference=cfg.reference,
-        jobs=cfg.jobs,
-        max_quad_points=cfg.max_quad_points,
-        fit_window=cfg.fit_window,
-    )
 
 
 def cmd_validate(args) -> int:

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .models import External, GFunction, GridSpec, KLField, PoissonExact
 from .param_space import MAX_DIM, ParameterDomain
 from .study import (
     KernelSetting,
-    NORM_TAGS,
     ReferenceSpec,
     StudyConfig,
+    _check_columns,
+    _check_norm,
+    _check_schedule,
 )
 from .collocation import Tikhonov, TSVD
 
@@ -58,6 +60,14 @@ def _integer(value, where: str, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value}")
     return value
+
+
+def _study_rule(check, *args, **kwargs):
+    """A check of the study module, its ValueError raised as a ConfigError."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 def _string(value, where: str) -> str:
@@ -250,21 +260,8 @@ class RunConfig:
             raise ConfigError("missing key 'kernels' (at least one kernel needed)")
         if self.schedule is None:
             raise ConfigError("missing key 'schedule' (sample counts for the study)")
-        try:
-            return StudyConfig(
-                model=self.model,
-                domain=self.domain,
-                kernels=self.kernels,
-                schedule=self.schedule,
-                level=self.level,
-                norm=self.norm,
-                reference=self.reference,
-                jobs=self.jobs,
-                max_quad_points=self.max_quad_points,
-                fit_window=self.fit_window,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # every StudyConfig field is a RunConfig field of the same name
+        return _study_rule(StudyConfig, **{f.name: getattr(self, f.name) for f in fields(StudyConfig)})
 
 
 def parse_config(data, base_dir=".") -> RunConfig:
@@ -285,9 +282,7 @@ def parse_config(data, base_dir=".") -> RunConfig:
         kernels = tuple(
             _parse_kernel(obj, f"kernels[{i}]") for i, obj in enumerate(raw)
         )
-        labels = [k.column for k in kernels]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("config.kernels: column labels collide; set 'label'")
+        _study_rule(_check_columns, kernels)
     schedule = None
     if "schedule" in data:
         raw = data["schedule"]
@@ -296,12 +291,10 @@ def parse_config(data, base_dir=".") -> RunConfig:
         schedule = tuple(
             _integer(v, f"schedule[{i}]", minimum=1) for i, v in enumerate(raw)
         )
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("config.schedule must be strictly increasing")
+        _study_rule(_check_schedule, schedule)
     level = _integer(data.get("level", 7), "config.level", minimum=1)
     norm = data.get("norm", "abs_l2")
-    if norm not in NORM_TAGS:
-        raise ConfigError(f"config.norm must be one of {NORM_TAGS}, got {norm!r}")
+    _study_rule(_check_norm, norm)
     reference = (
         _parse_reference(data["reference"]) if "reference" in data else ReferenceSpec.exact()
     )

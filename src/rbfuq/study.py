@@ -1,13 +1,15 @@
 """Convergence-study harness: mean estimation across kernel/N sweeps.
 
-A study evaluates the model once on the longest Halton prefix, then for
-every (kernel, N) pair reuses the first N samples.  Columns that differ
-only in regularization share a kernel: it gets one Gram matrix and one
-moment vector on the longest prefix, and each N solves on the leading
-N x N block (the low-discrepancy sequence is nested, so prefixes are
-valid sample sets), with one SVD per block for all TSVD columns.
-Errors against the reference are reported per (kernel, N), with a
-least-squares order fitted on the tail of each log-log curve.
+``estimate`` is the one pipeline behind ``run_study``, ``kernel_reference``
+and the CLI's ``mean`` and ``reference``.  It evaluates the model once on
+the longest Halton prefix asked for, then for every (setting, N) pair
+reuses the first N samples.  Settings that share a kernel (a kernel
+reference included) get one Gram matrix and one moment vector on their
+longest prefix, and each N solves on the leading N x N block (the
+low-discrepancy sequence is nested, so prefixes are valid sample sets),
+with one SVD per block for all TSVD settings.  Errors against the
+reference are reported per (kernel, N), with a least-squares order
+fitted on the tail of each log-log curve.
 """
 from __future__ import annotations
 
@@ -115,18 +117,11 @@ class StudyConfig:
 
     def __post_init__(self):
         kernels = tuple(self.kernels)
-        schedule = tuple(int(n) for n in self.schedule)
         if not kernels:
             raise ValueError("study needs at least one kernel")
-        if not schedule or any(n < 1 for n in schedule):
-            raise ValueError("schedule must hold positive sample counts")
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ValueError("schedule must be strictly increasing")
-        if self.norm not in NORM_TAGS:
-            raise ValueError(f"unknown norm tag '{self.norm}'")
-        columns = [k.column for k in kernels]
-        if len(set(columns)) != len(columns):
-            raise ValueError("kernel columns collide; set distinct labels")
+        schedule = _check_schedule(self.schedule)
+        _check_norm(self.norm)
+        _check_columns(kernels)
         if self.reference.kind == "kernel" and self.reference.n_max < schedule[-1]:
             raise ValueError("kernel reference n_max must cover the schedule")
         if self.reference.kind == "exact" and not hasattr(self.model, "exact_mean"):
@@ -135,6 +130,35 @@ class StudyConfig:
             )
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "schedule", schedule)
+
+    def requests(self) -> dict:
+        """``estimate``'s requests: the schedule per column, n_max for a kernel reference."""
+        requests = {setting: self.schedule for setting in self.kernels}
+        ref = self.reference
+        if ref.kind == "kernel":
+            requests[ref.kernel] = (*requests.get(ref.kernel, ()), ref.n_max)
+        return requests
+
+
+# One function per rule, shared by StudyConfig and config.parse_config.
+def _check_schedule(schedule) -> tuple:
+    schedule = tuple(int(n) for n in schedule)
+    if not schedule or any(n < 1 for n in schedule):
+        raise ValueError("schedule must hold positive sample counts")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"schedule must be strictly increasing, got {list(schedule)}")
+    return schedule
+
+
+def _check_columns(kernels) -> None:
+    columns = [k.column for k in kernels]
+    if len(set(columns)) != len(columns):
+        raise ValueError("kernel columns collide; set distinct labels")
+
+
+def _check_norm(tag) -> None:
+    if tag not in NORM_TAGS:
+        raise ValueError(f"unknown norm tag {tag!r}; expected one of {NORM_TAGS}")
 
 
 @dataclass(frozen=True)
@@ -156,10 +180,6 @@ def evaluate_samples(model, points: CollocationSet, jobs: int = 1) -> np.ndarray
         return run_campaign(model, points, jobs=jobs).table
     rows = [model.evaluate(y).values for y in points.points]
     return np.vstack(rows)
-
-
-def _model_grid(model, m: int) -> GridSpec:
-    return model.grid if hasattr(model, "grid") else GridSpec.index_line(m)
 
 
 def _norm_values(estimate: np.ndarray, reference: np.ndarray, tag: str) -> float:
@@ -221,60 +241,73 @@ def fit_order(points, window: int = 4, floor: float = 0.0):
     return _fit_tail(points, window, floor)[0]
 
 
-def _kernel_groups(config: StudyConfig) -> dict:
-    """The study's kernel settings grouped by their kernel, in order."""
+def _kernel_groups(settings, dim: int) -> dict:
+    """Kernel settings grouped by their kernel in ``dim`` dimensions, in order."""
     groups = {}
-    for setting in config.kernels:
-        groups.setdefault(setting.spec(config.domain.dim), []).append(setting)
+    for setting in settings:
+        groups.setdefault(setting.spec(dim), []).append(setting)
     return groups
 
 
-def _estimates(settings, points: CollocationSet, table, rule, ns) -> dict:
-    """``{column: [estimate per N]}`` for settings that share one kernel.
+@dataclass(frozen=True)
+class Estimates:
+    """Points and sample table, and per ``(setting, n)`` the weights and mean."""
 
-    One Gram matrix and one moment vector on the longest prefix serve
-    them all; each N solves on the leading N x N block, a view, whose SVD
-    the TSVD settings share.
+    points: CollocationSet
+    table: np.ndarray
+    weights: dict
+    means: dict
+
+
+def estimate(
+    model, domain: ParameterDomain, requests: dict, level: int = 7, jobs: int = 1, max_quad_points: int = 10 ** 8
+) -> Estimates:
+    """Mean estimates of every ``KernelSetting`` in ``requests`` at each of its N.
+
+    The model runs once, on the longest Halton prefix asked for.  Settings
+    that share a kernel share one Gram matrix and one moment vector on
+    their longest prefix; each N solves on the leading N x N block, a
+    view, whose SVD the TSVD settings share.  A failed solve raises
+    ``StudyError`` naming the setting's column and N.
     """
-    spec = settings[0].spec(points.dim)
-    points = points.prefix(ns[-1])
-    gram_full = assemble_gram(spec, points).values
-    b_full = kernel_moments(spec, points, rule)
-    out = {setting.column: [] for setting in settings}
-    for n in ns:
-        gram = GramMatrix(values=gram_full[:n, :n], spec=spec, points=points.prefix(n))
-        for setting in settings:
-            try:
-                weights = moment_weights(gram, setting.regularization, b_full[:n])
-            except (SingularGramError, np.linalg.LinAlgError) as exc:
-                raise StudyError(setting.column, n, exc) from exc
-            out[setting.column].append(estimate_mean(weights, table[:n]))
-    return out
+    counts = {setting: sorted({int(n) for n in ns}) for setting, ns in requests.items()}
+    points = halton_points(domain, max(ns[-1] for ns in counts.values()))
+    table = evaluate_samples(model, points, jobs=jobs)
+    rule = cc_rule(domain, level, max_points=max_quad_points)
+    weights = {}
+    for spec, settings in _kernel_groups(counts, domain.dim).items():
+        ns = sorted({n for setting in settings for n in counts[setting]})
+        gram_full = assemble_gram(spec, points.prefix(ns[-1])).values
+        b_full = kernel_moments(spec, points.prefix(ns[-1]), rule)
+        for n in ns:
+            gram = GramMatrix(values=gram_full[:n, :n], spec=spec, points=points.prefix(n))
+            for setting in (s for s in settings if n in counts[s]):
+                try:
+                    weights[setting, n] = moment_weights(gram, setting.regularization, b_full[:n])
+                except (SingularGramError, np.linalg.LinAlgError) as exc:
+                    raise StudyError(setting.column, n, exc) from exc
+        del gram_full, gram  # free this kernel's matrices before the next is assembled
+    means = {(setting, n): estimate_mean(w, table[:n]) for (setting, n), w in weights.items()}
+    return Estimates(points=points, table=table, weights=weights, means=means)
 
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Run the full sweep; deterministic end-to-end for analytic models."""
     t0 = time.monotonic()
-    ref = config.reference  # a kernel reference covers the schedule
-    n_total = ref.n_max if ref.kind == "kernel" else config.schedule[-1]
-    points = halton_points(config.domain, n_total)
-    table = evaluate_samples(config.model, points, jobs=config.jobs)
-    rule = cc_rule(config.domain, config.level, max_points=config.max_quad_points)
-
+    args = (config.level, config.jobs, config.max_quad_points)
+    means = estimate(config.model, config.domain, config.requests(), *args).means
+    ref = config.reference
     if ref.kind == "exact":
         ref_values = config.model.exact_mean().values
     else:
-        by_column = _estimates([ref.kernel], points, table, rule, (ref.n_max,))
-        ref_values = by_column[ref.kernel.column][0]
+        ref_values = means[ref.kernel, ref.n_max]
 
-    estimates = {}
-    for settings in _kernel_groups(config).values():
-        estimates.update(_estimates(settings, points, table, rule, config.schedule))
     errors, orders, fit_points = {}, {}, {}
     for setting in config.kernels:
         column = setting.column
         errors[column] = tuple(
-            _norm_values(est, ref_values, config.norm) for est in estimates[column]
+            _norm_values(means[setting, n], ref_values, config.norm)
+            for n in config.schedule
         )
         pairs = zip(config.schedule, errors[column])
         reg = setting.regularization
@@ -303,11 +336,10 @@ def kernel_reference(config: StudyConfig, n_max: int, setting: KernelSetting) ->
     """
     if n_max < max(config.schedule):
         raise ValueError("reference n_max must cover the schedule")
-    points = halton_points(config.domain, n_max)
-    table = evaluate_samples(config.model, points, jobs=config.jobs)
-    rule = cc_rule(config.domain, config.level, max_points=config.max_quad_points)
-    est = _estimates([setting], points, table, rule, (n_max,))[setting.column][0]
-    return GridField(grid=_model_grid(config.model, est.size), values=est)
+    args = (config.level, config.jobs, config.max_quad_points)
+    est = estimate(config.model, config.domain, {setting: (n_max,)}, *args).means[setting, n_max]
+    grid = config.model.grid if hasattr(config.model, "grid") else GridSpec.index_line(est.size)
+    return GridField(grid=grid, values=est)
 
 
 def mc_baseline(model, domain: ParameterDomain, n: int, seed: int = 0, method: str = "mc") -> np.ndarray:

@@ -8,11 +8,14 @@ import pytest
 
 from rbfuq import (
     PoissonExact,
+    StudyConfig,
     assemble_gram,
     cc_rule,
+    estimate,
     estimate_mean,
     halton_points,
     kernel_moments,
+    kernel_reference,
     load_config,
     moment_weights,
     read_qoi,
@@ -120,6 +123,19 @@ class TestMean:
             assert float(y) == points.points[i, 0]
             assert float(w) == weights.omega[i]
 
+    def test_writes_what_estimate_computes(self, tmp_path):
+        cfg_path = gfunction_cfg(
+            tmp_path, dim=2, n=40, kernels=[{"family": "wendland2", "tsvd_tol": 1e-9}], level=5
+        )
+        assert main(["mean", "--config", cfg_path]) == EXIT_OK
+        cfg = load_config(cfg_path)
+        setting = cfg.first_kernel()
+        result = estimate(cfg.model, cfg.domain, {setting: (40,)}, level=5)
+        assert np.array_equal(read_qoi(tmp_path / "out" / "mean.bin"), result.means[setting, 40])
+        rows = (tmp_path / "out" / "weights.csv").read_text().splitlines()[1:]
+        omega = [float(row.split(",")[-1]) for row in rows]
+        assert np.array_equal(omega, result.weights[setting, 40].omega)
+
     def test_scalar_estimate_printed(self, tmp_path, capsys):
         cfg_path = gfunction_cfg(tmp_path, dim=1, n=8, kernels=[{"family": "gaussian"}])
         main(["mean", "--config", cfg_path])
@@ -212,6 +228,24 @@ class TestStudy:
         assert main(["study", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
         assert "gram systems: 1 distinct kernel for 1 column\n" in capsys.readouterr().out
 
+    def test_study_dry_run_counts_reference_kernel(self, tmp_path, capsys):
+        data = {
+            "domain": {"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 1},
+            "model": {"kind": "poisson"},
+            "kernels": [{"family": "wendland3", "eps_reg": 1e-8}],
+            "schedule": [4, 8],
+            "reference": {"kind": "kernel", "n_max": 16, "kernel": {"family": "gaussian"}},
+            "out": str(tmp_path / "out"),
+        }
+        assert main(["study", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "samples: 16\n" in out
+        assert "gram systems: 2 distinct kernels for 1 column\n" in out
+        # the column's kernel under another regularization shares its Gram system
+        data["reference"]["kernel"] = {"family": "wendland3", "tsvd_tol": 1e-3}
+        assert main(["study", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
+        assert "gram systems: 1 distinct kernel for 1 column\n" in capsys.readouterr().out
+
     def test_study_without_schedule_is_config_error(self, tmp_path, capsys):
         cfg = gfunction_cfg(tmp_path, kernels=[{"family": "gaussian"}])
         assert main(["study", "--config", cfg]) == EXIT_CONFIG
@@ -252,6 +286,30 @@ class TestReference:
         assert meta == {"kind": "kernel", "n_max": 32, "kernel": "gaussian", "m": 1}
 
 
+    def test_kernel_reference_matches_library(self, tmp_path):
+        data = {
+            "domain": {"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 2},
+            "model": {"kind": "kl", "correlation_length": 0.5, "x2_points": 9},
+            "reference": {
+                "kind": "kernel",
+                "n_max": 48,
+                "kernel": {"family": "matern32", "tsvd_tol": 1e-10},
+            },
+            "level": 5,
+            "out": str(tmp_path / "out"),
+        }
+        cfg_path = write_cfg(tmp_path, data)
+        assert main(["reference", "--config", cfg_path]) == EXIT_OK
+        cfg = load_config(cfg_path)
+        ref = cfg.reference
+        study_cfg = StudyConfig(
+            model=cfg.model, domain=cfg.domain, kernels=(ref.kernel,), schedule=(48,), level=5, reference=ref
+        )
+        expected = kernel_reference(study_cfg, 48, ref.kernel).values
+        assert expected.shape == (9,)
+        assert np.array_equal(read_qoi(tmp_path / "out" / "reference.bin"), expected)
+
+
 class TestValidate:
     def test_valid_config(self, tmp_path, capsys):
         cfg = gfunction_cfg(tmp_path, kernels=[{"family": "gaussian"}], schedule=[4, 8])
@@ -284,7 +342,9 @@ class TestExitCodes:
         }
         cfg = write_cfg(tmp_path, data)
         assert main(["mean", "--config", cfg]) == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "kernel 'matern12' at N=8" in err  # where the solve failed
 
     def test_external_failure(self, tmp_path, capsys):
         stub = tmp_path / "fail.py"

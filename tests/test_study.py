@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -17,6 +18,7 @@ from rbfuq import (
     Tikhonov,
     TSVD,
     error_norm,
+    estimate,
     evaluate_samples,
     fit_order,
     halton_points,
@@ -299,7 +301,7 @@ class TestSharedKernel:
             assert sweep.orders[column] == single.orders[column]
             assert sweep.fit_points[column] == single.fit_points[column]
 
-    def test_one_gram_and_moment_vector_per_kernel(self, monkeypatch):
+    def count_calls(self, monkeypatch) -> dict:
         from rbfuq import study
 
         calls = {"assemble_gram": 0, "kernel_moments": 0}
@@ -311,12 +313,39 @@ class TestSharedKernel:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(study, name, counted)
+        return calls
+
+    def test_one_gram_and_moment_vector_per_kernel(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
         settings = [
             KernelSetting(family="matern32", label="a"),
             KernelSetting(family="matern32", regularization=TSVD(1e-6), label="b"),
         ]
         run_study(self.config(settings))
         assert calls == {"assemble_gram": 1, "kernel_moments": 1}
+
+    def test_reference_shares_its_columns_kernel(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        setting = KernelSetting(family="matern32")
+        config = self.config([setting])
+        run_study(dataclasses.replace(config, reference=ReferenceSpec.kernel_at(256, setting)))
+        assert calls == {"assemble_gram": 1, "kernel_moments": 1}
+
+    def test_reference_named_like_a_column_keeps_its_own_estimate(self):
+        column = KernelSetting(family="matern32")
+        reference = KernelSetting(family="matern32", regularization=TSVD(1e-6))
+        assert reference.column == column.column
+        config = dataclasses.replace(
+            self.config([column]), reference=ReferenceSpec.kernel_at(128, reference)
+        )
+        report = run_study(config)
+        result = estimate(config.model, config.domain, {column: config.schedule, reference: (128,)}, level=5)
+        ref = line_field(result.means[reference, 128])
+        expected = tuple(
+            error_norm(line_field(result.means[column, n]), ref, "abs_l2") for n in config.schedule
+        )
+        assert report.errors["matern32"] == expected
+        assert expected[-1] > 0.0
 
 
 class TestEvaluateSamples:
