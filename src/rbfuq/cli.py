@@ -33,7 +33,7 @@ from .collocation import SingularGramError, assemble_gram  # noqa: F401
 from .config import ConfigError, RunConfig, load_config
 from .models import External, ExternalError, write_qoi
 from .param_space import halton_points
-from .quadrature import _moment_plan, cc_rule, kernel_moments, moment_weights  # noqa: F401
+from .quadrature import _moment_plan, kernel_moments, moment_weights  # noqa: F401
 from .study import StudyError, _kernel_groups, estimate, evaluate_samples, run_study, write_report  # noqa: F401
 
 EXIT_OK = 0
@@ -77,10 +77,9 @@ def cmd_sample(args) -> int:
 
 
 def _print_plan(cfg: RunConfig, n: int) -> None:
-    rule = cc_rule(cfg.domain, cfg.level, max_points=cfg.max_quad_points)
     print(f"samples: {n}")
     print(f"collocation system: {n} x {n}")
-    print(f"kernel moments: {_moment_plan(rule)}")
+    print(f"kernel moments: {_moment_plan(cfg.domain.dim, cfg.level)}")
     if isinstance(cfg.model, External):
         print(f"external command: {cfg.model.command}")
         print(f"sample root: {cfg.model.samples_dir}")
@@ -93,7 +92,7 @@ def cmd_mean(args) -> int:
     if args.dry_run:
         _print_plan(cfg, n)
         return EXIT_OK
-    result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.level, cfg.jobs, cfg.max_quad_points)
+    result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.level, cfg.jobs)
     weights, mean = result.weights[setting, n], result.means[setting, n]
     mean_path = _out_path(cfg, "mean.bin")
     write_qoi(mean_path, mean)
@@ -142,8 +141,8 @@ def cmd_reference(args) -> int:
         values = cfg.model.exact_mean().values
         meta = {"kind": "exact"}
     else:
-        args = (cfg.level, cfg.jobs, cfg.max_quad_points)
-        values = estimate(cfg.model, cfg.domain, {ref.kernel: (ref.n_max,)}, *args).means[ref.kernel, ref.n_max]
+        means = estimate(cfg.model, cfg.domain, {ref.kernel: (ref.n_max,)}, cfg.level, cfg.jobs).means
+        values = means[ref.kernel, ref.n_max]
         meta = {"kind": "kernel", "n_max": ref.n_max, "kernel": ref.kernel.column}
     path = _out_path(cfg, "reference.bin")
     write_qoi(path, values)

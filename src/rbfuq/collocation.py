@@ -155,9 +155,9 @@ class _LUFactor:
             warnings.simplefilter("always", LinAlgWarning)
             self._lu = lu_factor(matrix, overwrite_a=True)
         if any(issubclass(w.category, LinAlgWarning) for w in caught):
-            shifted = values + shift * np.eye(len(values))  # error path only
-            sv = np.linalg.svd(shifted, compute_uv=False, hermitian=True)
-            cond = np.inf if sv[-1] == 0 else float(sv[0] / sv[-1])
+            shifted = np.array(values)  # error path only; the LU overwrote the first copy
+            shifted[np.diag_indices_from(shifted)] += shift
+            cond = _singular_extremes(shifted)[2]
             raise SingularGramError(
                 f"{context}: Gram matrix is numerically singular "
                 f"(condition {cond:.3e}); add regularization or remove "
@@ -243,11 +243,14 @@ def lagrange_values(gram: GramMatrix, reg: Regularization, z) -> np.ndarray:
     return _factorize(gram, reg).solve_vector(rhs)
 
 
+def _singular_extremes(values: np.ndarray) -> tuple[float, float, float]:
+    """Largest and smallest singular values of a symmetric matrix, and their ratio."""
+    sv = np.linalg.svd(values, compute_uv=False, hermitian=True)
+    smax, smin = float(sv[0]), float(sv[-1])
+    return smax, smin, np.inf if smin == 0.0 else smax / smin
+
+
 def condition_report(gram: GramMatrix) -> ConditionReport:
     """Singular-value extremes of the Gram matrix (diagnostic only)."""
-    sv = np.linalg.svd(gram.values, compute_uv=False, hermitian=True)
-    smax = float(sv[0])
-    smin = float(sv[-1])
-    with np.errstate(divide="ignore"):
-        cond = np.inf if smin == 0.0 else smax / smin
-    return ConditionReport(sigma_min=smin, sigma_max=smax, condition=float(cond))
+    smax, smin, cond = _singular_extremes(gram.values)
+    return ConditionReport(sigma_min=smin, sigma_max=smax, condition=cond)

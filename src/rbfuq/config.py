@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .models import External, GFunction, GridSpec, KLField, PoissonExact
 from .param_space import MAX_DIM, ParameterDomain
+from .quadrature import _level_nodes
 from .study import (
     KernelSetting,
     ReferenceSpec,
@@ -63,7 +64,7 @@ def _integer(value, where: str, minimum=None) -> int:
 
 
 def _study_rule(check, *args, **kwargs):
-    """A check of the study module, its ValueError raised as a ConfigError."""
+    """A check of the study or quadrature module, its ValueError raised as a ConfigError."""
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
@@ -222,7 +223,6 @@ _TOP_KEYS = (
     "jobs",
     "out",
     "csv",
-    "quadrature_cap",
     "fit_window",
 )
 
@@ -242,7 +242,6 @@ class RunConfig:
     jobs: int
     out_dir: str
     csv_name: str
-    max_quad_points: int
     fit_window: int
 
     def first_kernel(self) -> KernelSetting:
@@ -292,7 +291,8 @@ def parse_config(data, base_dir=".") -> RunConfig:
             _integer(v, f"schedule[{i}]", minimum=1) for i, v in enumerate(raw)
         )
         _study_rule(_check_schedule, schedule)
-    level = _integer(data.get("level", 7), "config.level", minimum=1)
+    level = _integer(data.get("level", 7), "config.level")
+    _study_rule(_level_nodes, level)
     norm = data.get("norm", "abs_l2")
     _study_rule(_check_norm, norm)
     reference = (
@@ -304,7 +304,6 @@ def parse_config(data, base_dir=".") -> RunConfig:
     jobs = _integer(data.get("jobs", 1), "config.jobs", minimum=1)
     out_dir = _string(data.get("out", "."), "config.out") if "out" in data else "."
     csv_name = _string(data.get("csv", "study.csv"), "config.csv") if "csv" in data else "study.csv"
-    cap = _integer(data.get("quadrature_cap", 10 ** 8), "config.quadrature_cap", minimum=1)
     fit_window = _integer(data.get("fit_window", 4), "config.fit_window", minimum=2)
     return RunConfig(
         domain=domain,
@@ -318,7 +317,6 @@ def parse_config(data, base_dir=".") -> RunConfig:
         jobs=jobs,
         out_dir=out_dir,
         csv_name=csv_name,
-        max_quad_points=cap,
         fit_window=fit_window,
     )
 

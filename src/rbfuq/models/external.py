@@ -13,10 +13,14 @@ The command template is split into tokens first and the placeholders
 containing spaces stay single arguments.  A sample whose directory holds
 a ``done`` marker is never launched again; its ``params.txt`` must then
 match the requested point bitwise, or the sample is refused as stale.
+Each solve runs in its own session, so a timeout kills the solver's
+whole process group, children included.
 """
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import struct
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
@@ -115,15 +119,21 @@ def _launch(spec: External, line: str, index: int, sample_dir: Path) -> None:
     fields = {"params": str(params), "dir": str(sample_dir), "index": str(index)}
     argv = [token.format(**fields) for token in shlex.split(spec.command)]
     try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=spec.timeout
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
         )
-    except subprocess.TimeoutExpired as exc:
-        raise ExternalTimeoutError(index, f"timed out after {spec.timeout}s") from exc
     except OSError as exc:
         raise ExternalCommandError(index, f"could not launch {argv[0]}: {exc}") from exc
+    with proc:
+        try:
+            _, stderr = proc.communicate(timeout=spec.timeout)
+        except subprocess.TimeoutExpired as exc:
+            # the unreaped leader keeps its group alive, so killpg reaches every member
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise ExternalTimeoutError(index, f"timed out after {spec.timeout}s") from exc
     if proc.returncode != 0:
-        tail = proc.stderr.strip().splitlines()[-3:]
+        tail = stderr.strip().splitlines()[-3:]
         raise ExternalCommandError(
             index,
             f"exit status {proc.returncode}" + (": " + " | ".join(tail) if tail else ""),

@@ -31,12 +31,18 @@ kinks, so the moments are integrated by radial reduction instead:
   coordinates; the support-sphere crossing is not split there, so the
   Wendland families converge algebraically in D >= 4.
 
-The ``level`` of the Clenshaw-Curtis rule passed in sets the resolution:
-each GL segment of the D <= 3 engine has ``rule.points_per_dim`` nodes,
-and the D >= 4 face rules use the largest per-axis order whose nodes per
-centre do not outnumber the ``points_per_dim^D`` nodes of the tensor
-rule, so two levels are two distinct computations.  The tensor rule
-itself (``cc_rule``, ``cc_nodes_weights``) is kept for direct use.
+The ``level`` of the rule passed in is the only resolution input, and
+``_moment_resolution`` turns it into node counts: level l gives
+n = 2^(l-1) + 1 nodes per GL segment of the D <= 3 engine, and the
+D >= 4 face rules use the largest per-axis order whose nodes per centre
+do not outnumber the n^D nodes of the tensor rule, so two levels are two
+distinct computations.  Levels run from 1 to ``MAX_LEVEL``, where the
+O(n^2) memory of building one per-axis rule is still small.  No tensor
+grid over the box is ever built: centres go in batches of about
+``_BATCH_ENTRIES`` array entries, and a D >= 4 face rule too large for
+one centre is summed in slices of that size, so the temporaries do not
+grow with N or with the face rule.  The tensor rule itself (``cc_rule``,
+``cc_nodes_weights``) is kept for direct use.
 """
 from __future__ import annotations
 
@@ -54,6 +60,10 @@ from .param_space import CollocationSet, ParameterDomain
 
 # Bound on array entries per batch of centres, so memory stays flat in N.
 _BATCH_ENTRIES = 500_000
+
+# Highest level: building one per-axis rule of 2^(l-1) + 1 nodes costs
+# O(n^2) memory, 32 MiB for leggauss(2049) at level 12.
+MAX_LEVEL = 12
 
 
 def cc_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +100,10 @@ def cc_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level_nodes(level: int) -> int:
+    """Nodes per axis at a level; the one place that accepts or refuses a level."""
+    if not 1 <= level <= MAX_LEVEL:
+        raise ValueError(f"quadrature level must be between 1 and {MAX_LEVEL}, got {level}")
     # 2^(l-1) + 1 would give 2 at l = 1 only with the endpoint convention.
-    if level < 1:
-        raise ValueError(f"quadrature level must be >= 1, got {level}")
     return 2 if level == 1 else 2 ** (level - 1) + 1
 
 
@@ -123,16 +134,18 @@ class TensorRule:
 
 
 def cc_rule(
-    domain: ParameterDomain, level: int, max_points: int = 10 ** 8
+    domain: ParameterDomain, level: int, max_points: int | None = 10 ** 8
 ) -> TensorRule:
     """Tensor Clenshaw-Curtis rule over the domain box.
 
     Raises an error when the tensor grid would exceed ``max_points``
     points; in that case lower the level (sparse rules are out of scope).
+    ``max_points=None`` skips the check, for callers that never expand
+    the grid, such as ``kernel_moments``.
     """
     n = _level_nodes(level)
     total = n ** domain.dim
-    if total > max_points:
+    if max_points is not None and total > max_points:
         raise ValueError(
             f"tensor rule at level {level} has {n}^{domain.dim} = {total:.3g} "
             f"points, above the cap of {max_points:.3g}; lower the level or "
@@ -271,7 +284,9 @@ def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
 
     Tensor GL rule of order q per axis in the coordinates p_j = h sinh s_j,
     where the integrand is H(h rho) prod_j cosh(s_j) / rho^D with
-    rho^2 = 1 + sum_j sinh(s_j)^2.
+    rho^2 = 1 + sum_j sinh(s_j)^2.  The trailing face axes, as many as
+    fit in ``_BATCH_ENTRIES`` entries, are broadcast, and the leading
+    ones are looped over; when the whole grid fits, the loop runs once.
     """
     dim = unit.dim
     live = h > 0
@@ -281,17 +296,29 @@ def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
     s = top[..., None] * t
     sinh2 = np.sinh(s) ** 2
     jac = np.cosh(s) * (top[..., None] * w)
-    grid_sinh2 = np.zeros((h.size,) + (1,) * (dim - 1))
-    grid_jac = np.ones_like(grid_sinh2)
-    for d in range(dim - 1):
-        shape = [h.size] + [1] * (dim - 1)
-        shape[d + 1] = q
-        grid_sinh2 = grid_sinh2 + sinh2[:, d].reshape(shape)
-        grid_jac = grid_jac * jac[:, d].reshape(shape)
-    rho = np.sqrt(1.0 + grid_sinh2)
-    h = h.reshape((-1,) + (1,) * (dim - 1))
-    vals = _radial_moment(unit, dim - 1, h * rho) * grid_jac / rho ** dim
-    return vals.reshape(h.size, -1).sum(axis=1)
+    lead = 0
+    while lead < dim - 1 and h.size * q ** (dim - 1 - lead) > _BATCH_ENTRIES:
+        lead += 1
+    trail = dim - 1 - lead
+    height = h.reshape((-1,) + (1,) * trail)
+    total = 0.0
+    for node in itertools.product(range(q), repeat=lead):
+        # the same additions and products, in the same order, as on the full grid
+        grid_sinh2 = np.zeros((h.size,) + (1,) * trail)
+        grid_jac = np.ones_like(grid_sinh2)
+        for d in range(dim - 1):
+            shape = [h.size] + [1] * trail
+            if d < lead:
+                axis = slice(node[d], node[d] + 1)
+            else:
+                axis = slice(None)
+                shape[d - lead + 1] = q
+            grid_sinh2 = grid_sinh2 + sinh2[:, d, axis].reshape(shape)
+            grid_jac = grid_jac * jac[:, d, axis].reshape(shape)
+        rho = np.sqrt(1.0 + grid_sinh2)
+        vals = _radial_moment(unit, dim - 1, height * rho) * grid_jac / rho ** dim
+        total = total + vals.reshape(h.size, -1).sum(axis=1)
+    return total
 
 
 def _face_triangles(unit: KernelSpec, h, face, support, q: int) -> np.ndarray:
@@ -352,15 +379,27 @@ def _face_order(dim: int, points_per_dim: int) -> int:
     return q
 
 
-def _moment_plan(rule: TensorRule) -> str:
-    """One line on the resolution of kernel_moments at this rule's level."""
-    dim, n = rule.domain.dim, rule.points_per_dim
-    if dim == 1:
-        return f"level {rule.level}, exact in one dimension"
+def _moment_resolution(dim: int, level: int) -> tuple[int, int]:
+    """GL order of kernel_moments at a level, and its nodes per orthant.
+
+    The order counts nodes per segment for D <= 3 and per face axis for
+    D >= 4.
+    """
+    n = _level_nodes(level)
     if dim <= 3:
-        return f"level {rule.level}, radial reduction with {n}-node Gauss-Legendre segments"
+        return n, max(1, 2 * n * dim * (dim - 1))
     q = _face_order(dim, n)
-    return f"level {rule.level}, radial reduction with {q}^{dim - 1}-node face rules"
+    return q, dim * q ** (dim - 1)
+
+
+def _moment_plan(dim: int, level: int) -> str:
+    """One line on the resolution of kernel_moments at this level."""
+    q, _ = _moment_resolution(dim, level)
+    if dim == 1:
+        return f"level {level}, exact in one dimension"
+    if dim <= 3:
+        return f"level {level}, radial reduction with {q}-node Gauss-Legendre segments"
+    return f"level {level}, radial reduction with {q}^{dim - 1}-node face rules"
 
 
 def _gaussian_moments(spec: KernelSpec, pts: np.ndarray, domain: ParameterDomain) -> np.ndarray:
@@ -382,12 +421,15 @@ def kernel_moments(
     """Kernel moment vector b_j = integral k(y, y_j) rho(y) dy over the box.
 
     rho is the uniform density of ``rule.domain``.  Only the domain and
-    the level of ``rule`` are used, never its tensor nodes: the Gaussian
-    is exact in any D and the other families are exact in D = 1; in
-    D = 2 and 3 they use GL segments of ``rule.points_per_dim`` nodes
+    the level of ``rule`` are used, never its tensor nodes, so a rule
+    from ``cc_rule(domain, level, max_points=None)`` will do: the
+    Gaussian is exact in any D and the other families are exact in
+    D = 1; in D = 2 and 3 they use GL segments of 2^(level-1) + 1 nodes
     that converge spectrally, and in D >= 4 face rules whose order grows
-    with the level (see the module notes).  Centres outside the box are
-    allowed; their orthants enter with signs.
+    with the level (see the module notes).  Centres are taken in batches
+    and large face rules in slices of about ``_BATCH_ENTRIES`` entries,
+    so memory does not grow with the number of centres.  Centres outside
+    the box are allowed; their orthants enter with signs.
     """
     pts = points.points if isinstance(points, CollocationSet) else np.asarray(points)
     dim = rule.domain.dim
@@ -413,12 +455,7 @@ def kernel_moments(
     signs = np.prod(np.sign(half)[:, axes, corners], axis=-1)
 
     unit = KernelSpec(spec.family, dim)
-    q = rule.points_per_dim
-    if dim <= 3:
-        nodes = max(1, 2 * q * dim * (dim - 1))
-    else:
-        q = _face_order(dim, q)
-        nodes = dim * q ** (dim - 1)
+    q, nodes = _moment_resolution(dim, rule.level)
     batch = max(1, _BATCH_ENTRIES // (2 ** dim * nodes))
     b = np.empty(pts.shape[0])
     for s in range(0, pts.shape[0], batch):

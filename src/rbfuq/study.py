@@ -112,7 +112,6 @@ class StudyConfig:
     norm: str = "abs_l2"
     reference: ReferenceSpec = field(default_factory=ReferenceSpec.exact)
     jobs: int = 1
-    max_quad_points: int = 10 ** 8
     fit_window: int = 4
 
     def __post_init__(self):
@@ -260,7 +259,7 @@ class Estimates:
 
 
 def estimate(
-    model, domain: ParameterDomain, requests: dict, level: int = 7, jobs: int = 1, max_quad_points: int = 10 ** 8
+    model, domain: ParameterDomain, requests: dict, level: int = 7, jobs: int = 1
 ) -> Estimates:
     """Mean estimates of every ``KernelSetting`` in ``requests`` at each of its N.
 
@@ -273,7 +272,7 @@ def estimate(
     counts = {setting: sorted({int(n) for n in ns}) for setting, ns in requests.items()}
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))
     table = evaluate_samples(model, points, jobs=jobs)
-    rule = cc_rule(domain, level, max_points=max_quad_points)
+    rule = cc_rule(domain, level, max_points=None)  # kernel_moments never expands it
     weights = {}
     for spec, settings in _kernel_groups(counts, domain.dim).items():
         ns = sorted({n for setting in settings for n in counts[setting]})
@@ -294,8 +293,7 @@ def estimate(
 def run_study(config: StudyConfig) -> StudyReport:
     """Run the full sweep; deterministic end-to-end for analytic models."""
     t0 = time.monotonic()
-    args = (config.level, config.jobs, config.max_quad_points)
-    means = estimate(config.model, config.domain, config.requests(), *args).means
+    means = estimate(config.model, config.domain, config.requests(), config.level, config.jobs).means
     ref = config.reference
     if ref.kind == "exact":
         ref_values = config.model.exact_mean().values
@@ -336,8 +334,8 @@ def kernel_reference(config: StudyConfig, n_max: int, setting: KernelSetting) ->
     """
     if n_max < max(config.schedule):
         raise ValueError("reference n_max must cover the schedule")
-    args = (config.level, config.jobs, config.max_quad_points)
-    est = estimate(config.model, config.domain, {setting: (n_max,)}, *args).means[setting, n_max]
+    means = estimate(config.model, config.domain, {setting: (n_max,)}, config.level, config.jobs).means
+    est = means[setting, n_max]
     grid = config.model.grid if hasattr(config.model, "grid") else GridSpec.index_line(est.size)
     return GridField(grid=grid, values=est)
 
@@ -408,7 +406,6 @@ def config_echo(config: StudyConfig) -> dict:
         "norm": config.norm,
         "reference": ref,
         "jobs": config.jobs,
-        "max_quad_points": config.max_quad_points,
         "fit_window": config.fit_window,
     }
 

@@ -246,6 +246,12 @@ class TestStudy:
         assert main(["study", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
         assert "gram systems: 1 distinct kernel for 1 column\n" in capsys.readouterr().out
 
+    def test_study_dry_run_at_level_ten(self, tmp_path, capsys):
+        cfg = gfunction_cfg(tmp_path, dim=3, kernels=[{"family": "wendland0"}], schedule=[4, 8], level=10)
+        assert main(["study", "--config", cfg, "--dry-run"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "kernel moments: level 10, radial reduction with 513-node Gauss-Legendre segments\n" in out
+
     def test_study_without_schedule_is_config_error(self, tmp_path, capsys):
         cfg = gfunction_cfg(tmp_path, kernels=[{"family": "gaussian"}])
         assert main(["study", "--config", cfg]) == EXIT_CONFIG
@@ -327,6 +333,11 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate-config", "--config", str(tmp_path / "no.json")]) == EXIT_CONFIG
         assert "cannot read" in capsys.readouterr().err
+
+    def test_level_above_range(self, tmp_path, capsys):
+        cfg = gfunction_cfg(tmp_path, level=13)
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert "got 13" in capsys.readouterr().err
 
 
 class TestExitCodes:

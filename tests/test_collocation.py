@@ -134,6 +134,16 @@ class TestSolve:
             solve(gram, np.ones(3))
         assert err.value.condition > 1e15
 
+    def test_singular_error_reports_the_shifted_condition(self):
+        # ones - I/2 is well conditioned; shifted by 1/2 it is the singular all-ones matrix
+        base = random_gram("gaussian", n=40)
+        ones = GramMatrix(values=np.ones((40, 40)), spec=base.spec, points=base.points)
+        gram = GramMatrix(values=np.ones((40, 40)) - 0.5 * np.eye(40), spec=base.spec, points=base.points)
+        assert condition_report(gram).condition < 100.0
+        with pytest.raises(SingularGramError) as err:
+            solve(gram, np.ones(40), reg=Tikhonov(0.5))
+        assert err.value.condition == condition_report(ones).condition
+
     def test_tikhonov_rescues_duplicates(self):
         from rbfuq import CollocationSet
 

@@ -186,6 +186,15 @@ class TestReferenceAndTopLevel:
         with pytest.raises(ConfigError, match="unknown key 'seed' in config"):
             parse_config(minimal(seed=3))
 
+    def test_quadrature_cap_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown key 'quadrature_cap' in config"):
+            parse_config(minimal(quadrature_cap=10 ** 6))
+
+    @pytest.mark.parametrize("level", [0, 13])
+    def test_level_out_of_range_names_the_level(self, level):
+        with pytest.raises(ConfigError, match=f"level must be between 1 and 12, got {level}"):
+            parse_config(minimal(level=level))
+
     def test_schedule_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
             parse_config(minimal(schedule=[16, 8]))

@@ -1,5 +1,6 @@
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ class TestFailureModes:
         )
         with pytest.raises(ExternalTimeoutError, match="timed out"):
             external_evaluate(spec, [0.5], 0)
+
+    def test_timeout_kills_the_process_tree(self, tmp_path):
+        marker = tmp_path / "marker"
+        spec = External(
+            command=f'sh -c "(sleep 1; touch {marker}) & sleep 30"',
+            root=str(tmp_path / "runs"),
+            timeout=0.3,
+        )
+        with pytest.raises(ExternalTimeoutError, match="timed out"):
+            external_evaluate(spec, [0.5], 0)
+        time.sleep(1.5)  # the background child would have written its marker by now
+        assert not marker.exists()
 
     def test_missing_output(self, tmp_path):
         stub = make_stub(tmp_path, "pass")

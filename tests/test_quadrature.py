@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from rbfuq import (
     kernel_moments,
     moment_weights,
 )
-from rbfuq.quadrature import _big_k, _radial_moment
+from rbfuq import quadrature
+from rbfuq.quadrature import _big_k, _level_nodes, _radial_moment
 
 
 class TestUnivariateRule:
@@ -97,6 +99,17 @@ class TestTensorRule:
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
             cc_rule(ParameterDomain.unit(1), 0)
+
+    @pytest.mark.parametrize("level", [0, 13])
+    def test_level_range_names_the_level(self, level):
+        with pytest.raises(ValueError, match=f"between 1 and 12, got {level}"):
+            _level_nodes(level)
+        with pytest.raises(ValueError, match=f"got {level}"):
+            cc_rule(ParameterDomain.unit(1), level, max_points=None)
+
+    def test_no_point_cap(self):
+        rule = cc_rule(ParameterDomain.unit(3), 10, max_points=None)
+        assert rule.npoints == 513 ** 3
 
 
 def _oracle_profile(lib, family, dim, r):
@@ -355,6 +368,41 @@ class TestMomentOracles:
         assert np.max(np.abs(coarse - finer)) > 0.0
         b7, b9 = (kernel_moments(spec, centers, cc_rule(dom, lv)) for lv in (7, 9))
         assert np.max(np.abs(b7 - b9)) <= 1e-14
+
+
+class TestMemoryBound:
+    """kernel_moments keeps its temporaries near _BATCH_ENTRIES entries."""
+
+    @pytest.mark.parametrize("family", ["matern32", "wendland0"])
+    @pytest.mark.parametrize("dim,level", [(4, 7), (5, 6)])
+    def test_one_centre_peak(self, family, dim, level):
+        dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        rule = cc_rule(dom, level, max_points=None)
+        centre = halton_points(dom, 1)
+        tracemalloc.start()
+        try:
+            b = kernel_moments(KernelSpec(family, dim), centre, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b[0] > 0.0
+        assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    @pytest.mark.parametrize("entries", [1, 100, 10 ** 4])
+    @pytest.mark.parametrize("dim,level", [(1, 5), (2, 5), (3, 4), (4, 4), (5, 4)])
+    def test_batch_entries_do_not_change_moments(self, monkeypatch, entries, dim, level):
+        dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        rule = cc_rule(dom, level)
+        centres = halton_points(dom, 3)
+        specs = [KernelSpec(family, dim) for family in ("matern32", "wendland0")]
+        default = [kernel_moments(spec, centres, rule) for spec in specs]
+        monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", entries)
+        for spec, expect in zip(specs, default):
+            b = kernel_moments(spec, centres, rule)
+            if dim <= 3:
+                assert np.array_equal(b, expect)
+            else:  # the face grid is split, so only the summation order changes
+                assert np.max(np.abs(b - expect) / np.abs(expect)) <= 1e-14
 
 
 class TestRadialMoments:
