@@ -14,7 +14,7 @@ numbers.
 
 Exit codes: 0 success, 2 configuration error (including usage errors),
 3 numerical failure (singular or unusable collocation system, named by
-kernel and N), 4 external-solver failure.  Flags override config keys,
+kernel and N, or a non-finite model output), 4 external-solver failure.  Flags override config keys,
 which override package defaults.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 # here (study.estimate calls them), but perfbench/layers.py wraps them on this module.
 from .collocation import SingularGramError, assemble_gram  # noqa: F401
 from .config import ConfigError, RunConfig, load_config
-from .models import External, ExternalError, write_qoi
+from .models import External, ExternalError, NonFiniteFieldError, write_qoi
 from .param_space import halton_points
 from .quadrature import _moment_plan, kernel_moments, moment_weights  # noqa: F401
 from .study import StudyError, _kernel_groups, estimate, evaluate_samples, run_study, write_report  # noqa: F401
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularGramError, StudyError, np.linalg.LinAlgError) as exc:
+    except (SingularGramError, StudyError, NonFiniteFieldError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ExternalError as exc:

@@ -1,23 +1,32 @@
 """Gram systems, regularized solves, and kernel interpolants.
 
 The interpolation matrix A[i,j] = k(y_i, y_j) is dense and symmetric.
-Solves go through a direct LU factorization, optionally after Tikhonov
-shifting (A + eps_reg I), or through a truncated SVD that discards
-singular values below a relative drop tolerance; a Gram matrix keeps its
-SVD, so every TSVD tolerance solved on it slices one set of singular
-triplets.  Multi-channel data is solved channel by channel against one
-shared factorization, which makes the result for each channel
-independent of how many other channels are solved alongside it, down to
-the last bit.
+A plain or Tikhonov-shifted (A + eps_reg I) solve goes through a Cholesky
+factorization.  Over a nested point set one factor serves every prefix:
+the leading n x n block of the Cholesky factor of A + eps_reg I is the
+factor of the first n points' shifted block, so a Gram matrix that is a
+leading block can carry the factor of a larger one and solve on its
+corner.  Where the factorization breaks down at a leading minor m (the
+matrix is not numerically positive definite there), prefixes n < m keep
+the factor; an unregularized solve at n >= m raises SingularGramError,
+and a shifted one falls back to LU with a warning.  Unregularized solves
+also check the reciprocal condition number of their block.  A truncated
+solve discards eigenvalues below a relative drop tolerance; a Gram
+matrix keeps its symmetric eigendecomposition, so every TSVD tolerance
+solved on it shares one.  Multi-channel data is solved channel by
+channel against one shared factorization, which makes the result for
+each channel independent of how many other channels are solved alongside
+it, down to the last bit.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, cho_solve, eigh, lu_factor, lu_solve
+from scipy.linalg.lapack import dpocon, dpotrf
 
 from .kernels import KernelSpec, kernel_matrix
 from .param_space import CollocationSet
@@ -46,9 +55,10 @@ class Tikhonov:
 class TSVD:
     """Truncated-SVD regularization.
 
-    Singular values below drop_tol * sigma_max are discarded; the solve
-    applies the pseudoinverse of what remains.  The tolerance is relative,
-    so the rule is invariant under rescaling of the kernel.
+    Singular values (for the symmetric Gram matrix, the eigenvalue
+    moduli) below drop_tol * sigma_max are discarded; the solve applies
+    the pseudoinverse of what remains.  The tolerance is relative, so the
+    rule is invariant under rescaling of the kernel.
     """
 
     drop_tol: float
@@ -69,21 +79,28 @@ class GramMatrix:
     The pairwise distances are bitwise symmetric with a zero diagonal, so
     the kernel values are too; the diagonal is then set to the kernel's
     value at zero distance.  ``values`` may be a view, such as the
-    leading block of a larger Gram matrix over a nested point set.
+    leading block of a larger Gram matrix over a nested point set; such a
+    block may carry ``cholesky``, the shared factor of a larger block,
+    which its plain or Tikhonov solves with that factor's shift use.
     """
 
     values: np.ndarray
     spec: KernelSpec
     points: CollocationSet
+    cholesky: _CholFactor | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
+    def leading(self, n: int, cholesky: _CholFactor | None = None) -> GramMatrix:
+        """The Gram matrix of the first n points, a view of the leading block."""
+        return GramMatrix(self.values[:n, :n], self.spec, self.points.prefix(n), cholesky)
+
     @cached_property
-    def svd(self) -> tuple:
-        """(u, s, vt) of the symmetric SVD, computed once and then kept."""
-        return np.linalg.svd(self.values, hermitian=True)
+    def eigh(self) -> tuple:
+        """(eigenvalues, eigenvectors) of the symmetric matrix, computed once and then kept."""
+        return eigh(self.values, driver="evd")
 
 
 @dataclass(frozen=True)
@@ -169,29 +186,100 @@ class _LUFactor:
         return lu_solve(self._lu, rhs)
 
 
-class _TSVDFactor:
-    """Truncated pseudoinverse from the Gram matrix's shared SVD."""
+class _CholFactor:
+    """One Cholesky factorization of A + shift I for every leading block of A.
 
-    def __init__(self, gram: GramMatrix, drop_tol: float):
-        u, s, vt = gram.svd
-        keep = s >= drop_tol * s[0]
-        self._ut = u[:, keep].T.copy()
-        self._v = vt[keep].T.copy()
-        self._inv_s = 1.0 / s[keep]
+    ``gram`` is the largest block to be solved on.  The factor is taken on
+    first use, so it is paid by the first solve, and is kept while this
+    object lives.  dpotrf's ``info`` = m > 0 says the leading minor of
+    order m is not positive; blocks n < m still solve on the factor.
+    """
+
+    def __init__(self, gram: GramMatrix, reg: Tikhonov | None):
+        self.reg = reg
+        self.shift = 0.0 if reg is None else reg.eps_reg
+        kind = "unregularized solve" if reg is None else f"Tikhonov(eps_reg={self.shift:g})"
+        self.context = f"{gram.spec.family} {kind}"
+        self._gram = gram
+
+    @cached_property
+    def _factor(self) -> tuple:
+        matrix = np.array(self._gram.values, order="F")  # the factor's own storage
+        matrix[np.diag_indices_from(matrix)] += self.shift
+        factor, info = dpotrf(matrix, lower=0, clean=0, overwrite_a=1)
+        if info > 0 and self.reg is not None:
+            warnings.warn(
+                f"{self.context}: A + {self.shift:g} I is not positive definite "
+                f"(Cholesky breaks down at leading minor {info}); N >= {info} "
+                "is solved by LU"
+            )
+        return factor, info
+
+    def solver(self, gram: GramMatrix):
+        """Solver for a leading block of this factor's matrix."""
+        factor, info = self._factor
+        n = gram.n
+        if info == 0 or n < info:
+            block = np.asfortranarray(factor[:n, :n])  # no copy when n is the full size
+            if self.reg is None:
+                self._check_rcond(gram, block)
+            return _CholBlock(block)
+        if self.reg is None:
+            self._singular(gram, f"Cholesky breaks down at leading minor {info}")
+        return _LUFactor(gram.values, self.shift, self.context)
+
+    def _check_rcond(self, gram: GramMatrix, block: np.ndarray) -> None:
+        rcond, _ = dpocon(block, np.linalg.norm(gram.values, 1))
+        if rcond < np.finfo(float).eps:
+            self._singular(gram, f"reciprocal condition estimate {rcond:.3e}")
+
+    def _singular(self, gram: GramMatrix, why: str):
+        cond = _singular_extremes(gram.values)[2]  # error path only
+        raise SingularGramError(
+            f"{self.context} at N={gram.n}: Gram matrix is numerically singular "
+            f"({why}, condition {cond:.3e}); add regularization or remove "
+            "duplicate points",
+            condition=cond,
+        )
+
+
+class _CholBlock:
+    """Solves with an upper Cholesky factor R, A + shift I = R^T R."""
+
+    def __init__(self, factor: np.ndarray):
+        self._factor = factor
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        return self._v @ (self._inv_s * (self._ut @ rhs))
+        return cho_solve((self._factor, False), rhs, check_finite=False)
+
+
+class _TSVDFactor:
+    """Truncated pseudoinverse V diag(mask / lambda) V^T from the Gram matrix's eigh."""
+
+    def __init__(self, gram: GramMatrix, drop_tol: float):
+        lam, self._v = gram.eigh
+        size = np.abs(lam)
+        keep = size >= drop_tol * size.max()
+        self._inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+
+    def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
+        return self._v @ (self._inv * (self._v.T @ rhs))
 
 
 def _factorize(gram: GramMatrix, reg: Regularization):
-    """One factorization per (Gram, regularization); shared by all channels."""
-    if reg is None:
-        return _LUFactor(gram.values, 0.0, context="unregularized solve")
-    if isinstance(reg, Tikhonov):
-        return _LUFactor(gram.values, reg.eps_reg, context=f"Tikhonov(eps_reg={reg.eps_reg:g})")
+    """One factorization per (Gram, regularization); shared by all channels.
+
+    A plain or Tikhonov solve uses the factor ``gram`` carries when its
+    shift matches, and factors ``gram`` itself otherwise.
+    """
     if isinstance(reg, TSVD):
         return _TSVDFactor(gram, reg.drop_tol)
-    raise TypeError(f"unknown regularization {reg!r}")
+    if reg is not None and not isinstance(reg, Tikhonov):
+        raise TypeError(f"unknown regularization {reg!r}")
+    factor = gram.cholesky
+    if factor is None or factor.reg != reg:
+        factor = _CholFactor(gram, reg)
+    return factor.solver(gram)
 
 
 def solve(gram: GramMatrix, data: np.ndarray, reg: Regularization = None) -> Interpolant:

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class NonFiniteFieldError(ValueError):
+    """A field, such as a model output, holds NaN or infinite values."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform tensor grid: per-axis extents and point counts.
@@ -73,7 +77,7 @@ class GridField:
                 f"{values.size} values on a grid of {self.grid.npoints} points"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid field contains non-finite values")
+            raise NonFiniteFieldError("grid field contains non-finite values")
         object.__setattr__(self, "values", values)
 
     @property

@@ -370,11 +370,14 @@ def _face_order(dim: int, points_per_dim: int) -> int:
     """Per-axis GL order of the D >= 4 face rules at a given level.
 
     The largest order (at least 2) whose 2^D * D * q^(D-1) face nodes per
-    centre do not exceed the points_per_dim^D nodes of the tensor rule.
+    centre do not exceed the points_per_dim^D nodes of the tensor rule,
+    and at most the per-axis nodes at ``MAX_LEVEL``, which bounds the
+    O(q^2) memory of building the rule.
     """
     budget = points_per_dim ** dim
+    cap = _level_nodes(MAX_LEVEL)
     q = 2
-    while dim * 2 ** dim * (q + 1) ** (dim - 1) <= budget:
+    while q < cap and dim * 2 ** dim * (q + 1) ** (dim - 1) <= budget:
         q += 1
     return q
 

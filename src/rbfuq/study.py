@@ -6,8 +6,10 @@ the longest Halton prefix asked for, then for every (setting, N) pair
 reuses the first N samples.  Settings that share a kernel (a kernel
 reference included) get one Gram matrix and one moment vector on their
 longest prefix, and each N solves on the leading N x N block (the
-low-discrepancy sequence is nested, so prefixes are valid sample sets),
-with one SVD per block for all TSVD settings.  Errors against the
+low-discrepancy sequence is nested, so prefixes are valid sample sets).
+Plain and Tikhonov settings share one Cholesky factor per shift, whose
+leading blocks factor every prefix, and all TSVD settings share one
+eigendecomposition per block.  Errors against the
 reference are reported per (kernel, N), with a least-squares order
 fitted on the tail of each log-log curve.
 """
@@ -21,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collocation import (
-    GramMatrix,
     Regularization,
     SingularGramError,
     Tikhonov,
     TSVD,
+    _CholFactor,
     assemble_gram,
 )
 from .kernels import FAMILIES, KernelSpec, NormSpec
@@ -266,8 +268,11 @@ def estimate(
     The model runs once, on the longest Halton prefix asked for.  Settings
     that share a kernel share one Gram matrix and one moment vector on
     their longest prefix; each N solves on the leading N x N block, a
-    view, whose SVD the TSVD settings share.  A failed solve raises
-    ``StudyError`` naming the setting's column and N.
+    view.  Plain and Tikhonov settings share one Cholesky factor per
+    shift, taken on the longest prefix that shift asks for, and one
+    factor is alive at a time; the TSVD settings share each block's
+    eigendecomposition.  A failed solve raises ``StudyError`` naming the
+    setting's column and N.
     """
     counts = {setting: sorted({int(n) for n in ns}) for setting, ns in requests.items()}
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))
@@ -275,19 +280,30 @@ def estimate(
     rule = cc_rule(domain, level, max_points=None)  # kernel_moments never expands it
     weights = {}
     for spec, settings in _kernel_groups(counts, domain.dim).items():
-        ns = sorted({n for setting in settings for n in counts[setting]})
-        gram_full = assemble_gram(spec, points.prefix(ns[-1])).values
-        b_full = kernel_moments(spec, points.prefix(ns[-1]), rule)
-        for n in ns:
-            gram = GramMatrix(values=gram_full[:n, :n], spec=spec, points=points.prefix(n))
-            for setting in (s for s in settings if n in counts[s]):
-                try:
-                    weights[setting, n] = moment_weights(gram, setting.regularization, b_full[:n])
-                except (SingularGramError, np.linalg.LinAlgError) as exc:
-                    raise StudyError(setting.column, n, exc) from exc
-        del gram_full, gram  # free this kernel's matrices before the next is assembled
+        top = max(counts[setting][-1] for setting in settings)
+        gram_full = assemble_gram(spec, points.prefix(top))
+        b_full = kernel_moments(spec, points.prefix(top), rule)
+        tsvd = [s for s in settings if isinstance(s.regularization, TSVD)]
+        for reg in dict.fromkeys(s.regularization for s in settings if s not in tsvd):
+            group = [s for s in settings if s.regularization == reg]
+            factor = _CholFactor(gram_full.leading(max(counts[s][-1] for s in group)), reg)
+            _solve_prefixes(weights, gram_full, b_full, group, counts, factor)
+            del factor  # freed before the next factor or eigendecomposition is taken
+        _solve_prefixes(weights, gram_full, b_full, tsvd, counts)
+        del gram_full  # free this kernel's matrix before the next is assembled
     means = {(setting, n): estimate_mean(w, table[:n]) for (setting, n), w in weights.items()}
     return Estimates(points=points, table=table, weights=weights, means=means)
+
+
+def _solve_prefixes(weights: dict, gram_full, b_full, settings, counts: dict, factor=None) -> None:
+    """Weights of ``settings`` at each of their N, on leading blocks of ``gram_full``."""
+    for n in sorted({n for setting in settings for n in counts[setting]}):
+        gram = gram_full.leading(n, factor)
+        for setting in (s for s in settings if n in counts[s]):
+            try:
+                weights[setting, n] = moment_weights(gram, setting.regularization, b_full[:n])
+            except (SingularGramError, np.linalg.LinAlgError) as exc:
+                raise StudyError(setting.column, n, exc) from exc
 
 
 def run_study(config: StudyConfig) -> StudyReport:

@@ -357,6 +357,21 @@ class TestExitCodes:
         assert "numerical failure" in err
         assert "kernel 'matern12' at N=8" in err  # where the solve failed
 
+    def test_non_finite_model_output_is_numerical(self, tmp_path, capsys):
+        # the G-function's product overflows to inf on so wide a box
+        data = {
+            "domain": {"kind": "symmetric", "half_width": 1e200, "dim": 2},
+            "model": {"kind": "gfunction"},
+            "kernels": [{"family": "gaussian"}],
+            "out": str(tmp_path / "out"),
+            "n": 4,
+        }
+        with np.errstate(over="ignore"):
+            assert main(["mean", "--config", write_cfg(tmp_path, data)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "non-finite" in err
+
     def test_external_failure(self, tmp_path, capsys):
         stub = tmp_path / "fail.py"
         stub.write_text("import sys; sys.exit(1)\n")

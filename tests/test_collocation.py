@@ -114,13 +114,13 @@ class TestSolve:
         assert np.max(np.abs(residual - eps * alpha)) < 1e-12
 
     def test_tikhonov_shift_bitwise_and_gram_untouched(self):
-        from scipy.linalg import lu_factor, lu_solve
+        from scipy.linalg import cho_factor, cho_solve
 
         gram = random_gram("wendland1", n=40, seed=4)
         before = gram.values.copy()
         f = np.cos(np.arange(40.0))
         interp = solve(gram, f, reg=Tikhonov(1e-6))
-        expect = lu_solve(lu_factor(before + 1e-6 * np.eye(40)), f)
+        expect = cho_solve(cho_factor(before + 1e-6 * np.eye(40)), f)
         assert np.array_equal(interp.coefficients[:, 0], expect)
         assert np.array_equal(gram.values, before)
 
@@ -166,8 +166,10 @@ class TestSolve:
         assert np.max(np.abs(direct.coefficients - truncated.coefficients)) < 1e-6
 
     def test_shared_svd_tsvd_weights_bitwise(self, monkeypatch):
-        # weights on one Gram block share its SVD, and equal those of a
-        # fresh Gram over the same prefix, solved tolerance by tolerance
+        # weights on one Gram block share its eigendecomposition, and equal
+        # those of a fresh Gram over the same prefix, solved tolerance by tolerance
+        from rbfuq import collocation
+
         domain = ParameterDomain.unit(2)
         spec = KernelSpec(family="wendland2", dim=2)
         points = halton_points(domain, 48)
@@ -176,8 +178,8 @@ class TestSolve:
         full = assemble_gram(spec, points).values
         shared = GramMatrix(values=full[:32, :32], spec=spec, points=prefix)
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        eigh = collocation.eigh
+        monkeypatch.setattr(collocation, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
         for tol in (1e-3, 1e-1):
             fresh = moment_weights(assemble_gram(spec, prefix), TSVD(tol), b)
             assert np.array_equal(moment_weights(shared, TSVD(tol), b).omega, fresh.omega)
@@ -194,6 +196,53 @@ class TestSolve:
         v = interp.eval(np.array([0.0]))
         assert v.shape == (1,)
         assert abs(v[0] - 1.0) < 1e-14
+
+
+class TestNestedCholesky:
+    """One factor of the largest block solves every leading block."""
+
+    def indefinite(self):
+        # leading minors 1..3 are positive after the shift; the 4th is not
+        values = 0.1 * np.ones((6, 6)) + np.diag([1.0, 1.0, 1.0, -1.6, 1.0, 1.0])
+        base = random_gram("gaussian", n=6)
+        return GramMatrix(values=values, spec=base.spec, points=base.points)
+
+    def test_regularized_breakdown_falls_back_to_lu_bitwise(self):
+        from scipy.linalg import lu_factor, lu_solve
+
+        from rbfuq.collocation import _CholFactor
+
+        top = self.indefinite()
+        reg = Tikhonov(0.5)
+        factor = _CholFactor(top, reg)
+        b = np.sin(np.arange(1.0, 7.0))
+        with pytest.warns(UserWarning, match=r"Tikhonov\(eps_reg=0.5\).*leading minor 4"):
+            omega = {n: moment_weights(top.leading(n, factor), reg, b[:n]).omega for n in range(1, 7)}
+        for n in range(4, 7):
+            shifted = top.values[:n, :n] + 0.5 * np.eye(n)
+            assert np.array_equal(omega[n], lu_solve(lu_factor(shifted), b[:n]))
+        for n in range(1, 4):
+            shifted = top.values[:n, :n] + 0.5 * np.eye(n)
+            assert np.max(np.abs(shifted @ omega[n] - b[:n])) <= 1e-15
+
+    def test_unregularized_breakdown_names_n_and_minor(self):
+        from rbfuq.collocation import _CholFactor
+
+        top = self.indefinite()
+        top = GramMatrix(values=top.values + 0.5 * np.eye(6), spec=top.spec, points=top.points)
+        factor = _CholFactor(top, None)
+        assert np.all(np.isfinite(solve(top.leading(3, factor), np.ones(3)).coefficients))
+        with pytest.raises(SingularGramError, match="gaussian unregularized solve at N=5.*leading minor 4"):
+            solve(top.leading(5, factor), np.ones(5))
+
+    def test_unregularized_reciprocal_condition_checked(self):
+        # positive definite, so the factorization succeeds, but cond = 1e18
+        base = random_gram("gaussian", n=2)
+        gram = GramMatrix(values=np.diag([1.0, 1e-18]), spec=base.spec, points=base.points)
+        with pytest.raises(SingularGramError, match="reciprocal condition") as err:
+            solve(gram, np.ones(2))
+        assert err.value.condition == pytest.approx(1e18)
+        assert np.all(np.isfinite(solve(gram, np.ones(2), reg=Tikhonov(1e-12)).coefficients))
 
 
 class TestLagrange:

@@ -19,7 +19,7 @@ from rbfuq import (
     moment_weights,
 )
 from rbfuq import quadrature
-from rbfuq.quadrature import _big_k, _level_nodes, _radial_moment
+from rbfuq.quadrature import MAX_LEVEL, _big_k, _level_nodes, _moment_resolution, _radial_moment
 
 
 class TestUnivariateRule:
@@ -387,6 +387,11 @@ class TestMemoryBound:
             tracemalloc.stop()
         assert b[0] > 0.0
         assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_face_order_within_max_level_nodes(self, dim):
+        # building a q-node GL rule takes O(q^2) memory, which MAX_LEVEL bounds
+        assert _moment_resolution(dim, MAX_LEVEL)[0] <= _level_nodes(MAX_LEVEL) == 2049
 
     @pytest.mark.parametrize("entries", [1, 100, 10 ** 4])
     @pytest.mark.parametrize("dim,level", [(1, 5), (2, 5), (3, 4), (4, 4), (5, 4)])

@@ -331,6 +331,50 @@ class TestSharedKernel:
         run_study(dataclasses.replace(config, reference=ReferenceSpec.kernel_at(256, setting)))
         assert calls == {"assemble_gram": 1, "kernel_moments": 1}
 
+    def test_one_cholesky_per_shift_and_one_eigh_per_prefix(self, monkeypatch):
+        import weakref
+
+        from rbfuq import collocation
+
+        calls = {"dpotrf": 0, "eigh": 0}
+        factors = []
+        dpotrf, eigh = collocation.dpotrf, collocation.eigh
+
+        def counted_dpotrf(*args, **kwargs):
+            calls["dpotrf"] += 1
+            assert all(ref() is None for ref in factors), "an earlier factor is still alive"
+            factor, info = dpotrf(*args, **kwargs)
+            factors.append(weakref.ref(factor))
+            return factor, info
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            assert all(ref() is None for ref in factors), "a factor is alive during the TSVD pass"
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(collocation, "dpotrf", counted_dpotrf)
+        monkeypatch.setattr(collocation, "eigh", counted_eigh)
+        regs = [Tikhonov(1e-8), Tikhonov(1e-4), Tikhonov(1e-8), None, TSVD(1e-3), TSVD(1e-1)]
+        settings = [
+            KernelSetting(family="matern32", regularization=r, label=f"c{i}")
+            for i, r in enumerate(regs)
+        ]
+        run_study(self.config(settings))
+        assert calls == {"dpotrf": 3, "eigh": 5}  # shifts 1e-8, 1e-4 and 0; five prefixes
+        calls.update(dpotrf=0, eigh=0)
+        run_study(self.config(settings[:2]))
+        assert calls == {"dpotrf": 2, "eigh": 0}
+
+    def test_unregularized_breakdown_names_n(self):
+        # the 1-D Gaussian's condition is 2.3e18 at N = 64; N = 16 still solves
+        setting = KernelSetting(family="gaussian", regularization=None)
+        domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
+        weights = estimate(PoissonExact(), domain, {setting: (16,)}, level=5).weights[setting, 16]
+        assert np.all(np.isfinite(weights.omega))
+        with pytest.raises(StudyError, match="leading minor") as info:
+            estimate(PoissonExact(), domain, {setting: (16, 64)}, level=5)
+        assert info.value.n == 64
+
     def test_reference_named_like_a_column_keeps_its_own_estimate(self):
         column = KernelSetting(family="matern32")
         reference = KernelSetting(family="matern32", regularization=TSVD(1e-6))
