@@ -100,7 +100,7 @@ class GramMatrix:
     @cached_property
     def eigh(self) -> tuple:
         """(eigenvalues, eigenvectors) of the symmetric matrix, computed once and then kept."""
-        return eigh(self.values, driver="evd")
+        return eigh(self.values, driver="evr")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import struct
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -189,25 +190,14 @@ def run_campaign(spec: External, points, jobs: int = 1) -> CampaignResult:
     pts = np.atleast_2d(np.asarray(points.points if hasattr(points, "points") else points))
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results = [None] * len(pts)
-    launched = 0
-    cached = 0
+    # map yields in sample order and cancels the queued samples on the first failure
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            pool.submit(_evaluate_values, spec, row, i): i
-            for i, row in enumerate(pts)
-        }
-        try:
-            for future, i in futures.items():
-                results[i], ran = future.result()
-                launched += int(ran)
-                cached += int(not ran)
-        except ExternalError:
-            for other in futures:
-                other.cancel()
-            raise
+        outcomes = list(pool.map(partial(_evaluate_values, spec), pts, range(len(pts))))
+    results = [values for values, _ in outcomes]
+    launched = sum(ran for _, ran in outcomes)
     m = results[0].size
     for i, row in enumerate(results):
         if row.size != m:
             raise OutputFormatError(i, f"sample has {row.size} values, sample 0 has {m}")
+    cached = len(results) - launched
     return CampaignResult(table=np.vstack(results), launched=launched, cached=cached)

@@ -1,4 +1,4 @@
-"""Kernel moments by radial reduction, and Clenshaw-Curtis rules.
+"""Kernel moments by two exact engines, and Clenshaw-Curtis rules.
 
 The first stochastic moment of a quantity of interest is estimated as
 sum_i omega_i u(y_i), where the weights omega solve A_reg omega = b and
@@ -9,40 +9,40 @@ Every kernel here is radial, k(y, c) = phi(|Lambda (y - c)|) with the
 diagonal scaling Lambda = zeta * diag(weights), and phi has a kink at
 the centre (and, for the Wendland families, on the support sphere).  A
 tensor rule over the box converges only algebraically across those
-kinks, so the moments are integrated by radial reduction instead:
+kinks, so the moments come from one of two exact engines, by family:
 
-- the Gaussian factorizes into a product of erf differences, in any D;
-- the other families go through the radial moments
-  M_j(R) = integral_0^R s^j phi(s) ds, in elementary closed form
-  (c_j - e^{-R} q_j(R) with an integer polynomial q_j for the Matern
-  families, an exact Chebyshev series for the Wendland polynomials), and
-  H(R) = M_{D-1}(R);
-- the scaled box is split at the centre into 2^D orthants; D = 1 is then
-  exact, and for D >= 2 each orthant is a union of D pyramids with apex
-  at the centre, one per far face, whose radial direction integrates in
-  closed form to the face integral of a_k H(R) / R^D;
-- D = 2: each face is a segment; D = 3: each face is split at its foot
-  into two right triangles whose radial direction integrates in closed
-  form as well.  Both leave one-dimensional integrals in the variable s
-  with (offset along the edge) = x sinh(s), which stays smooth however
-  thin the orthant, done by Gauss-Legendre (GL) segments split where the
-  support sphere crosses the face, so they converge spectrally;
-- D >= 4: the faces are integrated by a tensor GL rule in the same sinh
-  coordinates; the support-sphere crossing is not split there, so the
-  Wendland families converge algebraically in D >= 4.
+- Gaussian scale mixtures (the Gaussian and both Matern families) are
+  sums of Gaussians, phi(r) = sum_k c_k exp(-(sigma_k r)^2): one term for
+  the Gaussian, a trapezoid rule over the mixture for the Matern profiles
+  (``_gaussian_terms``).  Each term's moment is a product of erf
+  differences, so these are exact in any D, at any level.
+- Radial reduction (the Wendland families) goes through the radial
+  moments M_j(R) = integral_0^R s^j phi(s) ds, exact Chebyshev series,
+  and H(R) = M_{D-1}(R).  The scaled box is split at the centre into 2^D
+  orthants; D = 1 is then exact, and for D >= 2 each orthant is a union
+  of D pyramids with apex at the centre, one per far face, whose radial
+  direction integrates in closed form to the face integral of
+  a_k H(R) / R^D.  In D = 2 each face is a segment; in D = 3 it is split
+  at its foot into two right triangles whose radial direction closes in
+  form as well.  Both leave 1-D integrals in the variable s with (offset
+  along the edge) = x sinh(s), smooth however thin the orthant, done by
+  Gauss-Legendre (GL) segments split where the support sphere crosses
+  the face, so they converge spectrally.  In D >= 4 the faces take a
+  tensor GL rule in the same sinh coordinates that does not split the
+  support sphere, so there the convergence is algebraic.
 
-The ``level`` of the rule passed in is the only resolution input, and
-``_moment_resolution`` turns it into node counts: level l gives
-n = 2^(l-1) + 1 nodes per GL segment of the D <= 3 engine, and the
+The ``level`` of the rule passed in is the radial reduction's only
+resolution input, and ``_moment_resolution`` turns it into node counts:
+level l gives n = 2^(l-1) + 1 nodes per GL segment in D <= 3, and the
 D >= 4 face rules use the largest per-axis order whose nodes per centre
 do not outnumber the n^D nodes of the tensor rule, so two levels are two
 distinct computations.  Levels run from 1 to ``MAX_LEVEL``, where the
 O(n^2) memory of building one per-axis rule is still small.  No tensor
-grid over the box is ever built: centres go in batches of about
-``_BATCH_ENTRIES`` array entries, and a D >= 4 face rule too large for
-one centre is summed in slices of that size, so the temporaries do not
-grow with N or with the face rule.  The tensor rule itself (``cc_rule``,
-``cc_nodes_weights``) is kept for direct use.
+grid over the box is ever built: both engines take centres in batches of
+about ``_BATCH_ENTRIES`` array entries, and a D >= 4 face rule too large
+for one centre is summed in slices of that size, so the temporaries do
+not grow with N or with the face rule.  The tensor rule itself
+(``cc_rule``, ``cc_nodes_weights``) is kept for direct use.
 """
 from __future__ import annotations
 
@@ -60,6 +60,12 @@ from .param_space import CollocationSet, ParameterDomain
 
 # Bound on array entries per batch of centres, so memory stays flat in N.
 _BATCH_ENTRIES = 500_000
+
+# Trapezoid rule in u = ln t for the Matern scale mixtures: the step and
+# the top node, both on a grid of 1/16 so that every node is exact (at a
+# step of 0.25 the matern32 rule is still 9e-16 off at r = 0).
+_MIXTURE_STEP = 3.0 / 16.0
+_MIXTURE_TOP = 61.0 / 16.0
 
 # Highest level: building one per-axis rule of 2^(l-1) + 1 nodes costs
 # O(n^2) memory, 32 MiB for leggauss(2049) at level 12.
@@ -179,6 +185,52 @@ def _axis_scales(spec: KernelSpec) -> np.ndarray:
     return spec.norm.zeta * weights
 
 
+def _gaussian_terms(spec: KernelSpec, domain: ParameterDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (sigma_k, c_k) with phi(r) = sum_k c_k exp(-(sigma_k r)^2).
+
+    The Gaussian is the single term (epsilon, 1).  The Matern profiles are
+    the scale mixtures phi(r) = int_0^inf t^(nu-1) e^-t e^(-r^2/4t) dt / Gamma(nu),
+    nu = 1/2 and 3/2, by the trapezoid rule in u = ln t with step h, which
+    converges geometrically: c_k = h e^(nu u_k - e^u_k) / Gamma(nu) and
+    sigma_k = e^(-u_k/2) / 2.  The nodes run down from t = e^(61/16) ~ 45,
+    where e^-t t^nu < 1e-17.  Below t = min(ell, 1)^2 (ell the shortest
+    scaled side of the box) a term's box mean falls like t^(nu + D/2), and
+    below any t the terms hold at most t^nu of phi(0); the nodes stop once
+    the smaller of the two has fallen by e^-60, and 4 units of u beyond.
+    """
+    if spec.family == "gaussian":
+        return np.array([spec.epsilon]), np.array([1.0])
+    nu = 0.5 if spec.family == "matern12" else 1.5
+    ell = float(np.min(_axis_scales(spec) * (domain.upper - domain.lower)))
+    box = 2.0 * math.log(min(ell, 1.0)) - 60.0 / (nu + domain.dim / 2.0)
+    bottom = max(box, -60.0 / nu) - 4.0
+    u = np.arange(_MIXTURE_TOP, bottom, -_MIXTURE_STEP)
+    return 0.5 * np.exp(-0.5 * u), _MIXTURE_STEP / math.gamma(nu) * np.exp(nu * u - np.exp(u))
+
+
+def _gaussian_moments(spec: KernelSpec, pts: np.ndarray, domain: ParameterDomain) -> np.ndarray:
+    """Box means of sum_k c_k exp(-(sigma_k r)^2): per term, products of erf
+    differences, taken of erfc where both ends lie beyond +-1/2, so that
+    neither form cancels.  Centres go in batches whose eight or so
+    temporaries hold about ``_BATCH_ENTRIES`` entries; the terms are summed
+    in a fixed order, so the batches do not change the result."""
+    sigma, coeff = _gaussian_terms(spec, domain)
+    lam = sigma[:, None] * _axis_scales(spec)
+    batch = max(1, _BATCH_ENTRIES // (8 * lam.size))
+    b = np.empty(pts.shape[0])
+    for s in range(0, pts.shape[0], batch):
+        lo = (domain.lower - pts[s : s + batch, None]) * lam
+        hi = (domain.upper - pts[s : s + batch, None]) * lam
+        diff = np.where(
+            lo > 0.5,
+            erfc(lo) - erfc(hi),
+            np.where(hi < -0.5, erfc(-hi) - erfc(-lo), erf(hi) - erf(lo)),
+        )
+        terms = np.prod(diff * (math.sqrt(math.pi) / 2.0 / lam), axis=2)
+        b[s : s + batch] = np.sum(terms * coeff, axis=1)
+    return b / domain.volume
+
+
 @lru_cache(maxsize=None)
 def _wendland_moment(family: str, dim: int, j: int) -> np.polynomial.Chebyshev:
     """M_j on [0, 1] for a Wendland profile, as an exact Chebyshev series.
@@ -204,37 +256,10 @@ def _wendland_k(family: str, dim: int) -> np.polynomial.Chebyshev:
     )
 
 
-@lru_cache(maxsize=None)
-def _matern_moment(family: str, j: int) -> tuple:
-    """q_j, highest power first, with M_j(r) = q_j(0) - e^{-r} q_j(r).
-
-    integral_0^r s^j e^{-s} ds = j! - e^{-r} sum_{k<=j} j!/k! r^k, and
-    matern32 adds the same for j + 1.
-    """
-    powers = (j, j + 1) if family == "matern32" else (j,)
-    q = [
-        sum(math.factorial(n) // math.factorial(k) for n in powers if k <= n)
-        for k in range(powers[-1] + 1)
-    ]
-    return tuple(float(c) for c in reversed(q))
-
-
-def _horner(coeffs: tuple, r: np.ndarray) -> np.ndarray:
-    out = np.full(r.shape, coeffs[0])
-    for c in coeffs[1:]:
-        out *= r
-        out += c
-    return out
-
-
-def _radial_moment(unit: KernelSpec, j: int, r: np.ndarray, decay=None) -> np.ndarray:
-    """M_j(r) = integral_0^r s^j phi(s) ds for the unit-scale profile phi,
-    in closed form; ``decay`` may pass in e^{-r} for the Matern families."""
+def _radial_moment(unit: KernelSpec, j: int, r: np.ndarray) -> np.ndarray:
+    """M_j(r) = integral_0^r s^j phi(s) ds for the unit-scale Wendland
+    profile phi; it stays at M_j(1) beyond the support."""
     r = np.asarray(r, dtype=float)
-    if unit.family.startswith("matern"):
-        q = _matern_moment(unit.family, j)
-        return q[-1] - (np.exp(-r) if decay is None else decay) * _horner(q, r)
-    # Wendland profiles vanish beyond r = 1, where M_j stays at M_j(1)
     series = _wendland_moment(unit.family, unit.dim, j)
     out = np.full(r.shape, series(1.0))
     inside = r < 1.0
@@ -243,13 +268,8 @@ def _radial_moment(unit: KernelSpec, j: int, r: np.ndarray, decay=None) -> np.nd
 
 
 def _big_k(unit: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """K(r) = M_1(r) - M_2(r) / r, with K(0) = 0, in one pass over r."""
-    if unit.family.startswith("matern"):
-        decay = np.exp(-r)
-        m2 = _radial_moment(unit, 2, r, decay)
-        over_r = np.divide(m2, r, out=np.zeros_like(r), where=r > 0)
-        return _radial_moment(unit, 1, r, decay) - over_r
-    # beyond the support K(r) = K(1) + M_2(1) (1 - 1/r)
+    """K(r) = M_1(r) - M_2(r) / r, with K(0) = 0; beyond the support
+    K(r) = K(1) + M_2(1) (1 - 1/r)."""
     series = _wendland_k(unit.family, unit.dim)
     m2_end = _wendland_moment(unit.family, unit.dim, 2)(1.0)
     out = series(1.0) + m2_end * (1.0 - 1.0 / np.maximum(r, 1.0))
@@ -265,7 +285,7 @@ def _edge_integral(x, y, phi, kink, q: int) -> np.ndarray:
     the origin, legs x (to the far edge) and y (along it), of a function
     phi of the distance x cosh s to the far edge's points.  The variable
     s stays smooth however small x is relative to y.  Two GL segments of
-    q nodes each split at x cosh s = kink (kink = inf: no split).
+    q nodes each split at x cosh s = kink.
     """
     live = x > 0
     x = np.where(live, x, 1.0)
@@ -321,21 +341,21 @@ def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
     return total
 
 
-def _face_triangles(unit: KernelSpec, h, face, support, q: int) -> np.ndarray:
+def _face_triangles(unit: KernelSpec, h, face, q: int) -> np.ndarray:
     """D = 3 face integral of h H(R) / R^3, as two right triangles at the foot.
 
     In polar coordinates about the foot of the face (its corner nearest the
     centre), R dR = rho drho turns the radial direction into
     h (K(R) - K(h)) with K' = H / R^2, which integration by parts gives in
-    closed form as K = M_1 - H / R.  The support sphere (radius
-    ``support``) crosses the face at rho^2 = support^2 - h^2.
+    closed form as K = M_1 - H / R.  The support sphere crosses the face
+    at rho^2 = 1 - h^2.
     """
     h = h[:, None, None]
     k_h = _big_k(unit, h)
     def radial(rho):
         return h * (_big_k(unit, np.sqrt(h * h + rho * rho)) - k_h)
 
-    kink = np.sqrt(np.maximum(support * support - h[:, 0, 0] ** 2, 0.0))
+    kink = np.sqrt(np.maximum(1.0 - h[:, 0, 0] ** 2, 0.0))
     return _edge_integral(face[:, 0], face[:, 1], radial, kink, q) + _edge_integral(
         face[:, 1], face[:, 0], radial, kink, q
     )
@@ -351,16 +371,15 @@ def _orthant_integrals(unit: KernelSpec, a: np.ndarray, q: int) -> np.ndarray:
     dim = a.shape[1]
     if dim == 1:
         return _radial_moment(unit, 0, a[:, 0])
-    support = 1.0 if unit.family.startswith("wendland") else np.inf
     total = np.zeros(a.shape[0])
     for k in range(dim):
         h, face = a[:, k], np.delete(a, k, axis=1)
         if dim == 2:
             total += _edge_integral(
-                h, face[:, 0], lambda r: _radial_moment(unit, 1, r), support, q
+                h, face[:, 0], lambda r: _radial_moment(unit, 1, r), 1.0, q
             )
         elif dim == 3:
-            total += _face_triangles(unit, h, face, support, q)
+            total += _face_triangles(unit, h, face, q)
         else:
             total += _face_integral(unit, h, face, q)
     return total
@@ -383,7 +402,7 @@ def _face_order(dim: int, points_per_dim: int) -> int:
 
 
 def _moment_resolution(dim: int, level: int) -> tuple[int, int]:
-    """GL order of kernel_moments at a level, and its nodes per orthant.
+    """GL order of the radial reduction at a level, and its nodes per orthant.
 
     The order counts nodes per segment for D <= 3 and per face axis for
     D >= 4.
@@ -396,26 +415,14 @@ def _moment_resolution(dim: int, level: int) -> tuple[int, int]:
 
 
 def _moment_plan(dim: int, level: int) -> str:
-    """One line on the resolution of kernel_moments at this level."""
+    """One line on the resolution of the Wendland moments at this level;
+    the Gaussian and Matern moments are exact at every level."""
     q, _ = _moment_resolution(dim, level)
     if dim == 1:
         return f"level {level}, exact in one dimension"
     if dim <= 3:
         return f"level {level}, radial reduction with {q}-node Gauss-Legendre segments"
     return f"level {level}, radial reduction with {q}^{dim - 1}-node face rules"
-
-
-def _gaussian_moments(spec: KernelSpec, pts: np.ndarray, domain: ParameterDomain) -> np.ndarray:
-    """Products of erf differences; erfc where both ends share a sign."""
-    lam = spec.epsilon * _axis_scales(spec)
-    lo = (domain.lower - pts) * lam
-    hi = (domain.upper - pts) * lam
-    diff = np.where(
-        lo >= 0.0,
-        erfc(lo) - erfc(hi),
-        np.where(hi <= 0.0, erfc(-hi) - erfc(-lo), erf(hi) - erf(lo)),
-    )
-    return np.prod(diff * (math.sqrt(math.pi) / 2.0 / lam), axis=1) / domain.volume
 
 
 def kernel_moments(
@@ -425,14 +432,16 @@ def kernel_moments(
 
     rho is the uniform density of ``rule.domain``.  Only the domain and
     the level of ``rule`` are used, never its tensor nodes, so a rule
-    from ``cc_rule(domain, level, max_points=None)`` will do: the
-    Gaussian is exact in any D and the other families are exact in
-    D = 1; in D = 2 and 3 they use GL segments of 2^(level-1) + 1 nodes
-    that converge spectrally, and in D >= 4 face rules whose order grows
-    with the level (see the module notes).  Centres are taken in batches
-    and large face rules in slices of about ``_BATCH_ENTRIES`` entries,
-    so memory does not grow with the number of centres.  Centres outside
-    the box are allowed; their orthants enter with signs.
+    from ``cc_rule(domain, level, max_points=None)`` will do.  The
+    Gaussian and Matern families are exact in any D, whatever the level:
+    they are sums of Gaussians, whose moments are erf products.  The
+    Wendland families go through the radial reduction: exact in D = 1,
+    GL segments of 2^(level-1) + 1 nodes that converge spectrally in
+    D = 2 and 3, and face rules whose order grows with the level in
+    D >= 4 (see the module notes).  Centres are taken in batches and
+    large face rules in slices of about ``_BATCH_ENTRIES`` entries, so
+    memory does not grow with the number of centres.  Centres outside
+    the box are allowed.
     """
     pts = points.points if isinstance(points, CollocationSet) else np.asarray(points)
     dim = rule.domain.dim
@@ -442,16 +451,14 @@ def kernel_moments(
             f"{spec.dim} under a rule of dimension {dim}"
         )
     domain = rule.domain
-    if spec.family == "gaussian":
+    if not spec.family.startswith("wendland"):
         return _gaussian_moments(spec, pts, domain)
 
     lam = _axis_scales(spec)
     # signed distances to the lower and upper faces in scaled units; the
     # box integral is the signed sum of the 2^D orthant integrals
     half = np.stack([(pts - domain.lower) * lam, (domain.upper - pts) * lam], axis=-1)
-    ext = np.abs(half)
-    if spec.family.startswith("wendland"):
-        ext = np.minimum(ext, 1.0)  # nothing lies beyond the support radius
+    ext = np.minimum(np.abs(half), 1.0)  # nothing lies beyond the support radius
     corners = np.array(list(itertools.product((0, 1), repeat=dim)))
     axes = np.arange(dim)
     extents = ext[:, axes, corners]

@@ -1,5 +1,8 @@
+import functools
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from rbfuq import (
     moment_weights,
 )
 from rbfuq import quadrature
-from rbfuq.quadrature import MAX_LEVEL, _big_k, _level_nodes, _moment_resolution, _radial_moment
+from rbfuq.quadrature import MAX_LEVEL, _big_k, _gaussian_terms, _level_nodes, _moment_resolution
 
 
 class TestUnivariateRule:
@@ -268,7 +271,7 @@ def _engine_moment(family, bounds, center, zeta, weights, level, epsilon=1.0):
 
 
 class TestMomentOracles:
-    """Radial-reduction moments against independent quadratures."""
+    """Kernel moments of every family against independent quadratures."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES_1D))
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
@@ -307,8 +310,7 @@ class TestMomentOracles:
                 )
             assert abs(b[j] - exact) <= 1e-13 * exact, f"centre {c}: {b[j]!r} vs {exact!r}"
 
-    # 1e-6 and 1e-9 put the foot of the face triangles at small r, where
-    # the Matern M_j = c_j - e^{-r} q_j(r) cancels
+    # 1e-6 and 1e-9 put the foot of the Wendland face triangles at small r
     @pytest.mark.parametrize("height", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5])
     @pytest.mark.parametrize(
         "family", ["wendland0", "wendland1", "wendland2", "wendland3", "matern12", "matern32"]
@@ -362,7 +364,7 @@ class TestMomentOracles:
 
     def test_level_sets_resolution(self):
         dom = ParameterDomain.unit(2)
-        spec = KernelSpec("matern12", 2)
+        spec = KernelSpec("wendland0", 2)
         centers = halton_points(dom, 5)
         coarse, finer = (kernel_moments(spec, centers, cc_rule(dom, lv)) for lv in (2, 3))
         assert np.max(np.abs(coarse - finer)) > 0.0
@@ -370,10 +372,139 @@ class TestMomentOracles:
         assert np.max(np.abs(b7 - b9)) <= 1e-14
 
 
+def _split_oracle(profile, bounds, centre, order):
+    """Box mean of profile(|y - centre|) by tensor Gauss-Legendre.
+
+    The box is split at the centre into 2^D boxes, one per corner, and
+    every axis is graded towards the centre by y = c + (f - c) t^3, which
+    smooths the kink that the boxes share at their corner.
+    """
+    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    total = 0.0
+    for corner in itertools.product(*bounds):
+        lengths = [abs(f - c) for f, c in zip(corner, centre)]
+        axes = np.meshgrid(*[length * t ** 3 for length in lengths], indexing="ij")
+        weights = [length * 3.0 * t * t * w for length in lengths]
+        weight = functools.reduce(np.multiply.outer, weights)
+        total += np.sum(weight * profile(np.sqrt(sum(a * a for a in axes))))
+    return total / math.prod(hi - lo for lo, hi in bounds)
+
+
+def _mixture_oracle(mpmath, family, bounds, centre, lam):
+    """Box mean of a Matern kernel from its scale mixture, by mpmath.quad:
+    int_0^inf t^(nu-1) e^-t prod_d F_d(t) dt / (Gamma(nu) |box|), where
+    F_d(t) = int exp(-lam_d^2 (y_d - c_d)^2 / 4t) dy_d over the box's side
+    is a difference of erfs.  The t-axis is split where each face's scaled
+    distance d meets the Gaussian's width, t = d^2 / 4."""
+    nu = mpmath.mpf(1) / 2 if family == "matern12" else mpmath.mpf(3) / 2
+
+    def integrand(t):
+        value = t ** (nu - 1) * mpmath.exp(-t)
+        for (lo, hi), c, scale in zip(bounds, centre, lam):
+            s = mpmath.mpf(scale) / (2 * mpmath.sqrt(t))
+            value *= mpmath.sqrt(mpmath.pi) / (2 * s) * (
+                mpmath.erf(s * (hi - mpmath.mpf(c))) - mpmath.erf(s * (lo - mpmath.mpf(c)))
+            )
+        return value
+
+    splits = {1.0} | {
+        (scale * (f - c)) ** 2 / 4
+        for (lo, hi), c, scale in zip(bounds, centre, lam)
+        for f in (lo, hi)
+        if f != c
+    }
+    total = mpmath.quad(integrand, [0] + sorted(splits) + [mpmath.inf])
+    return float(total / mpmath.gamma(nu)) / math.prod(hi - lo for lo, hi in bounds)
+
+
+class TestScaleMixtures:
+    """Gaussian and Matern moments from the erf products of Gaussian terms."""
+
+    @pytest.mark.parametrize("zeta", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("family", ["matern12", "matern32"])
+    def test_terms_reproduce_profile(self, family, zeta):
+        # phi_nu(r) = 2^(1-nu) r^nu K_nu(r) / Gamma(nu); ell = zeta on the unit interval
+        mpmath = pytest.importorskip("mpmath")
+        spec = KernelSpec(family, 1, norm=NormSpec(zeta))
+        sigma, coeff = _gaussian_terms(spec, ParameterDomain.unit(1))
+        r = np.geomspace(1e-6 * zeta, 60.0, 200)
+        got = np.exp(-np.outer(r, sigma) ** 2) @ coeff
+        nu = mpmath.mpf(1) / 2 if family == "matern12" else mpmath.mpf(3) / 2
+        with mpmath.workdps(30):
+            exact = [
+                2 ** (1 - nu) / mpmath.gamma(nu) * x ** nu * mpmath.besselk(nu, x)
+                for x in map(mpmath.mpf, r)
+            ]
+        err = np.abs(got - np.array(exact, dtype=float))
+        assert np.max(err) <= 1e-15, f"r = {r[np.argmax(err)]}: off by {np.max(err):.2e}"
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern12", "matern32"])
+    def test_tiny_scale_one_dimension(self, family):
+        # at r ~ 1e-30 the former Matern closed forms c_j - e^-r q_j(r)
+        # cancelled to 0, and so did erfc(0) - erfc(hi) for a centre on a face
+        mpmath = pytest.importorskip("mpmath")
+        bounds = [(0.0, 1.0)]
+        for c in (0.0, 0.3, 1.0, 1.4):
+            with mpmath.workdps(40):
+                exact = _oracle_moment(mpmath.mp, family, bounds, (c,), zeta=1e-30)
+            b = _engine_moment(family, bounds, (c,), 1e-30, None, level=1)
+            assert abs(b - exact) <= 1e-15, f"centre {c}: {b!r} vs {exact!r}"
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    @pytest.mark.parametrize("family", ["matern12", "matern32"])
+    def test_finite_without_warnings_at_zeta_1e300(self, family, dim):
+        dom = ParameterDomain.unit(dim)
+        centres = np.vstack([halton_points(dom, 3).points, np.zeros((1, dim))])
+        spec = KernelSpec(family, dim, norm=NormSpec(1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = kernel_moments(spec, centres, cc_rule(dom, 1))
+        assert np.max(np.abs(b - 1.0)) <= 2e-15
+
+    @pytest.mark.parametrize("family", ["matern12", "matern32"])
+    def test_small_scale_three_dimensions(self, family):
+        # the former radial reduction was off by up to 7e-3 relative here
+        spec = KernelSpec(family, 3, norm=NormSpec(1e-4))
+        dom = ParameterDomain.unit(3)
+        bounds = list(zip(dom.lower, dom.upper))
+        centres = np.vstack([halton_points(dom, 3).points, [[1e-3, 0.5, 0.5]]])
+        b = kernel_moments(spec, centres, cc_rule(dom, 1))
+        for c, bc in zip(centres, b):
+            exact = _split_oracle(spec.profile, bounds, c, 64)
+            assert abs(bc - exact) <= 1e-13 * exact, f"centre {c}: {bc!r} vs {exact!r}"
+
+    @pytest.mark.parametrize("zeta", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("family", ["matern12", "matern32"])
+    def test_five_dimensions_against_mixture_integral(self, family, zeta):
+        mpmath = pytest.importorskip("mpmath")
+        bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5), (0.0, 1.0), (0.0, 2.0)]
+        weights = (1.0, 2.0, 0.5, 1.0, 1.5)
+        centres = [(0.3, 0.1, 1.2, 0.7, 1.9), (1e-3, 2.0, 0.6, 0.5, 1.0)]
+        dom = ParameterDomain.from_bounds(bounds)
+        spec = KernelSpec(family, 5, norm=NormSpec(zeta, weights))
+        b = kernel_moments(spec, np.array(centres), cc_rule(dom, 1))
+        lam = [zeta * w for w in weights]
+        for c, bc in zip(centres, b):
+            with mpmath.workdps(30):
+                exact = _mixture_oracle(mpmath, family, bounds, c, lam)
+            assert abs(bc - exact) <= 1e-13 * exact, f"centre {c}: {bc!r} vs {exact!r}"
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern12", "matern32"])
+    def test_level_does_not_matter(self, family):
+        dom = ParameterDomain.unit(4)
+        spec = KernelSpec(family, 4)
+        centres = halton_points(dom, 5)
+        coarse, fine = (
+            kernel_moments(spec, centres, cc_rule(dom, lv, max_points=None)) for lv in (1, 9)
+        )
+        assert np.array_equal(coarse, fine)
+
+
 class TestMemoryBound:
     """kernel_moments keeps its temporaries near _BATCH_ENTRIES entries."""
 
-    @pytest.mark.parametrize("family", ["matern32", "wendland0"])
+    @pytest.mark.parametrize("family", ["matern32", "wendland0", "wendland3"])
     @pytest.mark.parametrize("dim,level", [(4, 7), (5, 6)])
     def test_one_centre_peak(self, family, dim, level):
         dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
@@ -399,7 +530,7 @@ class TestMemoryBound:
         dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
         rule = cc_rule(dom, level)
         centres = halton_points(dom, 3)
-        specs = [KernelSpec(family, dim) for family in ("matern32", "wendland0")]
+        specs = [KernelSpec(f, dim) for f in ("wendland3", "wendland0", "matern12")]
         default = [kernel_moments(spec, centres, rule) for spec in specs]
         monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", entries)
         for spec, expect in zip(specs, default):
@@ -411,21 +542,7 @@ class TestMemoryBound:
 
 
 class TestRadialMoments:
-    """The closed-form radial moments against mpmath."""
-
-    @pytest.mark.parametrize("j", range(6))
-    @pytest.mark.parametrize("family", ["matern12", "matern32"])
-    def test_matern_closed_form(self, family, j):
-        mpmath = pytest.importorskip("mpmath")
-        r = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 3.0, 10.0, 50.0, 800.0])
-        got = _radial_moment(KernelSpec(family, 3), j, r)
-        with mpmath.workdps(40):
-            # integral_0^r s^n e^{-s} ds is the lower incomplete gamma(n + 1, r)
-            powers = (j, j + 1) if family == "matern32" else (j,)
-            exact = [sum(mpmath.gammainc(n + 1, 0, x) for n in powers) for x in r]
-        c_j = sum(math.factorial(n) for n in powers)
-        err = np.abs(got - np.array(exact, dtype=float))
-        assert np.max(err) <= 1e-14 * c_j, f"r = {r[np.argmax(err)]}: off by {np.max(err):.2e}"
+    """The Wendland radial moments against mpmath."""
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("family", ["wendland0", "wendland1", "wendland2", "wendland3"])
