@@ -76,10 +76,15 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _print_plan(cfg: RunConfig, n: int) -> None:
+def _print_plan(cfg: RunConfig, n: int, settings) -> None:
+    """The plan of a run whose kernel moments are those of ``settings``."""
     print(f"samples: {n}")
     print(f"collocation system: {n} x {n}")
-    print(f"kernel moments: {_moment_plan(cfg.domain.dim, cfg.level)}")
+    engines = {}
+    for family in dict.fromkeys(s.family for s in settings):
+        engines.setdefault(_moment_plan(family, cfg.domain.dim, cfg.level), []).append(family)
+    for plan, families in engines.items():
+        print(f"{', '.join(families)} kernel moments: {plan}")
     if isinstance(cfg.model, External):
         print(f"external command: {cfg.model.command}")
         print(f"sample root: {cfg.model.samples_dir}")
@@ -90,7 +95,7 @@ def cmd_mean(args) -> int:
     n = cfg.sample_count()
     setting = cfg.first_kernel()
     if args.dry_run:
-        _print_plan(cfg, n)
+        _print_plan(cfg, n, [setting])
         return EXIT_OK
     result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.level, cfg.jobs)
     weights, mean = result.weights[setting, n], result.means[setting, n]
@@ -113,7 +118,7 @@ def cmd_study(args) -> int:
     study_cfg = cfg.study()
     if args.dry_run:
         requests = study_cfg.requests()  # as run_study passes them to estimate
-        _print_plan(cfg, max(map(max, requests.values())))
+        _print_plan(cfg, max(map(max, requests.values())), requests)
         print(f"schedule: {list(study_cfg.schedule)}")
         print(f"kernels: {[k.column for k in study_cfg.kernels]}")
         kinds, cols = len(_kernel_groups(requests, cfg.domain.dim)), len(study_cfg.kernels)
@@ -134,8 +139,8 @@ def cmd_reference(args) -> int:
     cfg = _load(args)
     ref = cfg.reference
     if args.dry_run:
-        n = ref.n_max if ref.kind == "kernel" else 0
-        _print_plan(cfg, n)
+        kernel = ref.kind == "kernel"
+        _print_plan(cfg, ref.n_max if kernel else 0, [ref.kernel] if kernel else [])
         return EXIT_OK
     if ref.kind == "exact":
         values = cfg.model.exact_mean().values

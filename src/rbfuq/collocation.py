@@ -120,15 +120,6 @@ class Interpolant:
     coefficients: np.ndarray
     points: CollocationSet
     spec: KernelSpec
-    regularization: Regularization
-
-    @property
-    def channels(self) -> int:
-        return self.coefficients.shape[1]
-
-    def eval(self, y) -> np.ndarray:
-        """Interpolant value at one point, as an M-vector."""
-        return self.eval_many(np.atleast_2d(np.asarray(y, dtype=float)))[0]
 
     def eval_many(self, queries: np.ndarray) -> np.ndarray:
         """Interpolant values at Q query points, shape (Q, M)."""
@@ -314,9 +305,7 @@ def solve(gram: GramMatrix, data: np.ndarray, reg: Regularization = None) -> Int
     # Column-wise solves keep each channel bit-identical to a standalone solve.
     for j in range(data.shape[1]):
         coeffs[:, j] = factor.solve_vector(data[:, j])
-    return Interpolant(
-        coefficients=coeffs, points=gram.points, spec=gram.spec, regularization=reg
-    )
+    return Interpolant(coefficients=coeffs, points=gram.points, spec=gram.spec)
 
 
 def lagrange_values(gram: GramMatrix, reg: Regularization, z) -> np.ndarray:

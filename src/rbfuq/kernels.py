@@ -58,15 +58,6 @@ class NormSpec:
             )
         return pts * w
 
-    def distance(self, y, y2) -> float:
-        """The scaled distance between two points."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-        if y.shape != y2.shape:
-            raise ValueError(f"point dimensions differ: {y.size} vs {y2.size}")
-        d = np.linalg.norm(self._apply_weights(y - y2))
-        return self.zeta * float(d)
-
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Unscaled weighted distances between two point arrays.
 
@@ -135,13 +126,6 @@ class KernelSpec:
             return np.multiply(d, decay, out=d)
         return _wendland(d, self.dim, int(self.family[-1]))
 
-    @property
-    def support_radius(self) -> float:
-        """Scaled-distance radius beyond which the kernel vanishes (inf if none)."""
-        if self.family.startswith("wendland"):
-            return 1.0 / self.norm.zeta
-        return np.inf
-
 
 def _wendland(r: np.ndarray, dim: int, k: int) -> np.ndarray:
     """Minimal-degree Wendland function phi_{dim,k}(r), normalized to phi(0)=1.
@@ -179,19 +163,6 @@ def _wendland(r: np.ndarray, dim: int, k: int) -> np.ndarray:
     return base
 
 
-def kernel_eval(spec: KernelSpec, y, y2) -> float:
-    """Evaluate the kernel at a pair of points."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y2, dtype=float))
-    if y.size != spec.dim or y2.size != spec.dim:
-        raise ValueError(
-            f"kernel of dimension {spec.dim} applied to points of "
-            f"dimension {y.size} and {y2.size}"
-        )
-    d = np.linalg.norm(spec.norm._apply_weights(y - y2))
-    return float(spec.profile(d))
-
-
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of kernel values between two point arrays (rows of a and b)."""
     a = np.asarray(a, dtype=float)
@@ -202,19 +173,3 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"dimensions {a.shape[1]} and {b.shape[1]}"
         )
     return spec._profile_in_place(spec.norm.pairwise(a, b))
-
-
-def quadratic_form(spec: KernelSpec, points, alpha) -> float:
-    """sum_jk alpha_j alpha_k k(y_j, y_k) over a collocation set.
-
-    Strictly positive for pairwise-distinct points and nonzero alpha, by
-    strict positive definiteness of every family here.
-    """
-    pts = points.points if hasattr(points, "points") else np.asarray(points, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size != pts.shape[0]:
-        raise ValueError(
-            f"alpha has {alpha.size} entries for {pts.shape[0]} points"
-        )
-    k = kernel_matrix(spec, pts, pts)
-    return float(alpha @ k @ alpha)

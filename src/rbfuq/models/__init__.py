@@ -7,9 +7,6 @@ from .analytic import (
     g_function,
     kl_eigenvalue,
     kl_log_field,
-    poisson_default_grid,
-    poisson_exact_field,
-    poisson_exact_mean,
 )
 from .external import (
     CampaignResult,
@@ -37,9 +34,6 @@ __all__ = [
     "g_function",
     "kl_eigenvalue",
     "kl_log_field",
-    "poisson_default_grid",
-    "poisson_exact_field",
-    "poisson_exact_mean",
     "CampaignResult",
     "External",
     "ExternalCommandError",

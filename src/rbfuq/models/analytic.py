@@ -13,35 +13,6 @@ import numpy as np
 from .grid import GridField, GridSpec
 
 
-def poisson_default_grid(n: int = 33) -> GridSpec:
-    return GridSpec(extents=((-0.5, 0.5), (-0.5, 0.5)), counts=(n, n))
-
-
-def poisson_exact_field(y, grid: GridSpec) -> GridField:
-    """Exact diffusion solution u(y, x) = 16 e^(-y1^2) (x1^2 - 1/4)(x2^2 - 1/4).
-
-    The solution is sampled directly on the grid; the boundary rows and
-    columns vanish by construction.
-    """
-    y1 = float(np.asarray(y).ravel()[0])
-    x = grid.points()
-    u = 16.0 * math.exp(-y1 * y1) * (x[:, 0] ** 2 - 0.25) * (x[:, 1] ** 2 - 0.25)
-    return GridField(grid=grid, values=u)
-
-
-def poisson_exact_mean(grid: GridSpec) -> GridField:
-    """Exact mean over y1 ~ U(-sqrt(3), sqrt(3)).
-
-    E[u] = (1/6) erf(sqrt(3)) sqrt(3) sqrt(pi) (16 x1^2 x2^2 - 4 x1^2 - 4 x2^2 + 1),
-    the expectation of the e^(-y1^2) factor folded into the polynomial part.
-    """
-    c = math.erf(math.sqrt(3.0)) * math.sqrt(3.0) * math.sqrt(math.pi) / 6.0
-    x = grid.points()
-    x1s = x[:, 0] ** 2
-    x2s = x[:, 1] ** 2
-    return GridField(grid=grid, values=c * (16.0 * x1s * x2s - 4.0 * x1s - 4.0 * x2s + 1.0))
-
-
 def g_function(y) -> float:
     """Product benchmark u(y) = prod_m (|4 y_m - 2| + a_m) / (1 + a_m).
 
@@ -89,19 +60,41 @@ def kl_log_field(y, x2, correlation_length: float):
 
 @dataclass(frozen=True)
 class PoissonExact:
-    """1-parameter diffusion benchmark sampled from its exact solution."""
+    """1-parameter diffusion benchmark sampled from its exact solution.
 
-    grid: GridSpec = field(default_factory=poisson_default_grid)
+    The default grid has 33 x 33 points on [-1/2, 1/2]^2.
+    """
+
+    grid: GridSpec = field(
+        default_factory=lambda: GridSpec(extents=((-0.5, 0.5), (-0.5, 0.5)), counts=(33, 33))
+    )
 
     @property
     def dim(self) -> int:
         return 1
 
     def evaluate(self, y) -> GridField:
-        return poisson_exact_field(y, self.grid)
+        """Exact diffusion solution u(y, x) = 16 e^(-y1^2) (x1^2 - 1/4)(x2^2 - 1/4).
+
+        The solution is sampled directly on the grid; the boundary rows and
+        columns vanish by construction.
+        """
+        y1 = float(np.asarray(y).ravel()[0])
+        x = self.grid.points()
+        u = 16.0 * math.exp(-y1 * y1) * (x[:, 0] ** 2 - 0.25) * (x[:, 1] ** 2 - 0.25)
+        return GridField(grid=self.grid, values=u)
 
     def exact_mean(self) -> GridField:
-        return poisson_exact_mean(self.grid)
+        """Exact mean over y1 ~ U(-sqrt(3), sqrt(3)).
+
+        E[u] = (1/6) erf(sqrt(3)) sqrt(3) sqrt(pi) (16 x1^2 x2^2 - 4 x1^2 - 4 x2^2 + 1),
+        the expectation of the e^(-y1^2) factor folded into the polynomial part.
+        """
+        c = math.erf(math.sqrt(3.0)) * math.sqrt(3.0) * math.sqrt(math.pi) / 6.0
+        x = self.grid.points()
+        x1s = x[:, 0] ** 2
+        x2s = x[:, 1] ** 2
+        return GridField(grid=self.grid, values=c * (16.0 * x1s * x2s - 4.0 * x1s - 4.0 * x2s + 1.0))
 
 
 @dataclass(frozen=True)

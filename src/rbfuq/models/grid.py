@@ -80,13 +80,6 @@ class GridField:
             raise NonFiniteFieldError("grid field contains non-finite values")
         object.__setattr__(self, "values", values)
 
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.counts)
-
     @classmethod
     def scalar(cls, value: float) -> "GridField":
         return cls(grid=GridSpec.single(), values=np.array([float(value)]))

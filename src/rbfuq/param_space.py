@@ -7,7 +7,7 @@ the box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +89,6 @@ class ParameterDomain:
         object.__setattr__(self, "upper", hi)
 
     @classmethod
-    def from_bounds(cls, bounds) -> "ParameterDomain":
-        """Build a domain from a sequence of (lower, upper) pairs."""
-        arr = np.asarray(bounds, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("bounds must be a sequence of (lower, upper) pairs")
-        return cls(arr[:, 0], arr[:, 1])
-
-    @classmethod
     def unit(cls, dim: int) -> "ParameterDomain":
         """The unit box [0, 1]^dim."""
         return cls(np.zeros(dim), np.ones(dim))
@@ -117,21 +109,6 @@ class ParameterDomain:
     @property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
-
-    def contains(self, y) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.lower) and np.all(y <= self.upper))
-
-    def density_at(self, y) -> float:
-        """Product density 1/volume inside the box, 0 outside."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != self.lower.shape:
-            raise ValueError(
-                f"point has dimension {y.size}, domain has {self.dim}"
-            )
-        if not self.contains(y):
-            return 0.0
-        return 1.0 / self.volume
 
     def map_from_unit(self, u: np.ndarray) -> np.ndarray:
         """Affinely map points from [0,1)^D into the box."""

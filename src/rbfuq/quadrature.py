@@ -130,14 +130,6 @@ class TensorRule:
     weights: tuple
     domain: ParameterDomain
 
-    @property
-    def points_per_dim(self) -> int:
-        return self.nodes[0].size
-
-    @property
-    def npoints(self) -> int:
-        return int(np.prod([x.size for x in self.nodes], dtype=np.int64))
-
 
 def cc_rule(
     domain: ParameterDomain, level: int, max_points: int | None = 10 ** 8
@@ -213,14 +205,27 @@ def _gaussian_moments(spec: KernelSpec, pts: np.ndarray, domain: ParameterDomain
     differences, taken of erfc where both ends lie beyond +-1/2, so that
     neither form cancels.  Centres go in batches whose eight or so
     temporaries hold about ``_BATCH_ENTRIES`` entries; the terms are summed
-    in a fixed order, so the batches do not change the result."""
+    in a fixed order, so the batches do not change the result.
+
+    At huge scales sigma_k * Lambda_d can pass the float range.  That axis
+    would give the term a factor below sqrt(pi) / Lambda_d < 1e-308, so
+    the term gets a zero coefficient; it is not removed, so that the sum
+    over the terms keeps its order and every other moment its bits.  Ends
+    of an erf difference past the float range are +-inf, where erf and
+    erfc take their limits exactly.
+    """
     sigma, coeff = _gaussian_terms(spec, domain)
-    lam = sigma[:, None] * _axis_scales(spec)
+    with np.errstate(over="ignore"):
+        lam = sigma[:, None] * _axis_scales(spec)
+    dead = np.isinf(lam).any(axis=1)
+    lam[dead] = 1.0
+    coeff = np.where(dead, 0.0, coeff)
     batch = max(1, _BATCH_ENTRIES // (8 * lam.size))
     b = np.empty(pts.shape[0])
     for s in range(0, pts.shape[0], batch):
-        lo = (domain.lower - pts[s : s + batch, None]) * lam
-        hi = (domain.upper - pts[s : s + batch, None]) * lam
+        with np.errstate(over="ignore"):
+            lo = (domain.lower - pts[s : s + batch, None]) * lam
+            hi = (domain.upper - pts[s : s + batch, None]) * lam
         diff = np.where(
             lo > 0.5,
             erfc(lo) - erfc(hi),
@@ -385,15 +390,15 @@ def _orthant_integrals(unit: KernelSpec, a: np.ndarray, q: int) -> np.ndarray:
     return total
 
 
-def _face_order(dim: int, points_per_dim: int) -> int:
+def _face_order(dim: int, nodes_per_axis: int) -> int:
     """Per-axis GL order of the D >= 4 face rules at a given level.
 
     The largest order (at least 2) whose 2^D * D * q^(D-1) face nodes per
-    centre do not exceed the points_per_dim^D nodes of the tensor rule,
+    centre do not exceed the nodes_per_axis^D nodes of the tensor rule,
     and at most the per-axis nodes at ``MAX_LEVEL``, which bounds the
     O(q^2) memory of building the rule.
     """
-    budget = points_per_dim ** dim
+    budget = nodes_per_axis ** dim
     cap = _level_nodes(MAX_LEVEL)
     q = 2
     while q < cap and dim * 2 ** dim * (q + 1) ** (dim - 1) <= budget:
@@ -414,12 +419,13 @@ def _moment_resolution(dim: int, level: int) -> tuple[int, int]:
     return q, dim * q ** (dim - 1)
 
 
-def _moment_plan(dim: int, level: int) -> str:
-    """One line on the resolution of the Wendland moments at this level;
-    the Gaussian and Matern moments are exact at every level."""
+def _moment_plan(family: str, dim: int, level: int) -> str:
+    """One line on how ``kernel_moments`` computes a family's moments at this level."""
+    if not family.startswith("wendland"):
+        return "erf products, exact at any level"
     q, _ = _moment_resolution(dim, level)
     if dim == 1:
-        return f"level {level}, exact in one dimension"
+        return "radial reduction, exact in one dimension at any level"
     if dim <= 3:
         return f"level {level}, radial reduction with {q}-node Gauss-Legendre segments"
     return f"level {level}, radial reduction with {q}^{dim - 1}-node face rules"
@@ -472,7 +478,8 @@ def kernel_moments(
         chunk = extents[s : s + batch]
         orthants = _orthant_integrals(unit, chunk.reshape(-1, dim), q)
         b[s : s + batch] = np.sum(signs[s : s + batch] * orthants.reshape(chunk.shape[:2]), axis=1)
-    return b / (domain.volume * np.prod(lam))
+    with np.errstate(over="ignore"):  # past the float range every moment underflows to 0
+        return b / (domain.volume * np.prod(lam))
 
 
 @dataclass(frozen=True)
@@ -485,9 +492,6 @@ class MomentWeights:
 
     omega: np.ndarray
     moments: np.ndarray
-    spec: KernelSpec
-    points: CollocationSet
-    regularization: Regularization
 
 
 def moment_weights(
@@ -497,14 +501,7 @@ def moment_weights(
     b = np.asarray(b, dtype=float)
     if b.shape != (gram.n,):
         raise ValueError(f"moment vector has shape {b.shape}, expected ({gram.n},)")
-    omega = _factorize(gram, reg).solve_vector(b)
-    return MomentWeights(
-        omega=omega,
-        moments=b,
-        spec=gram.spec,
-        points=gram.points,
-        regularization=reg,
-    )
+    return MomentWeights(omega=_factorize(gram, reg).solve_vector(b), moments=b)
 
 
 def estimate_mean(weights: MomentWeights, samples: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Convergence-study harness: mean estimation across kernel/N sweeps.
 
-``estimate`` is the one pipeline behind ``run_study``, ``kernel_reference``
-and the CLI's ``mean`` and ``reference``.  It evaluates the model once on
+``estimate`` is the one pipeline behind ``run_study`` and the CLI's
+``mean`` and ``reference``.  It evaluates the model once on
 the longest Halton prefix asked for, then for every (setting, N) pair
 reuses the first N samples.  Settings that share a kernel (a kernel
 reference included) get one Gram matrix and one moment vector on their
@@ -31,7 +31,7 @@ from .collocation import (
     assemble_gram,
 )
 from .kernels import FAMILIES, KernelSpec, NormSpec
-from .models import External, GridField, GridSpec, run_campaign
+from .models import External, GridField, run_campaign
 from .param_space import CollocationSet, ParameterDomain, halton_points
 from .quadrature import cc_rule, estimate_mean, kernel_moments, moment_weights
 
@@ -272,8 +272,13 @@ def estimate(
     shift, taken on the longest prefix that shift asks for, and one
     factor is alive at a time; the TSVD settings share each block's
     eigendecomposition.  A failed solve raises ``StudyError`` naming the
-    setting's column and N.
+    setting's column and N.  A model with a ``dim`` must match the
+    domain's; one without, such as ``External``, takes any domain.
     """
+    if getattr(model, "dim", domain.dim) != domain.dim:
+        raise ValueError(
+            f"model of dimension {model.dim} on a domain of dimension {domain.dim}"
+        )
     counts = {setting: sorted({int(n) for n in ns}) for setting, ns in requests.items()}
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))
     table = evaluate_samples(model, points, jobs=jobs)
@@ -340,20 +345,6 @@ def run_study(config: StudyConfig) -> StudyReport:
         config_echo=config_echo(config),
         wall_time=time.monotonic() - t0,
     )
-
-
-def kernel_reference(config: StudyConfig, n_max: int, setting: KernelSetting) -> GridField:
-    """Fine-sampling mean estimate used as ground truth.
-
-    Uses the first ``n_max`` points of the same low-discrepancy sequence
-    as the study (the reference kernel may differ from the study kernels).
-    """
-    if n_max < max(config.schedule):
-        raise ValueError("reference n_max must cover the schedule")
-    means = estimate(config.model, config.domain, {setting: (n_max,)}, config.level, config.jobs).means
-    est = means[setting, n_max]
-    grid = config.model.grid if hasattr(config.model, "grid") else GridSpec.index_line(est.size)
-    return GridField(grid=grid, values=est)
 
 
 def mc_baseline(model, domain: ParameterDomain, n: int, seed: int = 0, method: str = "mc") -> np.ndarray:

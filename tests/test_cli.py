@@ -8,14 +8,12 @@ import pytest
 
 from rbfuq import (
     PoissonExact,
-    StudyConfig,
     assemble_gram,
     cc_rule,
     estimate,
     estimate_mean,
     halton_points,
     kernel_moments,
-    kernel_reference,
     load_config,
     moment_weights,
     read_qoi,
@@ -252,6 +250,30 @@ class TestStudy:
         out = capsys.readouterr().out
         assert "kernel moments: level 10, radial reduction with 513-node Gauss-Legendre segments\n" in out
 
+    @pytest.mark.parametrize(
+        "config,expected",
+        [
+            ("gfunction_external.json", ["gaussian kernel moments: erf products, exact at any level"]),
+            (
+                "poisson_tikhonov.json",
+                ["wendland3 kernel moments: radial reduction, exact in one dimension at any level"],
+            ),
+            (
+                "gfunction_kernels.json",
+                [
+                    "gaussian, matern32 kernel moments: erf products, exact at any level",
+                    "wendland0, wendland1, wendland2, wendland3 kernel moments: "
+                    "level 7, radial reduction with 65-node Gauss-Legendre segments",
+                ],
+            ),
+        ],
+    )
+    def test_dry_run_names_each_moment_engine(self, capsys, config, expected):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        assert main(["study", "--config", str(configs / config), "--dry-run"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "kernel moments" in line] == expected
+
     def test_study_without_schedule_is_config_error(self, tmp_path, capsys):
         cfg = gfunction_cfg(tmp_path, kernels=[{"family": "gaussian"}])
         assert main(["study", "--config", cfg]) == EXIT_CONFIG
@@ -271,6 +293,16 @@ class TestReference:
         assert np.array_equal(values, PoissonExact().exact_mean().values)
         meta = json.loads((tmp_path / "out" / "reference.json").read_text())
         assert meta == {"kind": "exact", "m": 1089}
+
+    def test_exact_reference_dry_run_has_no_kernel_moments(self, tmp_path, capsys):
+        data = {
+            "domain": {"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 1},
+            "model": {"kind": "poisson"},
+            "out": str(tmp_path / "out"),
+        }
+        assert main(["reference", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "samples: 0\n" in out and "kernel moments" not in out
 
     def test_kernel_reference(self, tmp_path):
         data = {
@@ -308,10 +340,7 @@ class TestReference:
         assert main(["reference", "--config", cfg_path]) == EXIT_OK
         cfg = load_config(cfg_path)
         ref = cfg.reference
-        study_cfg = StudyConfig(
-            model=cfg.model, domain=cfg.domain, kernels=(ref.kernel,), schedule=(48,), level=5, reference=ref
-        )
-        expected = kernel_reference(study_cfg, 48, ref.kernel).values
+        expected = estimate(cfg.model, cfg.domain, {ref.kernel: (48,)}, level=5).means[ref.kernel, 48]
         assert expected.shape == (9,)
         assert np.array_equal(read_qoi(tmp_path / "out" / "reference.bin"), expected)
 

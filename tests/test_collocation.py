@@ -193,7 +193,7 @@ class TestSolve:
     def test_eval_single_point(self):
         gram = two_point_gram()
         interp = solve(gram, np.array([1.0, 0.0]))
-        v = interp.eval(np.array([0.0]))
+        v = interp.eval_many(np.atleast_2d([0.0]))[0]
         assert v.shape == (1,)
         assert abs(v[0] - 1.0) < 1e-14
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rbfuq import FAMILIES, KernelSpec, NormSpec, kernel_eval, kernel_matrix, quadratic_form
+from rbfuq import FAMILIES, KernelSpec, NormSpec, kernel_matrix
 
 
 def spec(family, dim=1, **kw):
@@ -47,7 +47,6 @@ class TestProfiles:
         s = spec(f"wendland{k}", 3)
         r = np.array([1.0, 1.5, 10.0])
         assert np.all(s.profile(r) == 0.0)
-        assert s.support_radius == 1.0
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_profiles_monotone_decreasing(self, family):
@@ -57,8 +56,8 @@ class TestProfiles:
 
     def test_support_radius_scales_with_zeta(self):
         s = spec("wendland2", 2, norm=NormSpec(zeta=4.0))
-        assert s.support_radius == 0.25
-        assert spec("gaussian").support_radius == np.inf
+        assert s.profile(0.25) == 0.0 and s.profile(np.nextafter(0.25, 0.0)) > 0.0
+        assert spec("gaussian").profile(20.0) > 0.0
 
 
 class TestScaling:
@@ -80,13 +79,13 @@ class TestScaling:
         s = spec("matern12", 2, norm=NormSpec(weights=(2.0, 1.0)))
         y = np.array([1.0, 0.0])
         # weighted distance 2.0 along the first axis
-        assert kernel_eval(s, y, np.zeros(2)) == math.exp(-2.0)
+        assert kernel_matrix(s, [y], [np.zeros(2)])[0, 0] == math.exp(-2.0)
 
 
 class TestNormSpec:
     def test_distance_scaled(self):
-        n = NormSpec(zeta=3.0)
-        assert n.distance([1.0, 0.0], [0.0, 0.0]) == 3.0
+        s = spec("matern12", 2, norm=NormSpec(zeta=3.0))
+        assert kernel_matrix(s, [[1.0, 0.0]], [[0.0, 0.0]])[0, 0] == math.exp(-3.0)
 
     def test_pairwise_unscaled(self):
         n = NormSpec(zeta=3.0)
@@ -95,7 +94,9 @@ class TestNormSpec:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            NormSpec().distance([1.0], [1.0, 2.0])
+            NormSpec().pairwise(np.zeros((1, 1)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="2 weights"):
+            NormSpec(weights=(1.0, 2.0)).pairwise(np.zeros((1, 1)), np.zeros((1, 1)))
 
     def test_rejects_bad_zeta(self):
         with pytest.raises(ValueError):
@@ -135,7 +136,8 @@ class TestMatrixHelpers:
         # alpha^T K alpha with K = [[1, e^-1], [e^-1, 1]], alpha = (1, 1)
         s = spec("matern12", 1)
         pts = np.array([[0.0], [1.0]])
-        q = quadratic_form(s, pts, np.array([1.0, 1.0]))
+        alpha = np.array([1.0, 1.0])
+        q = alpha @ kernel_matrix(s, pts, pts) @ alpha
         assert abs(q - (2.0 + 2.0 * math.exp(-1.0))) < 1e-15
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -143,7 +145,7 @@ class TestMatrixHelpers:
         rng = np.random.default_rng(3)
         pts = rng.random((20, 2))
         alpha = rng.standard_normal(20)
-        assert quadratic_form(spec(family, 2), pts, alpha) > 0.0
+        assert alpha @ kernel_matrix(spec(family, 2), pts, pts) @ alpha > 0.0
 
 
 def _plain_profile(family, dim, eps_zeta, zeta, d):

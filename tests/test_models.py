@@ -15,9 +15,6 @@ from rbfuq import (
     g_function,
     kl_eigenvalue,
     kl_log_field,
-    poisson_default_grid,
-    poisson_exact_field,
-    poisson_exact_mean,
 )
 
 # E[u](0,0) = (1/6) erf(sqrt(3)) sqrt(3) sqrt(pi), frozen from the formula
@@ -65,62 +62,64 @@ class TestGridField:
             GridField(grid=grid, values=np.array([1.0, np.nan]))
 
     def test_reshaped(self):
-        grid = GridSpec(extents=((0.0, 1.0), (0.0, 1.0)), counts=(2, 3))
-        field = GridField(grid=grid, values=np.arange(6.0))
-        assert field.reshaped().shape == (2, 3)
+        # the flat values reshape to the grid: the second axis varies fastest
+        grid = GridSpec(extents=((0.0, 1.0), (0.0, 2.0)), counts=(2, 3))
+        field = GridField(grid=grid, values=grid.points()[:, 1])
+        assert np.array_equal(field.values.reshape(grid.counts), [[0.0, 1.0, 2.0]] * 2)
 
     def test_scalar(self):
         f = GridField.scalar(7.0)
-        assert f.m == 1 and f.values[0] == 7.0
+        assert f.values.size == 1 and f.values[0] == 7.0
+
+
+def on_grid(field):
+    return field.values.reshape(field.grid.counts)
 
 
 class TestPoisson:
     def test_center_value_at_zero_parameter(self):
-        field = poisson_exact_field(0.0, poisson_default_grid())
-        center = field.reshaped()[16, 16]
+        center = on_grid(PoissonExact().evaluate(0.0))[16, 16]
         assert center == 1.0
 
     def test_boundary_vanishes(self):
-        field = poisson_exact_field(0.7, poisson_default_grid())
-        v = field.reshaped()
+        v = on_grid(PoissonExact().evaluate(0.7))
         assert np.all(v[0] == 0.0) and np.all(v[-1] == 0.0)
         assert np.all(v[:, 0] == 0.0) and np.all(v[:, -1] == 0.0)
 
     def test_extreme_parameter_value(self):
-        field = poisson_exact_field(math.sqrt(3.0), poisson_default_grid())
-        assert abs(field.reshaped()[16, 16] - math.exp(-3.0)) < 1e-16
+        field = PoissonExact().evaluate(math.sqrt(3.0))
+        assert abs(on_grid(field)[16, 16] - math.exp(-3.0)) < 1e-16
 
     def test_mean_center_value(self):
-        mean = poisson_exact_mean(poisson_default_grid())
-        assert abs(mean.reshaped()[16, 16] - POISSON_MEAN_CENTER) < 1e-15
+        mean = PoissonExact().exact_mean()
+        assert abs(on_grid(mean)[16, 16] - POISSON_MEAN_CENTER) < 1e-15
 
     def test_mean_vanishes_at_corner(self):
-        mean = poisson_exact_mean(poisson_default_grid())
-        v = mean.reshaped()
+        v = on_grid(PoissonExact().exact_mean())
         assert abs(v[-1, -1]) < 1e-16
 
     def test_mean_symmetries(self):
-        v = poisson_exact_mean(poisson_default_grid()).reshaped()
+        v = on_grid(PoissonExact().exact_mean())
         assert np.array_equal(v, v.T)
         assert np.array_equal(v, v[::-1, :])
 
     def test_mean_matches_quadrature_of_field(self):
         # integrate the exact field against the uniform density in y
-        grid = poisson_default_grid()
+        model = PoissonExact()
         dom = ParameterDomain.symmetric(math.sqrt(3.0), 1)
         rule = cc_rule(dom, 10)
-        acc = np.zeros(grid.npoints)
+        acc = np.zeros(model.grid.npoints)
         for y, w in zip(rule.nodes[0], rule.weights[0]):
-            acc += (w / dom.volume) * poisson_exact_field(y, grid).values
-        exact = poisson_exact_mean(grid).values
+            acc += (w / dom.volume) * model.evaluate(y).values
+        exact = model.exact_mean().values
         assert np.max(np.abs(acc - exact)) < 1e-10
 
     def test_model_wrapper(self):
         model = PoissonExact()
         assert model.dim == 1
         field = model.evaluate(np.array([0.3]))
-        assert field.m == 1089
-        assert model.exact_mean().m == 1089
+        assert field.values.size == 1089
+        assert model.exact_mean().values.size == 1089
 
 
 class TestGFunction:
@@ -202,7 +201,7 @@ class TestKL:
     def test_model_wrapper(self):
         model = KLField(dim=4, correlation_length=0.5)
         field = model.evaluate(np.array([0.1, -0.2, 0.3, 0.4]))
-        assert field.m == 33
+        assert field.values.size == 33
         assert np.all(np.isfinite(field.values))
         x2 = model.grid.points()[:, -1]
         _, force = kl_log_field(np.array([0.1, -0.2, 0.3, 0.4]), x2, 0.5)

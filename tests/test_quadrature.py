@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rbfuq import (
+    FAMILIES,
     CollocationSet,
     KernelSpec,
     NormSpec,
@@ -70,24 +71,24 @@ class TestUnivariateRule:
 class TestTensorRule:
     def test_level_one_gives_endpoints(self):
         rule = cc_rule(ParameterDomain.unit(1), 1)
-        assert rule.points_per_dim == 2
+        assert rule.nodes[0].size == 2
         assert np.array_equal(rule.nodes[0], [0.0, 1.0])
         assert np.array_equal(rule.weights[0], [0.5, 0.5])
 
     @pytest.mark.parametrize("level,n", [(1, 2), (2, 3), (3, 5), (7, 65)])
     def test_level_node_counts(self, level, n):
         rule = cc_rule(ParameterDomain.unit(1), level)
-        assert rule.points_per_dim == n
+        assert rule.nodes[0].size == n
 
     def test_mapping_to_box(self):
-        dom = ParameterDomain.from_bounds([(2.0, 6.0)])
+        dom = ParameterDomain([2.0], [6.0])
         rule = cc_rule(dom, 2)
         assert np.array_equal(rule.nodes[0], [2.0, 4.0, 6.0])
         assert abs(rule.weights[0].sum() - 4.0) < 1e-13
 
     def test_npoints(self):
         rule = cc_rule(ParameterDomain.unit(3), 3)
-        assert rule.npoints == 125
+        assert [x.size for x in rule.nodes] == [5, 5, 5]
 
     def test_point_cap_enforced(self):
         with pytest.raises(ValueError, match="level"):
@@ -95,7 +96,7 @@ class TestTensorRule:
 
     def test_point_cap_configurable(self):
         rule = cc_rule(ParameterDomain.unit(2), 7, max_points=10 ** 4)
-        assert rule.npoints == 4225
+        assert [x.size for x in rule.nodes] == [65, 65]
         with pytest.raises(ValueError):
             cc_rule(ParameterDomain.unit(2), 7, max_points=4224)
 
@@ -112,7 +113,7 @@ class TestTensorRule:
 
     def test_no_point_cap(self):
         rule = cc_rule(ParameterDomain.unit(3), 10, max_points=None)
-        assert rule.npoints == 513 ** 3
+        assert [x.size for x in rule.nodes] == [513, 513, 513]
 
 
 def _oracle_profile(lib, family, dim, r):
@@ -198,7 +199,7 @@ class TestKernelMoments:
         # off here).
         mpmath = pytest.importorskip("mpmath")
         bounds = [(0.0, 1.0), (-1.0, 2.0)]
-        dom = ParameterDomain.from_bounds(bounds)
+        dom = ParameterDomain(*np.transpose(bounds))
         rule = cc_rule(dom, 7)
         spec = KernelSpec(family="wendland1", dim=2)
         centers = halton_points(dom, 7)
@@ -224,7 +225,7 @@ class TestKernelMoments:
     def test_density_normalization(self):
         # doubling the box halves the density; moments of the constant
         # profile at zero distance integrate rho to exactly 1
-        dom = ParameterDomain.from_bounds([(0.0, 2.0)])
+        dom = ParameterDomain([0.0], [2.0])
         rule = cc_rule(dom, 5)
         assert abs(rule.weights[0].sum() / dom.volume - 1.0) < 1e-14
 
@@ -265,7 +266,7 @@ ORACLE_CASES_2D = {
 
 
 def _engine_moment(family, bounds, center, zeta, weights, level, epsilon=1.0):
-    dom = ParameterDomain.from_bounds(bounds)
+    dom = ParameterDomain(*np.transpose(bounds))
     spec = KernelSpec(family, len(bounds), epsilon=epsilon, norm=NormSpec(zeta, weights))
     return kernel_moments(spec, np.array([center], dtype=float), cc_rule(dom, level))[0]
 
@@ -295,7 +296,7 @@ class TestMomentOracles:
     def test_gaussian_three_dimensions_is_erf_product(self):
         bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)]
         eps, zeta, weights = 1.3, 0.7, (1.0, 2.0, 0.5)
-        dom = ParameterDomain.from_bounds(bounds)
+        dom = ParameterDomain(*np.transpose(bounds))
         centers = np.vstack(
             [halton_points(dom, 10).points, [[0.0, -1.0, 0.5], [1e-3, 0.5, 1.0], [1.2, 0.0, 1.0]]]
         )
@@ -481,7 +482,7 @@ class TestScaleMixtures:
         bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5), (0.0, 1.0), (0.0, 2.0)]
         weights = (1.0, 2.0, 0.5, 1.0, 1.5)
         centres = [(0.3, 0.1, 1.2, 0.7, 1.9), (1e-3, 2.0, 0.6, 0.5, 1.0)]
-        dom = ParameterDomain.from_bounds(bounds)
+        dom = ParameterDomain(*np.transpose(bounds))
         spec = KernelSpec(family, 5, norm=NormSpec(zeta, weights))
         b = kernel_moments(spec, np.array(centres), cc_rule(dom, 1))
         lam = [zeta * w for w in weights]
@@ -605,3 +606,28 @@ class TestMomentWeights:
         assert table.shape == (3,)
         with pytest.raises(ValueError):
             estimate_mean(weights, np.ones((5, 2)))
+
+
+class TestExtremeScale:
+    """Moments at huge zeta: finite, warning-free, and 0 where they underflow."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_finite_without_warnings(self, family, dim):
+        for dom in (ParameterDomain.unit(dim), ParameterDomain.symmetric(math.sqrt(3.0), dim)):
+            face = dom.lower + 0.3 * dom.lengths
+            face[0] = dom.lower[0]
+            centres = np.vstack([halton_points(dom, 3).points, face, dom.upper + 0.5])
+            for zeta in (1e100, 1e200, 1e280, 1e300):
+                spec = KernelSpec(family, dim, norm=NormSpec(zeta))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    b = kernel_moments(spec, centres, cc_rule(dom, 4, max_points=None))
+                # the whole-space integral of every profile is below 4 / zeta in D = 1
+                assert np.all((b >= 0.0) & (b <= 4.0 / zeta)), (dom, zeta, b)
+
+    def test_matern12_closed_form_at_zeta_1e300(self):
+        # an interior centre sees int exp(-zeta |y - c|) dy = 2 / zeta
+        spec = KernelSpec("matern12", 1, norm=NormSpec(1e300))
+        b = kernel_moments(spec, np.array([[0.3], [0.5]]), cc_rule(ParameterDomain.unit(1), 1))
+        assert np.all(np.abs(b - 2e-300) <= 4e-16 * 2e-300), b

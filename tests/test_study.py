@@ -9,6 +9,7 @@ from rbfuq import (
     GFunction,
     GridField,
     GridSpec,
+    KLField,
     KernelSetting,
     ParameterDomain,
     PoissonExact,
@@ -22,7 +23,6 @@ from rbfuq import (
     evaluate_samples,
     fit_order,
     halton_points,
-    kernel_reference,
     mc_baseline,
     run_study,
     write_report,
@@ -277,6 +277,21 @@ class TestRunStudy:
         assert info.value.n == 8
 
 
+class TestModelDimension:
+    @pytest.mark.parametrize(
+        "model,domain",
+        [
+            (GFunction(dim=3), ParameterDomain.unit(2)),
+            (PoissonExact(), ParameterDomain.symmetric(math.sqrt(3.0), 3)),
+            (KLField(dim=5), ParameterDomain.symmetric(math.sqrt(3.0), 3)),
+        ],
+    )
+    def test_estimate_refuses_a_model_of_another_dimension(self, model, domain):
+        match = f"model of dimension {model.dim} on a domain of dimension {domain.dim}"
+        with pytest.raises(ValueError, match=match):
+            estimate(model, domain, {KernelSetting(family="gaussian"): (4,)}, level=3)
+
+
 class TestSharedKernel:
     def config(self, kernels):
         return StudyConfig(
@@ -403,40 +418,20 @@ class TestEvaluateSamples:
 
 
 class TestKernelReference:
-    def test_n_max_must_cover_schedule(self):
-        config = StudyConfig(
-            model=PoissonExact(),
-            domain=ParameterDomain.symmetric(math.sqrt(3.0), 1),
-            kernels=(KernelSetting(family="gaussian"),),
-            schedule=(4, 8),
-        )
-        with pytest.raises(ValueError, match="cover"):
-            kernel_reference(config, 4, KernelSetting(family="gaussian"))
+    """A fine kernel estimate, the reference a study can use instead of an exact mean."""
 
     def test_poisson_reference_close_to_exact(self):
-        config = StudyConfig(
-            model=PoissonExact(),
-            domain=ParameterDomain.symmetric(math.sqrt(3.0), 1),
-            kernels=(KernelSetting(family="gaussian"),),
-            schedule=(4, 8),
-            level=7,
-        )
-        ref = kernel_reference(config, 512, KernelSetting(family="gaussian", regularization=Tikhonov(1e-14)))
-        exact = PoissonExact().exact_mean()
-        assert error_norm(ref, exact, "abs_l2") < 1e-9
+        model = PoissonExact()
+        setting = KernelSetting(family="gaussian", regularization=Tikhonov(1e-14))
+        domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
+        ref = estimate(model, domain, {setting: (512,)}, level=7).means[setting, 512]
+        exact = model.exact_mean()
+        assert error_norm(GridField(grid=model.grid, values=ref), exact, "abs_l2") < 1e-9
 
     def test_gfunction_reference_close_to_exact(self):
-        config = StudyConfig(
-            model=GFunction(3),
-            domain=ParameterDomain.unit(3),
-            kernels=(KernelSetting(family="gaussian", epsilon=2.0),),
-            schedule=(32, 64),
-            level=5,
-            norm="rel_scalar",
-        )
         setting = KernelSetting(family="gaussian", epsilon=2.0, regularization=Tikhonov(1e-8))
-        ref = kernel_reference(config, 512, setting)
-        assert abs(ref.values[0] - 1.0) < 1e-2
+        ref = estimate(GFunction(3), ParameterDomain.unit(3), {setting: (512,)}, level=5).means[setting, 512]
+        assert abs(ref[0] - 1.0) < 1e-2
 
 
 class TestMcBaseline:
