@@ -34,7 +34,7 @@ from .config import ConfigError, RunConfig, load_config
 from .models import External, ExternalError, NonFiniteFieldError, write_qoi
 from .param_space import halton_points
 from .quadrature import _moment_plan, kernel_moments, moment_weights  # noqa: F401
-from .study import StudyError, _kernel_groups, estimate, evaluate_samples, run_study, write_report  # noqa: F401
+from .study import StudyError, _check_reference, _kernel_groups, estimate, evaluate_samples, run_study, write_report  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,14 +43,10 @@ EXIT_EXTERNAL = 4
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if getattr(args, "jobs", None) is not None:
-        cfg = dataclasses.replace(cfg, jobs=args.jobs)
-    if getattr(args, "out", None) is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    if getattr(args, "n", None) is not None:
-        cfg = dataclasses.replace(cfg, n=args.n)
-    return cfg
+    """The config with the given flags applied; RunConfig checks them as it checks their keys."""
+    flags = {"jobs": "jobs", "out": "out_dir", "n": "n"}
+    given = {key: getattr(args, flag) for flag, key in flags.items() if getattr(args, flag, None) is not None}
+    return dataclasses.replace(load_config(args.config), **given)
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
@@ -138,6 +134,7 @@ def cmd_study(args) -> int:
 def cmd_reference(args) -> int:
     cfg = _load(args)
     ref = cfg.reference
+    _check_reference(ref, cfg.model)  # StudyConfig's rule, so a dry run is refused too
     if args.dry_run:
         kernel = ref.kind == "kernel"
         _print_plan(cfg, ref.n_max if kernel else 0, [ref.kernel] if kernel else [])

@@ -137,17 +137,13 @@ def assemble_gram(spec: KernelSpec, points: CollocationSet) -> GramMatrix:
     be singular unless regularization is applied.
     """
     pts = points.points
-    if pts.shape[1] != spec.dim:
-        raise ValueError(
-            f"kernel dimension {spec.dim} does not match point dimension {pts.shape[1]}"
-        )
+    values = kernel_matrix(spec, pts, pts)  # refuses points of another dimension
     if len(np.unique(pts, axis=0)) < pts.shape[0]:
         warnings.warn(
             "collocation set contains duplicate points; the unregularized "
             "Gram system is singular",
             stacklevel=2,
         )
-    values = kernel_matrix(spec, pts, pts)
     np.fill_diagonal(values, float(spec.profile(0.0)))
     return GramMatrix(values=values, spec=spec, points=points)
 

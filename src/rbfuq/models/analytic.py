@@ -69,6 +69,10 @@ class PoissonExact:
         default_factory=lambda: GridSpec(extents=((-0.5, 0.5), (-0.5, 0.5)), counts=(33, 33))
     )
 
+    def __post_init__(self):
+        if min(self.grid.counts) < 2:
+            raise ValueError(f"the Poisson grid needs at least 2 points per axis, got {self.grid.counts}")
+
     @property
     def dim(self) -> int:
         return 1
@@ -123,6 +127,10 @@ class KLField:
     grid: GridSpec = field(
         default_factory=lambda: GridSpec(extents=((0.0, 1.0),), counts=(33,))
     )
+
+    def __post_init__(self):
+        if not self.correlation_length > 0:
+            raise ValueError(f"correlation_length must be positive, got {self.correlation_length}")
 
     def evaluate(self, y) -> GridField:
         x2 = self.grid.points()[:, -1]

@@ -73,6 +73,14 @@ class External:
     timeout: float = 60.0
     expected_m: int | None = None
 
+    def __post_init__(self):
+        if not shlex.split(self.command):  # an unbalanced quote raises here too
+            raise ValueError(f"command {self.command!r} names no program")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.expected_m is not None and self.expected_m < 1:
+            raise ValueError(f"expected_m must be >= 1, got {self.expected_m}")
+
     @property
     def samples_dir(self) -> Path:
         return Path(self.root) / "samples"
@@ -180,6 +188,12 @@ class CampaignResult:
     cached: int
 
 
+def _check_jobs(jobs) -> None:
+    """The one rule on the number of concurrent solves."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def run_campaign(spec: External, points, jobs: int = 1) -> CampaignResult:
     """Evaluate all rows of ``points``, at most ``jobs`` solvers at a time.
 
@@ -188,8 +202,7 @@ def run_campaign(spec: External, points, jobs: int = 1) -> CampaignResult:
     completion order.  The first failure cancels the remaining work.
     """
     pts = np.atleast_2d(np.asarray(points.points if hasattr(points, "points") else points))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_jobs(jobs)
     # map yields in sample order and cancels the queued samples on the first failure
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         outcomes = list(pool.map(partial(_evaluate_values, spec), pts, range(len(pts))))

@@ -23,6 +23,13 @@ _PRIME_BASES = (
 MAX_DIM = len(_PRIME_BASES)
 
 
+def _halton_bases(dim: int) -> tuple:
+    """The prime bases of a dim-dimensional Halton sequence; the one place that refuses dim > MAX_DIM."""
+    if dim > MAX_DIM:
+        raise ValueError(f"domain dimension {dim} exceeds the {MAX_DIM} available prime bases")
+    return _PRIME_BASES[:dim]
+
+
 def radical_inverse(i: int, base: int) -> float:
     """Radical inverse of a positive integer in a given base.
 
@@ -173,19 +180,12 @@ def halton_points(
     n : int
         Number of points, >= 1.
     start_index : int
-        First Halton index to emit, >= 1.
+        First Halton index to emit, >= 1 (``radical_inverse`` refuses 0).
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
-    if start_index < 1:
-        raise ValueError(f"start_index must be >= 1, got {start_index}")
-    if domain.dim > MAX_DIM:
-        raise ValueError(
-            f"domain dimension {domain.dim} exceeds the {MAX_DIM} available prime bases"
-        )
     unit = np.empty((n, domain.dim))
-    for d in range(domain.dim):
-        base = _PRIME_BASES[d]
+    for d, base in enumerate(_halton_bases(domain.dim)):
         unit[:, d] = [radical_inverse(start_index + i, base) for i in range(n)]
     return CollocationSet(
         domain.map_from_unit(unit), source=f"halton(start_index={start_index})"

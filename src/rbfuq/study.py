@@ -30,10 +30,11 @@ from .collocation import (
     _CholFactor,
     assemble_gram,
 )
-from .kernels import FAMILIES, KernelSpec, NormSpec
+from .kernels import KernelSpec, NormSpec
 from .models import External, GridField, run_campaign
+from .models.external import _check_jobs
 from .param_space import CollocationSet, ParameterDomain, halton_points
-from .quadrature import cc_rule, estimate_mean, kernel_moments, moment_weights
+from .quadrature import _level_nodes, cc_rule, estimate_mean, kernel_moments, moment_weights
 
 NORM_TAGS = ("abs_l2", "rel_l2", "abs_scalar", "rel_scalar")
 
@@ -62,8 +63,9 @@ class KernelSetting:
     label: str | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family '{self.family}'")
+        self.spec(1)  # the kernel refuses a bad family, zeta or epsilon
+        if not isinstance(self.regularization, Regularization):
+            raise ValueError(f"regularization must be Tikhonov, TSVD or None, got {self.regularization!r}")
 
     @property
     def column(self) -> str:
@@ -121,14 +123,14 @@ class StudyConfig:
         if not kernels:
             raise ValueError("study needs at least one kernel")
         schedule = _check_schedule(self.schedule)
+        _level_nodes(self.level)
         _check_norm(self.norm)
         _check_columns(kernels)
+        _check_jobs(self.jobs)
+        _check_fit_window(self.fit_window)
         if self.reference.kind == "kernel" and self.reference.n_max < schedule[-1]:
             raise ValueError("kernel reference n_max must cover the schedule")
-        if self.reference.kind == "exact" and not hasattr(self.model, "exact_mean"):
-            raise ValueError(
-                "model has no exact mean; use a kernel reference"
-            )
+        _check_reference(self.reference, self.model)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "schedule", schedule)
 
@@ -141,11 +143,11 @@ class StudyConfig:
         return requests
 
 
-# One function per rule, shared by StudyConfig and config.parse_config.
+# One function per rule, shared by StudyConfig, estimate, config.parse_config and the CLI.
 def _check_schedule(schedule) -> tuple:
     schedule = tuple(int(n) for n in schedule)
     if not schedule or any(n < 1 for n in schedule):
-        raise ValueError("schedule must hold positive sample counts")
+        raise ValueError(f"schedule must hold positive sample counts, got {list(schedule)}")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError(f"schedule must be strictly increasing, got {list(schedule)}")
     return schedule
@@ -160,6 +162,24 @@ def _check_columns(kernels) -> None:
 def _check_norm(tag) -> None:
     if tag not in NORM_TAGS:
         raise ValueError(f"unknown norm tag {tag!r}; expected one of {NORM_TAGS}")
+
+
+def _check_fit_window(window) -> None:
+    if window < 2:
+        raise ValueError(f"fit_window must be >= 2, got {window}")
+
+
+def _check_reference(reference: ReferenceSpec, model) -> None:
+    if reference.kind == "exact" and not hasattr(model, "exact_mean"):
+        raise ValueError("model has no exact mean; use a kernel reference")
+
+
+def _check_model_dim(model, domain: ParameterDomain) -> None:
+    """A model with a ``dim`` must match the domain's; one without, such as ``External``, takes any."""
+    if getattr(model, "dim", domain.dim) != domain.dim:
+        raise ValueError(
+            f"model of dimension {model.dim} on a domain of dimension {domain.dim}"
+        )
 
 
 @dataclass(frozen=True)
@@ -184,6 +204,7 @@ def evaluate_samples(model, points: CollocationSet, jobs: int = 1) -> np.ndarray
 
 
 def _norm_values(estimate: np.ndarray, reference: np.ndarray, tag: str) -> float:
+    _check_norm(tag)
     e = np.asarray(estimate, dtype=float).ravel()
     r = np.asarray(reference, dtype=float).ravel()
     if e.shape != r.shape:
@@ -200,11 +221,9 @@ def _norm_values(estimate: np.ndarray, reference: np.ndarray, tag: str) -> float
         return float(np.sqrt(np.mean(diff * diff))) / denom
     if tag == "abs_scalar":
         return abs(float(diff[0]))
-    if tag == "rel_scalar":
-        if r[0] == 0.0:
-            raise ValueError("relative norm with zero reference")
-        return abs(float(diff[0]) / float(r[0]))
-    raise ValueError(f"unknown norm tag '{tag}'")
+    if r[0] == 0.0:  # rel_scalar
+        raise ValueError("relative norm with zero reference")
+    return abs(float(diff[0]) / float(r[0]))
 
 
 def error_norm(estimate: GridField, reference: GridField, tag: str) -> float:
@@ -272,17 +291,16 @@ def estimate(
     shift, taken on the longest prefix that shift asks for, and one
     factor is alive at a time; the TSVD settings share each block's
     eigendecomposition.  A failed solve raises ``StudyError`` naming the
-    setting's column and N.  A model with a ``dim`` must match the
-    domain's; one without, such as ``External``, takes any domain.
+    setting's column and N.  Every input is checked before the model
+    runs: the model's and the domain's dimension, ``jobs``, each sample
+    count and the level, so a refused call evaluates nothing.
     """
-    if getattr(model, "dim", domain.dim) != domain.dim:
-        raise ValueError(
-            f"model of dimension {model.dim} on a domain of dimension {domain.dim}"
-        )
-    counts = {setting: sorted({int(n) for n in ns}) for setting, ns in requests.items()}
+    _check_model_dim(model, domain)
+    _check_jobs(jobs)
+    counts = {setting: _check_schedule(sorted({int(n) for n in ns})) for setting, ns in requests.items()}
+    rule = cc_rule(domain, level, max_points=None)  # kernel_moments never expands it
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))
     table = evaluate_samples(model, points, jobs=jobs)
-    rule = cc_rule(domain, level, max_points=None)  # kernel_moments never expands it
     weights = {}
     for spec, settings in _kernel_groups(counts, domain.dim).items():
         top = max(counts[setting][-1] for setting in settings)

@@ -79,6 +79,12 @@ class TestSample:
         assert main(["sample", "--config", cfg]) == EXIT_CONFIG
         assert "'n'" in capsys.readouterr().err
 
+    def test_negative_n_flag_is_config_error(self, tmp_path, capsys):
+        cfg = gfunction_cfg(tmp_path, n=2)
+        assert main(["sample", "--config", cfg, "--n", "-1"]) == EXIT_CONFIG
+        assert "config.n must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMean:
     def test_matches_library_pipeline(self, tmp_path):
@@ -146,6 +152,13 @@ class TestMean:
         assert "samples: 16" in out
         assert "collocation system: 16 x 16" in out
         assert not (tmp_path / "out" / "mean.bin").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--out", "")])
+    def test_flag_refused_as_its_key(self, tmp_path, capsys, flag, value):
+        cfg_path = gfunction_cfg(tmp_path, n=16, kernels=[{"family": "gaussian"}])
+        assert main(["mean", "--config", cfg_path, flag, value]) == EXIT_CONFIG
+        assert f"config.{flag[2:]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_constant_external_solver(self, tmp_path):
         stub = tmp_path / "const.py"
@@ -303,6 +316,23 @@ class TestReference:
         assert main(["reference", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "samples: 0\n" in out and "kernel moments" not in out
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+    def test_exact_reference_needs_an_exact_mean(self, tmp_path, capsys, dry_run):
+        data = {
+            "domain": {"kind": "unit", "dim": 1},
+            "model": {
+                "kind": "external",
+                "command": f"{PY} {STUBS / 'constant_stub.py'} {{params}} {{dir}}",
+                "root": str(tmp_path / "runs"),
+            },
+            "out": str(tmp_path / "out"),
+        }
+        assert main(["reference", "--config", write_cfg(tmp_path, data), *dry_run]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "model has no exact mean; use a kernel reference" in captured.err
+        assert "samples:" not in captured.out
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "out").exists()
 
     def test_kernel_reference(self, tmp_path):
         data = {

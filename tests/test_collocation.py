@@ -141,7 +141,8 @@ class TestSolve:
         gram = GramMatrix(values=np.ones((40, 40)) - 0.5 * np.eye(40), spec=base.spec, points=base.points)
         assert condition_report(gram).condition < 100.0
         with pytest.raises(SingularGramError) as err:
-            solve(gram, np.ones(40), reg=Tikhonov(0.5))
+            with pytest.warns(UserWarning, match=r"Tikhonov\(eps_reg=0.5\).*leading minor 2"):
+                solve(gram, np.ones(40), reg=Tikhonov(0.5))
         assert err.value.condition == condition_report(ones).condition
 
     def test_tikhonov_rescues_duplicates(self):

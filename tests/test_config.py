@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,13 +6,20 @@ from pathlib import Path
 import pytest
 
 from rbfuq import (
+    MAX_DIM,
     ConfigError,
     External,
     GFunction,
+    GridSpec,
+    KernelSetting,
     KLField,
+    ParameterDomain,
     PoissonExact,
+    ReferenceSpec,
+    StudyConfig,
     TSVD,
     Tikhonov,
+    halton_points,
     load_config,
     parse_config,
 )
@@ -70,7 +78,7 @@ class TestModel:
         assert model.grid.counts == (33, 33)
 
     def test_poisson_needs_1d_domain(self):
-        with pytest.raises(ConfigError, match="1-D"):
+        with pytest.raises(ConfigError, match="model: model of dimension 1 on a domain of dimension 2"):
             parse_config(minimal(model={"kind": "poisson"}))
 
     def test_kl_defaults(self):
@@ -229,6 +237,116 @@ class TestReferenceAndTopLevel:
         study = parse_config(data).study()
         assert study.schedule == (4, 8)
         assert study.kernels[0].epsilon == 2.0
+
+
+def study(**kw):
+    base = dict(
+        model=GFunction(dim=2),
+        domain=ParameterDomain.unit(2),
+        kernels=(KernelSetting("gaussian"),),
+        schedule=(4, 8),
+    )
+    return StudyConfig(**{**base, **kw})
+
+
+def external(**kw):
+    return {"kind": "external", "command": "solver {params}", "root": "runs", **kw}
+
+
+# Each rule with one owner: the config that breaks it, the location its
+# ConfigError names, and the Python call that breaks it with the same value.
+OWNED_RULES = {
+    "zeta": (
+        minimal(kernels=[{"family": "gaussian", "zeta": -1}]),
+        "kernels[0]",
+        lambda: KernelSetting("gaussian", zeta=-1.0),
+    ),
+    "epsilon": (
+        minimal(kernels=[{"family": "gaussian", "epsilon": 0}]),
+        "kernels[0]",
+        lambda: KernelSetting("gaussian", epsilon=0.0),
+    ),
+    "eps_reg": (
+        minimal(kernels=[{"family": "gaussian", "eps_reg": 0}]),
+        "kernels[0].eps_reg",
+        lambda: Tikhonov(0.0),
+    ),
+    "tsvd_tol": (
+        minimal(kernels=[{"family": "gaussian", "tsvd_tol": 0}]),
+        "kernels[0].tsvd_tol",
+        lambda: TSVD(0.0),
+    ),
+    "half_width": (
+        minimal(domain={"kind": "symmetric", "half_width": 0, "dim": 2}),
+        "domain",
+        lambda: ParameterDomain.symmetric(0.0, 2),
+    ),
+    "dim": (minimal(domain={"kind": "unit", "dim": 0}), "domain", lambda: ParameterDomain.unit(0)),
+    "n_max": (
+        minimal(reference={"kind": "kernel", "n_max": 0, "kernel": {"family": "gaussian"}}),
+        "reference",
+        lambda: ReferenceSpec.kernel_at(0, KernelSetting("gaussian")),
+    ),
+    "reference kind": (minimal(reference={"kind": "fine"}), "reference", lambda: ReferenceSpec("fine")),
+    "schedule": (minimal(schedule=[0, 8]), "config.schedule", lambda: study(schedule=(0, 8))),
+    "level": (minimal(level=13), "config.level", lambda: study(level=13)),
+    "fit_window": (minimal(fit_window=1), "config.fit_window", lambda: study(fit_window=1)),
+    "command": (
+        minimal(model=external(command="  ")),
+        "model",
+        lambda: External("  ", "runs"),
+    ),
+    "timeout": (
+        minimal(model=external(timeout=0)),
+        "model",
+        lambda: External("solver {params}", "runs", timeout=0.0),
+    ),
+    "expected_m": (
+        minimal(model=external(expected_m=0)),
+        "model",
+        lambda: External("solver {params}", "runs", expected_m=0),
+    ),
+    "correlation_length": (
+        minimal(model={"kind": "kl", "correlation_length": -1}),
+        "model",
+        lambda: KLField(dim=2, correlation_length=-1.0),
+    ),
+    "x2_points": (
+        minimal(model={"kind": "kl", "x2_points": 0}),
+        "model.x2_points",
+        lambda: GridSpec(extents=((0.0, 1.0),), counts=(0,)),
+    ),
+}
+
+
+class TestOneOwnerPerRule:
+    @pytest.mark.parametrize("rule", OWNED_RULES)
+    def test_json_key_and_constructor_refuse_alike(self, rule):
+        data, where, build = OWNED_RULES[rule]
+        with pytest.raises(ValueError) as owner:
+            build()
+        assert not isinstance(owner.value, ConfigError)
+        with pytest.raises(ConfigError) as config:
+            parse_config(data)
+        # the owner's own message, prefixed with the key's location
+        assert str(config.value) == f"{where}: {owner.value}"
+
+    def test_dimension_limit_is_halton_points_rule(self):
+        dim = MAX_DIM + 1
+        with pytest.raises(ValueError) as owner:
+            halton_points(ParameterDomain.unit(dim), 1)
+        with pytest.raises(ConfigError) as config:
+            parse_config(minimal(domain={"kind": "unit", "dim": dim}))
+        assert str(config.value) == f"domain: {owner.value}"
+
+    def test_run_config_checks_n_jobs_and_out(self):
+        cfg = parse_config(minimal())
+        for key, value in (("n", -1), ("jobs", 0), ("out_dir", "")):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(cfg, **{key: value})
+        for key, value in (("n", -1), ("jobs", 0), ("out", "")):
+            with pytest.raises(ConfigError, match=f"config.{key}"):
+                parse_config(minimal(**{key: value}))
 
 
 class TestLoadConfig:

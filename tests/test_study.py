@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from rbfuq import (
+    External,
     GFunction,
     GridField,
     GridSpec,
@@ -166,6 +168,11 @@ class TestStudyConfigValidation:
         with pytest.raises(ValueError, match="family"):
             KernelSetting(family="cubic")
 
+    def test_regularization_must_be_one(self):
+        # a bare shift would otherwise fail only in the solve, after the model ran
+        with pytest.raises(ValueError, match="regularization must be Tikhonov, TSVD or None, got 1e-08"):
+            KernelSetting(family="gaussian", regularization=1e-8)
+
 
 class CountingModel:
     """Scalar model that counts how often it is evaluated."""
@@ -290,6 +297,48 @@ class TestModelDimension:
         match = f"model of dimension {model.dim} on a domain of dimension {domain.dim}"
         with pytest.raises(ValueError, match=match):
             estimate(model, domain, {KernelSetting(family="gaussian"): (4,)}, level=3)
+
+
+LOGGING_STUB = """\
+import pathlib, struct, sys
+with open(sys.argv[2], "a") as log:
+    log.write(sys.argv[1] + "\\n")
+with open(pathlib.Path(sys.argv[1]) / "qoi.bin", "wb") as fh:
+    fh.write(struct.pack("<Qd", 1, 1.0))
+"""
+
+
+class TestRefusedBeforeEvaluation:
+    """A refused ``estimate`` call evaluates nothing and launches no solver."""
+
+    # requests, level, and the refusal each raises
+    BAD = {
+        "level 13": ({KernelSetting("wendland3"): (8,)}, 13, "level must be between 1 and 12, got 13"),
+        "count 0": ({KernelSetting("wendland3"): (0, 8)}, 3, r"positive sample counts, got \[0, 8\]"),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_in_process_model_is_not_evaluated(self, case):
+        requests, level, refusal = self.BAD[case]
+        model = CountingModel()
+        with pytest.raises(ValueError, match=refusal):
+            estimate(model, ParameterDomain.symmetric(math.sqrt(3.0), 1), requests, level=level)
+        assert model.calls == 0
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_external_solver_is_not_launched(self, tmp_path, case):
+        requests, level, refusal = self.BAD[case]
+        stub, log = tmp_path / "stub.py", tmp_path / "launches.log"
+        stub.write_text(LOGGING_STUB)
+        model = External(command=f"{sys.executable} {stub} {{dir}} {log}", root=str(tmp_path / "runs"))
+        domain = ParameterDomain.unit(1)
+        estimate(model, domain, {KernelSetting("wendland3"): (2,)}, level=3)
+        assert len(log.read_text().splitlines()) == 2  # the stub logs each launch
+        log.unlink()
+        with pytest.raises(ValueError, match=refusal):
+            estimate(dataclasses.replace(model, root=str(tmp_path / "fresh")), domain, requests, level=level)
+        assert not log.exists()
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestSharedKernel:
