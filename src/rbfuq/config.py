@@ -164,11 +164,8 @@ def _parse_kernel(obj, where: str) -> KernelSetting:
         reg = None
     else:
         reg = _owned(f"{where}.eps_reg", Tikhonov, _number(obj.get("eps_reg", 1e-12), f"{where}.eps_reg"))
-    label = obj.get("label")
-    if label is not None:
-        label = _string(label, f"{where}.label")
     return _owned(
-        where, KernelSetting, family=family, zeta=zeta, epsilon=epsilon, regularization=reg, label=label
+        where, KernelSetting, family=family, zeta=zeta, epsilon=epsilon, regularization=reg, label=obj.get("label")
     )
 
 

@@ -98,11 +98,13 @@ class ParameterDomain:
     @classmethod
     def unit(cls, dim: int) -> "ParameterDomain":
         """The unit box [0, 1]^dim."""
+        dim = max(dim, 0)  # a negative dim is refused as 0 is, by __post_init__
         return cls(np.zeros(dim), np.ones(dim))
 
     @classmethod
     def symmetric(cls, half_width: float, dim: int) -> "ParameterDomain":
         """The box [-half_width, half_width]^dim."""
+        dim = max(dim, 0)  # a negative dim is refused as 0 is, by __post_init__
         return cls(np.full(dim, -half_width), np.full(dim, half_width))
 
     @property

@@ -8,10 +8,11 @@ reference included) get one Gram matrix and one moment vector on their
 longest prefix, and each N solves on the leading N x N block (the
 low-discrepancy sequence is nested, so prefixes are valid sample sets).
 Plain and Tikhonov settings share one Cholesky factor per shift, whose
-leading blocks factor every prefix, and all TSVD settings share one
-eigendecomposition per block.  Errors against the
-reference are reported per (kernel, N), with a least-squares order
-fitted on the tail of each log-log curve.
+leading blocks factor every prefix, and the TSVD settings at one N share
+that block's eigenpairs: from 1024 points on only the leading ones, by
+Lanczos iteration, unless the spectrum is too flat for that.  Errors
+against the reference are reported per (kernel, N), with a least-squares
+order fitted on the tail of each log-log curve.
 """
 from __future__ import annotations
 
@@ -66,6 +67,8 @@ class KernelSetting:
         self.spec(1)  # the kernel refuses a bad family, zeta or epsilon
         if not isinstance(self.regularization, Regularization):
             raise ValueError(f"regularization must be Tikhonov, TSVD or None, got {self.regularization!r}")
+        if self.label is not None and not (isinstance(self.label, str) and self.label):
+            raise ValueError(f"label must be a non-empty string, got {self.label!r}")
 
     @property
     def column(self) -> str:
@@ -289,12 +292,17 @@ def estimate(
     their longest prefix; each N solves on the leading N x N block, a
     view.  Plain and Tikhonov settings share one Cholesky factor per
     shift, taken on the longest prefix that shift asks for, and one
-    factor is alive at a time; the TSVD settings share each block's
-    eigendecomposition.  A failed solve raises ``StudyError`` naming the
-    setting's column and N.  Every input is checked before the model
-    runs: the model's and the domain's dimension, ``jobs``, each sample
-    count and the level, so a refused call evaluates nothing.
+    factor is alive at a time; the TSVD settings at one N share the
+    block's eigenpairs, from ``LANCZOS_MIN_N`` points on only those of
+    largest modulus (``GramMatrix.tsvd_eigenpairs``), so a setting's
+    weights do not depend on the settings beside it.  A failed solve
+    raises ``StudyError`` naming the setting's column and N.  Every input
+    is checked before the model runs: that some setting is requested, the
+    model's and the domain's dimension, ``jobs``, each sample count and
+    the level, so a refused call evaluates nothing.
     """
+    if not requests:
+        raise ValueError("estimate needs at least one kernel setting; requests is empty")
     _check_model_dim(model, domain)
     _check_jobs(jobs)
     counts = {setting: _check_schedule(sorted({int(n) for n in ns})) for setting, ns in requests.items()}

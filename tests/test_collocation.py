@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from rbfuq import (
     FAMILIES,
@@ -244,6 +246,84 @@ class TestNestedCholesky:
             solve(gram, np.ones(2))
         assert err.value.condition == pytest.approx(1e18)
         assert np.all(np.isfinite(solve(gram, np.ones(2), reg=Tikhonov(1e-12)).coefficients))
+
+
+class TestLanczosTSVD:
+    """From LANCZOS_MIN_N points on, TSVD solves use the kept eigenpairs only."""
+
+    N = 2048
+    TOLS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        # 1-D wendland3 on +-sqrt(3), the system of the TSVD studies
+        domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
+        spec = KernelSpec(family="wendland3", dim=1)
+        points = halton_points(domain, self.N)
+        gram = assemble_gram(spec, points)
+        return gram, kernel_moments(spec, points, cc_rule(domain, 7)), eigh(gram.values, driver="evr")
+
+    @staticmethod
+    def full_weights(pairs, tol, b):
+        # _TSVDFactor's mask and solve, on the full eigendecomposition
+        lam, v = pairs
+        size = np.abs(lam)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=size >= tol * size.max())
+        return v @ (inv * (v.T @ b))
+
+    @staticmethod
+    def fresh(gram, n=None):
+        n = gram.n if n is None else n
+        return GramMatrix(values=gram.values[:n, :n].copy(), spec=gram.spec, points=gram.points.prefix(n))
+
+    def test_kept_counts_and_weights_match_full_eigh(self, system):
+        gram, b, pairs = system
+        full = np.abs(pairs[0])
+        for tol in self.TOLS:
+            lam, _ = gram.tsvd_eigenpairs(tol)
+            assert lam.size < self.N  # the Lanczos path, not the fallback
+            size = np.abs(lam)
+            assert np.sum(size >= tol * size.max()) == np.sum(full >= tol * full.max())
+            omega = moment_weights(gram, TSVD(tol), b).omega
+            expected = self.full_weights(pairs, tol, b)
+            assert np.max(np.abs(omega - expected)) <= 1e-10 * np.max(np.abs(expected), initial=0.0)
+
+    def test_weights_bitwise_repeatable_on_whole_and_leading_blocks(self, system):
+        gram, b, _ = system
+        top = self.fresh(gram)
+        for n in (1024, self.N):
+            for tol in (1e-4, 1e-1):
+                first = moment_weights(self.fresh(gram, n), TSVD(tol), b[:n]).omega
+                again = moment_weights(self.fresh(gram, n), TSVD(tol), b[:n]).omega
+                view = moment_weights(top.leading(n), TSVD(tol), b[:n]).omega
+                assert np.array_equal(first, again)
+                assert np.array_equal(first, view)
+
+    def test_flat_spectrum_falls_back_to_full_eigh_bitwise(self):
+        # matern32 in D = 3 keeps every pair at 1e-10, more than any rung holds
+        n, tol = 1024, 1e-10
+        domain = ParameterDomain.symmetric(math.sqrt(3.0), 3)
+        spec = KernelSpec(family="matern32", dim=3)
+        points = halton_points(domain, n)
+        gram = assemble_gram(spec, points)
+        b = kernel_moments(spec, points, cc_rule(domain, 3))
+        omega = moment_weights(gram, TSVD(tol), b).omega
+        assert gram.tsvd_eigenpairs(tol)[0].size == n
+        assert np.array_equal(omega, self.full_weights(eigh(gram.values, driver="evr"), tol, b))
+
+    def test_no_square_eigenvector_array_kept(self, system):
+        gram, b, _ = system
+        moment_weights(self.fresh(gram), TSVD(1e-3), b)  # the first call imports the eigensolver
+        gram = self.fresh(gram)
+        square = 8 * self.N * self.N
+        tracemalloc.start()
+        try:
+            moment_weights(gram, TSVD(1e-3), b)
+            alive, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert alive < square / 8
+        assert peak < square / 4  # a whole C-ordered block is not copied either
 
 
 class TestLagrange:

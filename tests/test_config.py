@@ -266,6 +266,11 @@ OWNED_RULES = {
         "kernels[0]",
         lambda: KernelSetting("gaussian", epsilon=0.0),
     ),
+    "label": (
+        minimal(kernels=[{"family": "gaussian", "label": ""}]),
+        "kernels[0]",
+        lambda: KernelSetting("gaussian", label=""),
+    ),
     "eps_reg": (
         minimal(kernels=[{"family": "gaussian", "eps_reg": 0}]),
         "kernels[0].eps_reg",
@@ -282,6 +287,12 @@ OWNED_RULES = {
         lambda: ParameterDomain.symmetric(0.0, 2),
     ),
     "dim": (minimal(domain={"kind": "unit", "dim": 0}), "domain", lambda: ParameterDomain.unit(0)),
+    "dim -1": (minimal(domain={"kind": "unit", "dim": -1}), "domain", lambda: ParameterDomain.unit(-1)),
+    "symmetric dim -1": (
+        minimal(domain={"kind": "symmetric", "half_width": 1.0, "dim": -1}),
+        "domain",
+        lambda: ParameterDomain.symmetric(1.0, -1),
+    ),
     "n_max": (
         minimal(reference={"kind": "kernel", "n_max": 0, "kernel": {"family": "gaussian"}}),
         "reference",

@@ -63,6 +63,12 @@ class TestParameterDomain:
         with pytest.raises(ValueError):
             ParameterDomain([2.0], [1.0])
 
+    def test_negative_dim_refused_as_zero_is(self):
+        for build in (ParameterDomain.unit, lambda dim: ParameterDomain.symmetric(1.0, dim)):
+            for dim in (0, -1):
+                with pytest.raises(ValueError, match="^domain needs at least one dimension$"):
+                    build(dim)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ParameterDomain([0.0], [np.inf])

@@ -315,6 +315,7 @@ class TestRefusedBeforeEvaluation:
     BAD = {
         "level 13": ({KernelSetting("wendland3"): (8,)}, 13, "level must be between 1 and 12, got 13"),
         "count 0": ({KernelSetting("wendland3"): (0, 8)}, 3, r"positive sample counts, got \[0, 8\]"),
+        "no requests": ({}, 3, "at least one kernel setting; requests is empty"),
     }
 
     @pytest.mark.parametrize("case", BAD)
@@ -342,28 +343,35 @@ class TestRefusedBeforeEvaluation:
 
 
 class TestSharedKernel:
-    def config(self, kernels):
+    def config(self, kernels, schedule=(8, 16, 32, 64, 128)):
         return StudyConfig(
             model=PoissonExact(),
             domain=ParameterDomain.symmetric(math.sqrt(3.0), 1),
             kernels=tuple(kernels),
-            schedule=(8, 16, 32, 64, 128),
+            schedule=schedule,
             level=5,
         )
 
-    def test_sweep_matches_one_column_studies_bitwise(self):
+    def assert_sweep_matches_one_column_studies(self, schedule):
         regs = [Tikhonov(e) for e in (1e-8, 1e-6, 1e-4, 1e-2)] + [TSVD(1e-3), TSVD(1e-1)]
         settings = [
             KernelSetting(family="wendland3", regularization=r, label=f"c{i}")
             for i, r in enumerate(regs)
         ]
-        sweep = run_study(self.config(settings))
+        sweep = run_study(self.config(settings, schedule))
         for setting in settings:
-            single = run_study(self.config([setting]))
+            single = run_study(self.config([setting], schedule))
             column = setting.column
             assert sweep.errors[column] == single.errors[column]
             assert sweep.orders[column] == single.orders[column]
             assert sweep.fit_points[column] == single.fit_points[column]
+
+    def test_sweep_matches_one_column_studies_bitwise(self):
+        self.assert_sweep_matches_one_column_studies((8, 16, 32, 64, 128))
+
+    def test_sweep_matches_one_column_studies_bitwise_with_lanczos_blocks(self):
+        # TSVD blocks of 1024 (a view of the 2048 Gram) and 2048 points take Lanczos pairs
+        self.assert_sweep_matches_one_column_studies((512, 1024, 2048))
 
     def count_calls(self, monkeypatch) -> dict:
         from rbfuq import study

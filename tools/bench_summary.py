@@ -1,0 +1,130 @@
+"""Fold perfbench runs into one committed summary, BENCH_<tag>.json.
+
+Usage (from the repository root):
+
+    python3 tools/bench_summary.py --tag lanczos \
+        --side parent=/path/to/parent/checkout --side change=. \
+        sweep1d:10 kernels:3 rerun:3
+
+Each ``WORKLOAD:COUNT`` runs ``python3 perfbench/run.py --workload W
+--seed S --seconds 25 --trace 0`` (the ``run_seconds`` of
+``BENCHMARK.json``) for COUNT seeds from ``--first-seed`` on, once in
+every checkout given by ``--side NAME=DIR`` (default: this repository, as
+``change``).  With two sides the order alternates by seed, the first side
+first on odd seeds.  The summary, written at the root of this
+repository, holds per side, workload and end-to-end metric of
+``BENCHMARK.json``, the median, the quartiles and the run count; with two
+sides, how many seed pairs the second side won, tied and lost on each
+metric; every run's raw result; and the machine: nproc, the BLAS that
+``numpy.show_config()`` reports, the BLAS thread variables, and the
+Python, NumPy and SciPy versions.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def machine() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "threads": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in ``checkout``: its last output line, with the seed."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {"seed": seed, **result}
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def pair_counts(base: list, other: list, better: str) -> dict:
+    """Seed pairs where ``other`` beat, tied or lost to ``base``."""
+    sign = 1.0 if better == "higher" else -1.0
+    diffs = [sign * (o - b) for b, o in zip(base, other)]
+    return {"won": sum(d > 0 for d in diffs), "tied": sum(d == 0 for d in diffs), "lost": sum(d < 0 for d in diffs)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tag", required=True)
+    parser.add_argument("--side", action="append", default=[], metavar="NAME=DIR")
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("runs", nargs="+", metavar="WORKLOAD:COUNT")
+    args = parser.parse_args(argv)
+    sides = dict(side.split("=", 1) for side in args.side) or {"change": str(ROOT)}
+    sides = {name: Path(path).resolve() for name, path in sides.items()}
+    if len(sides) > 2:
+        parser.error("give at most two sides")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+
+    raw = {name: {} for name in sides}
+    for spec in args.runs:
+        workload, _, count = spec.partition(":")
+        for seed in range(args.first_seed, args.first_seed + int(count or 1)):
+            order = list(sides) if seed % 2 else list(sides)[::-1]
+            for name in order:
+                result = run_once(sides[name], workload, seed, seconds)
+                raw[name].setdefault(workload, []).append(result)
+                print(f"{workload} seed {seed} {name}: {json.dumps(result['metrics'])}", file=sys.stderr)
+
+    report = {"machine": machine(), "seconds": seconds, "sides": {}, "pairs": {}}
+    for name, workloads in raw.items():
+        report["sides"][name] = {}
+        for workload, results in workloads.items():
+            report["sides"][name][workload] = {
+                "metrics": {
+                    m["name"]: {**summary([r["metrics"][m["name"]]["value"] for r in results]), "unit": m["unit"]}
+                    for m in end_to_end
+                },
+                "correct": sum(r["correct"] for r in results),
+                "attempted": sum(r["attempted"] for r in results),
+                "failed": sum(r["failed"] for r in results),
+                "results": results,
+            }
+    if len(sides) == 2:
+        base, other = list(sides)
+        for workload, results in raw[base].items():
+            report["pairs"][workload] = {
+                m["name"]: pair_counts(
+                    [r["metrics"][m["name"]]["value"] for r in results],
+                    [r["metrics"][m["name"]]["value"] for r in raw[other][workload]],
+                    m["better"],
+                )
+                for m in end_to_end
+            }
+    path = ROOT / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
