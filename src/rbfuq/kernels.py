@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
+# Entries per block of rows that the profile is applied to in place.
+_PROFILE_BLOCK_ENTRIES = 2 ** 15
+
 FAMILIES = (
     "gaussian",
     "wendland0",
@@ -164,7 +167,12 @@ def _wendland(r: np.ndarray, dim: int, k: int) -> np.ndarray:
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of kernel values between two point arrays (rows of a and b)."""
+    """Matrix of kernel values between two point arrays (rows of a and b).
+
+    The profile runs in place over blocks of whole rows of the distance
+    matrix, about ``_PROFILE_BLOCK_ENTRIES`` entries each, so that its
+    temporaries stay cache-sized instead of doubling the result's memory.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[1] != spec.dim or b.shape[1] != spec.dim:
@@ -172,4 +180,8 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"kernel of dimension {spec.dim} applied to point arrays of "
             f"dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    return spec._profile_in_place(spec.norm.pairwise(a, b))
+    values = spec.norm.pairwise(a, b)
+    rows = max(1, _PROFILE_BLOCK_ENTRIES // max(1, values.shape[1]))
+    for s in range(0, values.shape[0], rows):
+        spec._profile_in_place(values[s : s + rows])
+    return values

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,9 +49,11 @@ class GridSpec:
         )
 
     def points(self) -> np.ndarray:
-        """All grid points, row-major over the axes, shape (M, dim)."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        """All grid points, row-major over the axes, shape (M, dim).
+
+        Built once per grid and shared, so the array is read-only.
+        """
+        return _grid_points(self)
 
     @classmethod
     def single(cls) -> "GridSpec":
@@ -61,6 +64,14 @@ class GridSpec:
     def index_line(cls, m: int) -> "GridSpec":
         """1-D grid over component indices 0..m-1, for raw output vectors."""
         return cls(extents=((0.0, float(max(m - 1, 0))),), counts=(m,))
+
+
+@lru_cache(maxsize=16)
+def _grid_points(grid: GridSpec) -> np.ndarray:
+    grids = np.meshgrid(*grid.axes(), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts.flags.writeable = False  # shared by the cache
+    return pts
 
 
 @dataclass(frozen=True)

@@ -204,3 +204,31 @@ class TestGramBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * n * n * 8 + 2 ** 18, f"peak {peak / (8 * n * n):.2f} matrices"
+
+    @pytest.mark.parametrize("entries", [1, 2 ** 15 - 1, 10 ** 9])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_row_blocks_do_not_change_the_matrix(self, monkeypatch, family, entries):
+        from rbfuq import kernels
+
+        rng = np.random.default_rng(7)
+        a, b = rng.random((300, 3)), rng.random((200, 3))
+        s = spec(family, 3, epsilon=0.8, norm=NormSpec(zeta=1.7, weights=(1.0, 0.5, 2.0)))
+        default = kernel_matrix(s, a, b)
+        monkeypatch.setattr(kernels, "_PROFILE_BLOCK_ENTRIES", entries)
+        assert np.array_equal(kernel_matrix(s, a, b), default)
+
+    @pytest.mark.parametrize("family,dim", [("wendland3", 1), ("matern32", 3), ("gaussian", 2)])
+    def test_gram_peak_under_one_and_a_half_matrices(self, family, dim):
+        import tracemalloc
+
+        from rbfuq import ParameterDomain, halton_points
+
+        n = 2048
+        pts = halton_points(ParameterDomain.unit(dim), n).points
+        tracemalloc.start()
+        try:
+            kernel_matrix(spec(family, dim), pts, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} matrices"

@@ -114,6 +114,19 @@ class TestPoisson:
         exact = model.exact_mean().values
         assert np.max(np.abs(acc - exact)) < 1e-10
 
+    def test_grid_points_built_once_read_only(self):
+        model = PoissonExact()
+        x = model.grid.points()
+        assert model.grid.points() is x
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
+        # samples equal the formula on freshly built points, bitwise
+        grids = np.meshgrid(*model.grid.axes(), indexing="ij")
+        fresh = np.stack([g.ravel() for g in grids], axis=1)
+        for y in (-math.sqrt(3.0), -0.4, 0.0, 1.1):
+            u = 16.0 * math.exp(-y * y) * (fresh[:, 0] ** 2 - 0.25) * (fresh[:, 1] ** 2 - 0.25)
+            assert np.array_equal(model.evaluate(y).values, u)
+
     def test_model_wrapper(self):
         model = PoissonExact()
         assert model.dim == 1

@@ -248,6 +248,7 @@ class TestKernelMoments:
 ORACLE_FAMILIES = (
     "gaussian", "wendland0", "wendland1", "wendland2", "wendland3", "matern12", "matern32"
 )
+WENDLAND = ORACLE_FAMILIES[1:5]
 # (bounds, centre, zeta, weights)
 ORACLE_CASES_1D = {
     "near_face_scaled": ([(0.0, 1.0)], (1e-3,), 1.7, (0.8,)),
@@ -364,13 +365,81 @@ class TestMomentOracles:
         assert abs(b - exact) <= 1e-12 * exact
 
     def test_level_sets_resolution(self):
-        dom = ParameterDomain.unit(2)
-        spec = KernelSpec("wendland0", 2)
+        # only the D >= 4 face rules follow the level; D <= 3 segments do not
+        levels = range(1, MAX_LEVEL + 1)
+        orders = {_moment_resolution(dim, lv)[0] for dim in (2, 3) for lv in levels}
+        assert orders == {quadrature._SEGMENT_NODES}
+        dom = ParameterDomain.unit(4)
+        spec = KernelSpec("wendland0", 4)
         centers = halton_points(dom, 5)
-        coarse, finer = (kernel_moments(spec, centers, cc_rule(dom, lv)) for lv in (2, 3))
+        coarse, finer = (
+            kernel_moments(spec, centers, cc_rule(dom, lv, max_points=None)) for lv in (4, 5)
+        )
         assert np.max(np.abs(coarse - finer)) > 0.0
-        b7, b9 = (kernel_moments(spec, centers, cc_rule(dom, lv)) for lv in (7, 9))
-        assert np.max(np.abs(b7 - b9)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_level_does_not_matter(self, family, dim):
+        dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        spec = KernelSpec(family, dim)
+        centres = halton_points(dom, 64)
+        coarse, fine = (
+            kernel_moments(spec, centres, cc_rule(dom, lv, max_points=None))
+            for lv in (1, MAX_LEVEL)
+        )
+        assert np.array_equal(coarse, fine)
+
+    @pytest.mark.parametrize("box", ["unit", "symmetric"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_segments_converged_against_257_nodes(self, monkeypatch, dim, box):
+        # 33 nodes per segment reach the rounding floor for zeta >= 0.3
+        if box == "unit":
+            dom = ParameterDomain.unit(dim)
+        else:
+            dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        rule = cc_rule(dom, 7)
+        centres = halton_points(dom, 64)
+        for zeta in (0.3, 1.0, 3.0, 100.0, 1e4):
+            for family in WENDLAND:
+                spec = KernelSpec(family, dim, norm=NormSpec(zeta))
+                b = kernel_moments(spec, centres, rule)
+                with monkeypatch.context() as m:
+                    m.setattr(quadrature, "_SEGMENT_NODES", 257)
+                    ref = kernel_moments(spec, centres, rule)
+                err = np.max(np.abs(b - ref) / ref)
+                assert err <= 5e-15, f"{family} at zeta {zeta}: {err:.2e}"
+
+    def test_only_live_segments_are_evaluated(self):
+        # rows with both segments live, only the inner, only the outer, and x = 0
+        unit = KernelSpec("wendland2", 2)
+        x = np.array([0.5, 0.3, 1.0, 0.0, 0.8])
+        y = np.array([1.0, 0.4, 0.5, 0.7, 0.2])
+        seen = []
+
+        def phi(r, rows):
+            seen.append(rows)
+            return quadrature._radial_moment(unit, 1, r)
+
+        q = quadrature._SEGMENT_NODES
+        batch = quadrature._edge_integral(x, y, phi, 1.0, q)
+        assert np.array_equal(seen[0], [0, 0, 1, 2, 4])
+        assert batch[3] == 0.0
+        # a row alone is the row among dead ones: the weighted sum over a
+        # batch of one row adds in another order, before and after compaction
+        for i in range(x.size):
+            only = np.arange(x.size) == i
+            alone = quadrature._edge_integral(np.where(only, x, 0.0), y, phi, 1.0, q)
+            assert np.array_equal(alone, np.where(only, batch, 0.0))
+        # in D = 3 the face triangles gather each live row's height
+        a = np.array(
+            [[0.5, 0.5, 0.5], [0.2, 0.9, 0.9], [0.95, 0.6, 0.7], [0.0, 0.3, 0.4], [1.0, 1.0, 0.1]]
+        )
+        unit = KernelSpec("wendland2", 3)
+        batch = quadrature._orthant_integrals(unit, a, q)
+        for i in range(a.shape[0]):
+            only = np.arange(a.shape[0]) == i
+            alone = quadrature._orthant_integrals(unit, np.where(only[:, None], a, 0.0), q)
+            assert np.array_equal(alone, np.where(only, batch, 0.0))
 
 
 def _split_oracle(profile, bounds, centre, order):
