@@ -192,8 +192,9 @@ class _LUFactor:
     """Shared LU factorization of A + shift I with single-vector solves."""
 
     def __init__(self, values: np.ndarray, shift: float, context: str):
-        # one private Fortran-ordered copy, shifted and factored in place
-        matrix = np.array(values, order="F")
+        # one private Fortran-ordered copy, shifted and factored in place; A is
+        # bitwise symmetric, so copying A^T is a straight copy of the same matrix
+        matrix = np.array(values.T, order="F")
         matrix[np.diag_indices_from(matrix)] += shift
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", LinAlgWarning)
@@ -231,7 +232,8 @@ class _CholFactor:
 
     @cached_property
     def _factor(self) -> tuple:
-        matrix = np.array(self._gram.values, order="F")  # the factor's own storage
+        # the factor's own storage, a straight copy of A^T, bitwise equal to A
+        matrix = np.array(self._gram.values.T, order="F")
         matrix[np.diag_indices_from(matrix)] += self.shift
         factor, info = dpotrf(matrix, lower=0, clean=0, overwrite_a=1)
         if info > 0 and self.reg is not None:

@@ -18,14 +18,15 @@ whole process group, children included.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
 import signal
 import struct
 import subprocess
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -87,16 +88,29 @@ class External:
 
 
 def write_qoi(path, values) -> None:
-    """Write a count-prefixed little-endian f64 vector."""
+    """Write a count-prefixed little-endian f64 vector.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces the target, so a reader sees the old file or the new one,
+    never a part of either.
+    """
     values = np.asarray(values, dtype="<f8").ravel()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", values.size))
-        fh.write(values.tobytes())
+    # unique per writing thread; open() gives it the mode the target would get
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<Q", values.size))
+            fh.write(values.tobytes())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def read_qoi(path) -> np.ndarray:
     """Read a count-prefixed vector; raises ValueError on truncation."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 8:
         raise ValueError(f"{path}: too short for a count header")
     (m,) = struct.unpack("<Q", raw[:8])
@@ -105,8 +119,8 @@ def read_qoi(path) -> np.ndarray:
     return np.frombuffer(raw[8 : 8 + 8 * m], dtype="<f8").astype(float)
 
 
-def _parse_output(spec: External, index: int, sample_dir: Path) -> np.ndarray:
-    qoi = sample_dir / "qoi.bin"
+def _parse_output(spec: External, index: int, sample_dir) -> np.ndarray:
+    qoi = os.path.join(sample_dir, "qoi.bin")
     try:
         values = read_qoi(qoi)
     except FileNotFoundError as exc:
@@ -149,33 +163,46 @@ def _launch(spec: External, line: str, index: int, sample_dir: Path) -> None:
         )
 
 
-def _evaluate_values(spec: External, y, index: int) -> tuple:
-    """Returns (values, launched); cached samples never launch."""
-    sample_dir = spec.samples_dir / str(index)
+def _params_line(y) -> str:
     # %.17g round-trips every double, so equal points give equal lines
-    line = " ".join(format(float(v), ".17g") for v in np.asarray(y).ravel()) + "\n"
-    if (sample_dir / "done").exists():
-        try:
-            cached = (sample_dir / "params.txt").read_bytes()
-        except FileNotFoundError:
-            cached = b""
-        if cached != line.encode():
-            raise StaleSampleError(
-                index,
-                f"params.txt reads {cached.decode(errors='replace').strip()!r}, "
-                f"not {line.strip()!r}; remove {sample_dir} to relaunch it",
-            )
-        return _parse_output(spec, index, sample_dir), False
+    return " ".join(format(float(v), ".17g") for v in np.asarray(y).ravel()) + "\n"
+
+
+def _cached_values(spec: External, line: str, index: int) -> np.ndarray | None:
+    """The outputs of a finished sample at this point; None when it has no ``done`` marker."""
+    sample_dir = os.path.join(spec.root, "samples", str(index))
+    if not os.path.exists(os.path.join(sample_dir, "done")):
+        return None
+    try:
+        with open(os.path.join(sample_dir, "params.txt"), "rb") as fh:
+            cached = fh.read()
+    except FileNotFoundError:
+        cached = b""
+    if cached != line.encode():
+        raise StaleSampleError(
+            index,
+            f"params.txt reads {cached.decode(errors='replace').strip()!r}, "
+            f"not {line.strip()!r}; remove {sample_dir} to relaunch it",
+        )
+    return _parse_output(spec, index, sample_dir)
+
+
+def _launched_values(spec: External, line: str, index: int) -> np.ndarray:
+    """Launch the solver on one sample, parse its output, then mark it done."""
+    sample_dir = spec.samples_dir / str(index)
     sample_dir.mkdir(parents=True, exist_ok=True)
     _launch(spec, line, index, sample_dir)
     values = _parse_output(spec, index, sample_dir)
     (sample_dir / "done").touch()
-    return values, True
+    return values
 
 
 def external_evaluate(spec: External, y, sample_index: int) -> GridField:
     """Evaluate one sample through the file protocol (cache-aware)."""
-    values, _ = _evaluate_values(spec, y, sample_index)
+    line = _params_line(y)
+    values = _cached_values(spec, line, sample_index)
+    if values is None:
+        values = _launched_values(spec, line, sample_index)
     return GridField(grid=GridSpec.index_line(values.size), values=values)
 
 
@@ -197,20 +224,25 @@ def _check_jobs(jobs) -> None:
 def run_campaign(spec: External, points, jobs: int = 1) -> CampaignResult:
     """Evaluate all rows of ``points``, at most ``jobs`` solvers at a time.
 
-    Sample directories are index-disjoint, so workers never share files;
-    rows of the result table follow the sample order regardless of
-    completion order.  The first failure cancels the remaining work.
+    Cached samples are read first, in sample order and in the calling
+    thread, so a stale or corrupt one refuses the campaign before any
+    solver starts.  Only the misses go to the pool.  Sample directories
+    are index-disjoint, so workers never share files; rows of the result
+    table follow the sample order regardless of completion order.  The
+    first failure cancels the remaining launches.
     """
     pts = np.atleast_2d(np.asarray(points.points if hasattr(points, "points") else points))
     _check_jobs(jobs)
-    # map yields in sample order and cancels the queued samples on the first failure
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(partial(_evaluate_values, spec), pts, range(len(pts))))
-    results = [values for values, _ in outcomes]
-    launched = sum(ran for _, ran in outcomes)
+    lines = [_params_line(y) for y in pts]
+    results = [_cached_values(spec, line, i) for i, line in enumerate(lines)]
+    misses = [i for i, values in enumerate(results) if values is None]
+    if misses:
+        # map yields in sample order and cancels the queued launches on the first failure
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            for i, values in zip(misses, pool.map(lambda i: _launched_values(spec, lines[i], i), misses)):
+                results[i] = values
     m = results[0].size
     for i, row in enumerate(results):
         if row.size != m:
             raise OutputFormatError(i, f"sample has {row.size} values, sample 0 has {m}")
-    cached = len(results) - launched
-    return CampaignResult(table=np.vstack(results), launched=launched, cached=cached)
+    return CampaignResult(table=np.vstack(results), launched=len(misses), cached=len(results) - len(misses))

@@ -238,6 +238,26 @@ class TestNestedCholesky:
         with pytest.raises(SingularGramError, match="gaussian unregularized solve at N=5.*leading minor 4"):
             solve(top.leading(5, factor), np.ones(5))
 
+    @pytest.mark.parametrize("n", [40, 64], ids=["leading-block", "full"])
+    def test_straight_copy_factors_bitwise(self, n):
+        # the factors copy A^T, a straight copy of the bitwise symmetric A
+        from scipy.linalg import lu_factor
+        from scipy.linalg.lapack import dpotrf
+
+        from rbfuq.collocation import _CholFactor, _LUFactor
+
+        gram = random_gram("wendland3", n=64, dim=3).leading(n)
+        assert gram.values.flags.c_contiguous == (n == 64)
+        shifted = np.array(gram.values, order="F")  # the transposing copy
+        shifted[np.diag_indices(n)] += 1e-8
+        expected, info = dpotrf(shifted.copy(order="F"), lower=0, clean=0)
+        factor, got = _CholFactor(gram, Tikhonov(1e-8))._factor
+        assert info == got == 0
+        assert np.array_equal(factor, expected)
+        lu, piv = _LUFactor(gram.values, 1e-8, "test")._lu
+        lu_expected, piv_expected = lu_factor(shifted)
+        assert np.array_equal(lu, lu_expected) and np.array_equal(piv, piv_expected)
+
     def test_unregularized_reciprocal_condition_checked(self):
         # positive definite, so the factorization succeeds, but cond = 1e18
         base = random_gram("gaussian", n=2)

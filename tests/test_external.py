@@ -1,9 +1,13 @@
+import builtins
+import shutil
 import struct
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbfuq import (
     External,
@@ -18,6 +22,7 @@ from rbfuq import (
     run_campaign,
     write_qoi,
 )
+from rbfuq.models import external
 
 PY = sys.executable
 
@@ -29,6 +34,19 @@ with open(out_dir / "qoi.bin", "wb") as fh:
     fh.write(struct.pack("<Q", len(vals)))
     for v in vals:
         fh.write(struct.pack("<d", v))
+"""
+
+
+# argv: params dir index fail; exits 5 on sample ``fail``, echoes the point otherwise
+FAILING_ECHO_STUB = """\
+import struct, sys
+params, out_dir, index, fail = sys.argv[1:5]
+if index == fail:
+    sys.exit(5)
+with open(params) as fh:
+    vals = [float(t) for t in fh.read().split()]
+with open(out_dir + "/qoi.bin", "wb") as fh:
+    fh.write(struct.pack("<Q%dd" % len(vals), len(vals), *vals))
 """
 
 
@@ -70,6 +88,38 @@ class TestQoiFile:
         path.write_bytes(struct.pack("<Q", 3) + struct.pack("<d", 1.0))
         with pytest.raises(ValueError, match="short"):
             read_qoi(path)
+
+    def test_write_failing_midway_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "mean.bin"
+        write_qoi(path, [1.0, 2.0])
+        opened = []
+
+        class FailingSecondWrite:
+            def __init__(self, name, mode):
+                opened.append(str(name))
+                self.fh, self.writes = builtins.open(name, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(external, "open", FailingSecondWrite, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_qoi(path, [3.0, 4.0, 5.0])
+        monkeypatch.undo()
+        # the header went to a file beside the target, never to the target
+        assert len(opened) == 1 and opened[0] != str(path)
+        assert opened[0].startswith(str(tmp_path))
+        assert np.array_equal(read_qoi(path), [1.0, 2.0])
+        assert [p.name for p in tmp_path.iterdir()] == ["mean.bin"]
 
 
 class TestSingleSample:
@@ -245,3 +295,63 @@ class TestCampaign:
         spec = External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"))
         with pytest.raises(ExternalCommandError):
             run_campaign(spec, np.array([[0.1], [0.2]]), jobs=2)
+
+
+class TestCachedBeforeLaunch:
+    """Cached samples are read before the pool, and only misses launch."""
+
+    @pytest.mark.parametrize("fault", ["stale", "truncated"])
+    def test_bad_cached_sample_refused_before_any_launch(self, tmp_path, fault):
+        log = tmp_path / "launches.log"
+        body = ECHO_STUB + "with open(sys.argv[3], 'a') as fh:\n    fh.write(out_dir.name + '\\n')\n"
+        stub = make_stub(tmp_path, body)
+        spec = External(command=f"{PY} {stub} {{params}} {{dir}} {log}", root=str(tmp_path / "runs"))
+        pts = np.linspace(0.1, 0.6, 6).reshape(-1, 1)
+        run_campaign(spec, pts[:3])
+        log.unlink()
+        if fault == "stale":
+            (spec.samples_dir / "1" / "params.txt").write_text("0.9\n")
+            expected = StaleSampleError
+        else:
+            (spec.samples_dir / "1" / "qoi.bin").write_bytes(struct.pack("<Q", 1))
+            expected = OutputFormatError
+        with pytest.raises(expected) as info:
+            run_campaign(spec, pts, jobs=2)
+        assert info.value.sample_index == 1
+        assert not log.exists()
+        assert sorted(p.name for p in spec.samples_dir.iterdir()) == ["0", "1", "2"]
+
+    @settings(max_examples=10, deadline=None)
+    @given(case=st.data())
+    def test_partly_filled_root_matches_a_fresh_serial_run(self, tmp_path_factory, case):
+        dim = case.draw(st.integers(1, 2), label="dim")
+        coords = st.floats(allow_nan=False, allow_infinity=False)
+        points = np.array(
+            case.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=6)),
+            dtype=float,
+        )
+        n = len(points)
+        prefilled = case.draw(st.sets(st.integers(0, n - 1)), label="prefilled")
+        jobs = case.draw(st.sampled_from([1, 2, 3]), label="jobs")
+        fail = case.draw(st.none() | st.integers(0, n - 1), label="fail")
+
+        tmp = tmp_path_factory.mktemp("campaign")
+        stub = make_stub(tmp, FAILING_ECHO_STUB)
+
+        def spec(root, failing):
+            return External(command=f"{PY} -S {stub} {{params}} {{dir}} {{index}} {failing}", root=str(tmp / root))
+
+        fresh = run_campaign(spec("fresh", -1), points)
+        assert fresh.launched == n
+        part = spec("part", -1 if fail is None else fail)
+        for i in prefilled:
+            shutil.copytree(tmp / "fresh" / "samples" / str(i), part.samples_dir / str(i))
+        if fail is not None and fail not in prefilled:
+            with pytest.raises(ExternalCommandError) as info:
+                run_campaign(part, points, jobs=jobs)
+            assert info.value.sample_index == fail
+            assert not (part.samples_dir / str(fail) / "done").exists()
+            return
+        result = run_campaign(part, points, jobs=jobs)
+        assert np.array_equal(result.table, fresh.table)
+        assert (result.launched, result.cached) == (n - len(prefilled), len(prefilled))
