@@ -134,7 +134,7 @@ def cmd_study(args) -> int:
 def cmd_reference(args) -> int:
     cfg = _load(args)
     ref = cfg.reference
-    _check_reference(ref, cfg.model)  # StudyConfig's rule, so a dry run is refused too
+    _check_reference(ref, cfg.model, cfg.domain)  # StudyConfig's rule, so a dry run is refused too
     if args.dry_run:
         kernel = ref.kind == "kernel"
         _print_plan(cfg, ref.n_max if kernel else 0, [ref.kernel] if kernel else [])

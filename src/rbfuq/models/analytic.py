@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..param_space import ParameterDomain
 from .grid import GridField, GridSpec
 
 
@@ -88,6 +89,11 @@ class PoissonExact:
         u = 16.0 * math.exp(-y1 * y1) * (x[:, 0] ** 2 - 0.25) * (x[:, 1] ** 2 - 0.25)
         return GridField(grid=self.grid, values=u)
 
+    @property
+    def mean_box(self) -> ParameterDomain:
+        """The box of ``exact_mean``: [-sqrt(3), sqrt(3)]."""
+        return ParameterDomain.symmetric(math.sqrt(3.0), 1)
+
     def exact_mean(self) -> GridField:
         """Exact mean over y1 ~ U(-sqrt(3), sqrt(3)).
 
@@ -113,6 +119,11 @@ class GFunction:
 
     def evaluate(self, y) -> GridField:
         return GridField(grid=self.grid, values=np.array([g_function(y)]))
+
+    @property
+    def mean_box(self) -> ParameterDomain:
+        """The box of ``exact_mean``: [0, 1]^D."""
+        return ParameterDomain.unit(self.dim)
 
     def exact_mean(self) -> GridField:
         return GridField.scalar(1.0)

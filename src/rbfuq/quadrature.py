@@ -25,20 +25,24 @@ kinks, so the moments come from one of two exact engines, by family:
   a_k H(R) / R^D.  In D = 2 each face is a segment; in D = 3 it is split
   at its foot into two right triangles whose radial direction closes in
   form as well.  Both leave 1-D integrals in the variable s with (offset
-  along the edge) = x sinh(s), smooth however thin the orthant, done by
-  Gauss-Legendre (GL) segments split where the support sphere crosses
-  the face, so they converge spectrally; only segments of positive
-  width are evaluated.  In D >= 4 the faces take a tensor GL rule in the
-  same sinh coordinates that does not split the support sphere, so there
-  the convergence is algebraic.
+  along the edge) = x sinh(s), smooth however thin the orthant, split
+  where the support sphere crosses the face.  Inside the sphere a
+  Gauss-Legendre (GL) segment evaluates the polynomial series directly
+  and converges spectrally; only segments of positive width are
+  evaluated.  Beyond it the integrand is elementary (M_j(R) = M_j(1)),
+  and its integral is a closed form in arctangents, with no nodes.  In
+  D >= 4 the faces take a tensor GL rule in the same sinh coordinates
+  that does not split the support sphere, so there the convergence is
+  algebraic.
 
-In D <= 3 every segment has ``_SEGMENT_NODES`` = 33 nodes at every
-level, already at the rounding floor, so the moments do not depend on
-the level.  The ``level`` of the rule passed in sets the resolution of
-the D >= 4 face rules only, through ``_moment_resolution``: they use
-the largest per-axis order whose nodes per centre do not outnumber the
-n^D nodes of the tensor rule, n = 2^(l-1) + 1 at level l, so two levels
-there are two distinct computations.  Levels run from 1 to
+In D <= 3 every inner segment has ``_SEGMENT_NODES`` = 33 nodes at
+every level, already at the rounding floor, so the moments do not
+depend on the level.  The ``level`` of the rule passed in sets the
+resolution of the D >= 4 face rules only, through
+``_moment_resolution``: they use the largest per-axis order whose nodes
+per centre do not outnumber the n^D nodes of the tensor rule,
+n = 2^(l-1) + 1 at level l, so two levels there are two distinct
+computations.  Levels run from 1 to
 ``MAX_LEVEL``, where the O(n^2) memory of building one per-axis rule is
 still small.  No tensor grid over the box is ever built: both engines
 take centres in batches of about ``_BATCH_ENTRIES`` array entries, and a
@@ -70,9 +74,9 @@ _BATCH_ENTRIES = 500_000
 _MIXTURE_STEP = 3.0 / 16.0
 _MIXTURE_TOP = 61.0 / 16.0
 
-# GL nodes per segment of the D <= 3 radial reduction, at every level:
-# 33 reach the rounding floor against a 257-node reference for zeta from
-# 0.3 to 1e4, and more nodes do not move the moments further.
+# GL nodes per inner segment of the D <= 3 radial reduction, at every
+# level: 33 reach the rounding floor against a 257-node reference for
+# zeta from 0.3 to 1e4, and more nodes do not move the moments further.
 _SEGMENT_NODES = 33
 
 # Highest level: building one per-axis rule of 2^(l-1) + 1 nodes costs
@@ -280,41 +284,42 @@ def _radial_moment(unit: KernelSpec, j: int, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _big_k(unit: KernelSpec, r: np.ndarray) -> np.ndarray:
-    """K(r) = M_1(r) - M_2(r) / r, with K(0) = 0; beyond the support
-    K(r) = K(1) + M_2(1) (1 - 1/r)."""
-    series = _wendland_k(unit.family, unit.dim)
-    m2_end = _wendland_moment(unit.family, unit.dim, 2)(1.0)
-    out = series(1.0) + m2_end * (1.0 - 1.0 / np.maximum(r, 1.0))
-    inside = r < 1.0
-    out[inside] = series(r[inside])
-    return out
+def _atan_span(x, lo, hi) -> np.ndarray:
+    """atan(hi / x) - atan(lo / x) for x > 0 and 0 <= lo <= hi, as one
+    arctan2 that forms neither quotient, so x may be tiny."""
+    return np.arctan2(x * (hi - lo), x * x + lo * hi)
 
 
-def _edge_integral(x, y, phi, kink, q: int) -> np.ndarray:
-    """integral_0^asinh(y/x) phi(x cosh s, rows) / cosh s ds, per row.
+def _edge_integral(x, y, kink2, inner, outer, q: int) -> np.ndarray:
+    """integral_0^asinh(y/x) f(x cosh s) / cosh s ds, per row.
 
     This is the angular integral over a right triangle with its apex at
     the origin, legs x (to the far edge) and y (along it), of a function
-    phi of the distance x cosh s to the far edge's points.  The variable
-    s stays smooth however small x is relative to y.  Two GL segments of
-    q nodes each split at x cosh s = kink.  Only the segments of positive
-    width are evaluated: phi gets their distances, shape (live, q), and
-    the row each belongs to.  The rest hold zeros, so the weighted sum
-    adds the same terms in the same order as over every segment.
+    f of the distance x cosh s to the far edge's points.  The variable s
+    stays smooth however small x is relative to y.  f has a kink where
+    that distance reaches sqrt(kink2), at the offset p = sqrt(kink2 - x^2)
+    along the edge (0 when x is beyond it, y when the edge ends first).
+    On the inner segment [0, asinh(p/x)] a GL rule of q nodes samples
+    inner(distances, rows), shape (live, q), only for the rows where
+    that segment has positive width.  Beyond the kink f is elementary,
+    and outer(x, p, y) gives its integral from offset p to y in closed
+    form, in u = sinh s = offset / x with ds / cosh s = du / (1 + u^2);
+    it must vanish where p = y.  Rows with x below the smallest normal
+    float are empty: their integral is below x y, and p / x could pass
+    the float range.  Each row adds its q nodes in the same order
+    whatever the batch around it.
     """
-    live = x > 0
+    live = x >= np.finfo(float).tiny
     x = np.where(live, x, 1.0)
-    top = np.where(live, np.arcsinh(y / x), 0.0)
-    mid = np.minimum(np.arccosh(np.maximum(kink / x, 1.0)), top)
+    y = np.where(live, y, 0.0)
+    mid = np.minimum(np.sqrt(np.maximum(kink2 - x * x, 0.0)), y)
+    width = np.arcsinh(mid / x)
+    rows = np.flatnonzero(width > 0)
     t, w = _gauss_legendre(q)
-    ends = np.stack([np.zeros_like(mid), mid, top], axis=-1)
-    width = np.diff(ends, axis=-1)
-    rows, segs = np.nonzero(width > 0)
-    c = np.cosh(ends[rows, segs, None] + width[rows, segs, None] * t)
-    vals = np.zeros(width.shape + (q,))
-    vals[rows, segs] = phi(x[rows, None] * c, rows) / c
-    return np.einsum("msq,q,ms->m", vals, w, width)
+    c = np.cosh(width[rows, None] * t)
+    total = outer(x, mid, y)
+    total[rows] += np.sum(inner(x[rows, None] * c, rows) / c * w, axis=1) * width[rows]
+    return total
 
 
 def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
@@ -359,24 +364,49 @@ def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
     return total
 
 
-def _face_triangles(unit: KernelSpec, h, face, q: int) -> np.ndarray:
-    """D = 3 face integral of h H(R) / R^3, as two right triangles at the foot.
+def _edge_term(unit: KernelSpec, h, y, q: int) -> np.ndarray:
+    """D = 2 integral over an edge at distance h of h H(R) / R^2, from its foot to y.
 
-    In polar coordinates about the foot of the face (its corner nearest the
-    centre), R dR = rho drho turns the radial direction into
-    h (K(R) - K(h)) with K' = H / R^2, which integration by parts gives in
-    closed form as K = M_1 - H / R.  The support sphere crosses the face
-    at rho^2 = 1 - h^2.
+    With offset h sinh s along the edge, this is the integral of
+    M_1(h cosh s) / cosh s: the series of M_1 inside the support
+    circle, and M_1(1) [atan u] in closed form beyond it.
     """
-    k_h = _big_k(unit, h)
-    def radial(rho, rows):
-        height = h[rows, None]
-        return height * (_big_k(unit, np.sqrt(height * height + rho * rho)) - k_h[rows, None])
-
-    kink = np.sqrt(np.maximum(1.0 - h ** 2, 0.0))
-    return _edge_integral(face[:, 0], face[:, 1], radial, kink, q) + _edge_integral(
-        face[:, 1], face[:, 0], radial, kink, q
+    m1 = _wendland_moment(unit.family, unit.dim, 1)
+    return _edge_integral(
+        h, y, 1.0, lambda r, rows: m1(r), lambda x, lo, hi: m1(1.0) * _atan_span(x, lo, hi), q
     )
+
+
+def _foot_triangle(unit: KernelSpec, h, x, y, q: int) -> np.ndarray:
+    """D = 3 integral of h H(R) / R^3 over a right triangle of a face at
+    distance h, with its apex at the foot (the face corner nearest the
+    centre) and legs x (to the far edge) and y (along it).
+
+    In polar coordinates about the foot, R dR = rho drho turns the radial
+    direction into h (K(R) - K(h)) with K' = H / R^2, which integration by
+    parts gives in closed form as K = M_1 - H / R.  The support sphere
+    crosses the face at rho^2 = 1 - h^2; inside it K is the series of
+    ``_wendland_k`` (h <= 1, as every extent is clamped), and beyond it
+    K(R) = K(1) + M_2(1) (1 - 1/R), so the outer part is
+    h (K(1) + M_2(1) - K(h)) [atan u] - M_2(1) [atan(h u / R)], by
+    integral du / ((1 + u^2) R) = atan(h u / R) / h.  At offset p along
+    the edge, u = p / x and R^2 = h^2 + x^2 + p^2.
+    """
+    k = _wendland_k(unit.family, unit.dim)
+    m2_end = _wendland_moment(unit.family, unit.dim, 2)(1.0)
+    k_h = k(h)
+    flat = h * (k(1.0) + m2_end - k_h)
+
+    def inner(rho, rows):
+        height = h[rows, None]
+        return height * (k(np.sqrt(height * height + rho * rho)) - k_h[rows, None])
+
+    def outer(x, lo, hi):
+        def angle(p):
+            return np.arctan2(h * p, x * np.sqrt(h * h + x * x + p * p))
+        return flat * _atan_span(x, lo, hi) - m2_end * (angle(hi) - angle(lo))
+
+    return _edge_integral(x, y, 1.0 - h * h, inner, outer, q)
 
 
 def _orthant_integrals(unit: KernelSpec, a: np.ndarray, q: int) -> np.ndarray:
@@ -385,6 +415,7 @@ def _orthant_integrals(unit: KernelSpec, a: np.ndarray, q: int) -> np.ndarray:
     The orthant is the union of D pyramids with apex at the origin, one
     per far face u_k = a_k; with u = t p for p on that face, the radial
     direction t integrates to the face integral of a_k H(|p|) / |p|^D.
+    In D = 3 each face splits at its foot into two right triangles.
     """
     dim = a.shape[1]
     if dim == 1:
@@ -393,11 +424,11 @@ def _orthant_integrals(unit: KernelSpec, a: np.ndarray, q: int) -> np.ndarray:
     for k in range(dim):
         h, face = a[:, k], np.delete(a, k, axis=1)
         if dim == 2:
-            total += _edge_integral(
-                h, face[:, 0], lambda r, rows: _radial_moment(unit, 1, r), 1.0, q
-            )
+            total += _edge_term(unit, h, face[:, 0], q)
         elif dim == 3:
-            total += _face_triangles(unit, h, face, q)
+            total += _foot_triangle(unit, h, face[:, 0], face[:, 1], q) + _foot_triangle(
+                unit, h, face[:, 1], face[:, 0], q
+            )
         else:
             total += _face_integral(unit, h, face, q)
     return total
@@ -423,11 +454,12 @@ def _moment_resolution(dim: int, level: int) -> tuple[int, int]:
     """GL order of the radial reduction at a level, and its nodes per orthant.
 
     The order counts nodes per segment for D <= 3, ``_SEGMENT_NODES``
-    at every level, and per face axis for D >= 4.
+    at every level, and per face axis for D >= 4.  In D <= 3 only the
+    inner segment of each of the D (D - 1) edges or triangles has nodes.
     """
     n = _level_nodes(level)
     if dim <= 3:
-        return _SEGMENT_NODES, max(1, 2 * _SEGMENT_NODES * dim * (dim - 1))
+        return _SEGMENT_NODES, max(1, _SEGMENT_NODES * dim * (dim - 1))
     q = _face_order(dim, n)
     return q, dim * q ** (dim - 1)
 
@@ -454,10 +486,11 @@ def kernel_moments(
     from ``cc_rule(domain, level, max_points=None)`` will do.  The
     Gaussian and Matern families are exact in any D, whatever the level:
     they are sums of Gaussians, whose moments are erf products.  The
-    Wendland families go through the radial reduction: exact in D = 1,
-    GL segments of ``_SEGMENT_NODES`` nodes at any level, at the
-    rounding floor, in D = 2 and 3, and face rules whose order grows with
-    the level in D >= 4 (see the module notes).  Centres are taken in
+    Wendland families go through the radial reduction: exact in D = 1;
+    in D = 2 and 3, GL segments of ``_SEGMENT_NODES`` nodes inside the
+    support sphere and closed forms beyond it, at the rounding floor at
+    any level; and face rules whose order grows with the level in D >= 4
+    (see the module notes).  Centres are taken in
     batches and large face rules in slices of about ``_BATCH_ENTRIES`` entries, so
     memory does not grow with the number of centres.  Centres outside
     the box are allowed.

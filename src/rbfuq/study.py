@@ -133,7 +133,7 @@ class StudyConfig:
         _check_fit_window(self.fit_window)
         if self.reference.kind == "kernel" and self.reference.n_max < schedule[-1]:
             raise ValueError("kernel reference n_max must cover the schedule")
-        _check_reference(self.reference, self.model)
+        _check_reference(self.reference, self.model, self.domain)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "schedule", schedule)
 
@@ -172,9 +172,28 @@ def _check_fit_window(window) -> None:
         raise ValueError(f"fit_window must be >= 2, got {window}")
 
 
-def _check_reference(reference: ReferenceSpec, model) -> None:
-    if reference.kind == "exact" and not hasattr(model, "exact_mean"):
+def _check_reference(reference: ReferenceSpec, model, domain: ParameterDomain) -> None:
+    """An exact reference needs a model with ``exact_mean`` and, if the
+    model states the box of that mean (``mean_box``), this very box.  The
+    dimension rule runs first, so a model of another dimension is refused
+    with its own message."""
+    _check_model_dim(model, domain)
+    if reference.kind != "exact":
+        return
+    if not hasattr(model, "exact_mean"):
         raise ValueError("model has no exact mean; use a kernel reference")
+    box = getattr(model, "mean_box", None)
+    if box is not None and not (
+        np.array_equal(box.lower, domain.lower) and np.array_equal(box.upper, domain.upper)
+    ):
+        raise ValueError(
+            f"the exact mean of {type(model).__name__} is over {_box_text(box)}, "
+            f"not {_box_text(domain)}; use a kernel reference"
+        )
+
+
+def _box_text(domain: ParameterDomain) -> str:
+    return " x ".join(f"[{lo:.17g}, {hi:.17g}]" for lo, hi in zip(domain.lower, domain.upper))
 
 
 def _check_model_dim(model, domain: ParameterDomain) -> None:

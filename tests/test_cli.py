@@ -334,6 +334,26 @@ class TestReference:
         assert "samples:" not in captured.out
         assert not (tmp_path / "runs").exists() and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["reference", "study"])
+    @pytest.mark.parametrize(
+        "domain,model",
+        [
+            ({"kind": "unit", "dim": 1}, "PoissonExact"),
+            ({"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 2}, "GFunction"),
+        ],
+    )
+    def test_exact_reference_on_another_box(self, tmp_path, capsys, command, domain, model):
+        data = {
+            "domain": domain,
+            "model": {"kind": "poisson" if model == "PoissonExact" else "gfunction"},
+            "kernels": [{"family": "gaussian"}],
+            "schedule": [4],
+            "out": str(tmp_path / "out"),
+        }
+        assert main([command, "--config", write_cfg(tmp_path, data)]) == EXIT_CONFIG
+        assert f"the exact mean of {model} is over" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_kernel_reference(self, tmp_path):
         data = {
             "domain": {"kind": "unit", "dim": 2},

@@ -190,6 +190,17 @@ class TestReferenceAndTopLevel:
         with pytest.raises(ConfigError, match="n_max"):
             parse_config(data)
 
+    def test_exact_reference_on_another_box(self):
+        data = minimal(
+            domain={"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 2},
+            kernels=[{"family": "gaussian"}],
+            schedule=[4],
+        )
+        cfg = parse_config(data)
+        match = r"config: the exact mean of GFunction is over \[0, 1\] x \[0, 1\], not"
+        with pytest.raises(ConfigError, match=match):
+            cfg.study()
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key 'seed' in config"):
             parse_config(minimal(seed=3))

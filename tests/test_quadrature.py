@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbfuq import (
     FAMILIES,
@@ -23,7 +25,7 @@ from rbfuq import (
     moment_weights,
 )
 from rbfuq import quadrature
-from rbfuq.quadrature import MAX_LEVEL, _big_k, _gaussian_terms, _level_nodes, _moment_resolution
+from rbfuq.quadrature import MAX_LEVEL, _gaussian_terms, _level_nodes, _moment_resolution
 
 
 class TestUnivariateRule:
@@ -423,35 +425,36 @@ class TestMomentOracles:
 
     def test_only_live_segments_are_evaluated(self):
         # rows with both segments live, only the inner, only the outer, and x = 0
-        unit = KernelSpec("wendland2", 2)
         x = np.array([0.5, 0.3, 1.0, 0.0, 0.8])
         y = np.array([1.0, 0.4, 0.5, 0.7, 0.2])
+        m1 = quadrature._wendland_moment("wendland2", 2, 1)
         seen = []
 
-        def phi(r, rows):
+        def inner(r, rows):
             seen.append(rows)
-            return quadrature._radial_moment(unit, 1, r)
+            return m1(r)
+
+        def outer(leg, lo, hi):
+            return m1(1.0) * quadrature._atan_span(leg, lo, hi)
 
         q = quadrature._SEGMENT_NODES
-        batch = quadrature._edge_integral(x, y, phi, 1.0, q)
-        assert np.array_equal(seen[0], [0, 0, 1, 2, 4])
+        batch = quadrature._edge_integral(x, y, 1.0, inner, outer, q)
+        assert np.array_equal(seen[0], [0, 1, 4])  # GL nodes on the inner segments only
         assert batch[3] == 0.0
-        # a row alone is the row among dead ones: the weighted sum over a
-        # batch of one row adds in another order, before and after compaction
+        assert np.array_equal(batch, quadrature._edge_term(KernelSpec("wendland2", 2), x, y, q))
+        # a row in a batch of one adds its terms as it does in any batch
         for i in range(x.size):
-            only = np.arange(x.size) == i
-            alone = quadrature._edge_integral(np.where(only, x, 0.0), y, phi, 1.0, q)
-            assert np.array_equal(alone, np.where(only, batch, 0.0))
-        # in D = 3 the face triangles gather each live row's height
+            alone = quadrature._edge_integral(x[i : i + 1], y[i : i + 1], 1.0, inner, outer, q)
+            assert np.array_equal(alone, batch[i : i + 1])
+        # in D = 3 the foot triangles gather each live row's height
         a = np.array(
             [[0.5, 0.5, 0.5], [0.2, 0.9, 0.9], [0.95, 0.6, 0.7], [0.0, 0.3, 0.4], [1.0, 1.0, 0.1]]
         )
         unit = KernelSpec("wendland2", 3)
         batch = quadrature._orthant_integrals(unit, a, q)
         for i in range(a.shape[0]):
-            only = np.arange(a.shape[0]) == i
-            alone = quadrature._orthant_integrals(unit, np.where(only[:, None], a, 0.0), q)
-            assert np.array_equal(alone, np.where(only, batch, 0.0))
+            alone = quadrature._orthant_integrals(unit, a[i : i + 1], q)
+            assert np.array_equal(alone, batch[i : i + 1])
 
 
 def _split_oracle(profile, bounds, centre, order):
@@ -629,18 +632,162 @@ class TestRadialMoments:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     @pytest.mark.parametrize("family", ["wendland0", "wendland1", "wendland2", "wendland3"])
     def test_wendland_k_series(self, family, dim):
+        # on [0, 1], where the D = 3 moments use it; beyond the support the
+        # closed forms of TestClosedFormSegments take over
         mpmath = pytest.importorskip("mpmath")
-        r = np.concatenate([np.geomspace(1e-6, 1.0, 25), np.linspace(0.05, 2.0, 40)])
-        got = _big_k(KernelSpec(family, dim), r)
+        r = np.concatenate([np.geomspace(1e-6, 1.0, 25), np.linspace(0.05, 1.0, 20)])
+        got = quadrature._wendland_k(family, dim)(r)
 
         def moment(j, x):
-            top = min(x, 1)
-            return mpmath.quad(lambda s: s ** j * _oracle_profile(mpmath.mp, family, dim, s), [0, top])
+            return mpmath.quad(lambda s: s ** j * _oracle_profile(mpmath.mp, family, dim, s), [0, x])
 
         with mpmath.workdps(30):
             exact = [moment(1, mpmath.mpf(x)) - moment(2, mpmath.mpf(x)) / x for x in r]
         err = np.abs(got - np.array(exact, dtype=float))
         assert np.max(err) <= 1e-14, f"r = {r[np.argmax(err)]}: off by {np.max(err):.2e}"
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_radial_moments(family, dim):
+    """M_1 and M_2 of a Wendland profile on [0, 1] for mpmath, from the
+    rational polynomial through ``_oracle_profile`` at 20 rational nodes
+    (every profile here has degree at most 13, so it is exact)."""
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    nodes = [sympy.Rational(i, 19) for i in range(20)]
+    phi = sympy.interpolate([(t, _oracle_profile(sympy, family, dim, t)) for t in nodes], r)
+    return tuple(sympy.lambdify(r, sympy.integrate(r ** j * phi, r), "mpmath") for j in (1, 2))
+
+
+def _angular_oracle(mp, f, x, y, kink2):
+    """integral_0^asinh(y/x) f(x cosh s) / cosh s ds by ``mp.quad``, split
+    where x cosh s = sqrt(kink2)."""
+    x, y, kink2 = mp.mpf(x), mp.mpf(y), mp.mpf(kink2)
+    top = mp.asinh(y / x)
+    mid = min(mp.asinh(mp.sqrt(max(kink2 - x * x, 0)) / x), top)
+    return mp.quad(lambda s: f(x * mp.cosh(s)) / mp.cosh(s), sorted({mp.mpf(0), mid, top}))
+
+
+def _triangle_oracle(mp, family, h, x, y):
+    """The D = 3 foot triangle, h (K(R) - K(h)) with K = M_1 - M_2 / R
+    from the exact M_j, M_j(R) = M_j(1) beyond the support."""
+    if h == 0:
+        return mp.mpf(0)
+    m1, m2 = _exact_radial_moments(family, 3)
+    h = mp.mpf(h)
+
+    def big_k(radius):
+        top = min(radius, 1)
+        return m1(top) - m2(top) / radius
+
+    def radial(rho):
+        return h * (big_k(mp.sqrt(h * h + rho * rho)) - big_k(h))
+
+    return _angular_oracle(mp, radial, x, y, 1 - h * h)
+
+
+def _edge_oracle(mp, family, x, y):
+    """The D = 2 edge term, M_1(x cosh s) from the exact M_1."""
+    m1, _ = _exact_radial_moments(family, 2)
+    return _angular_oracle(mp, lambda rho: m1(min(rho, 1)), x, y, 1)
+
+
+def _segments_reference(f, x, y, kink2, q=257):
+    """The same angular integral by q-node GL on both sides of the kink,
+    with no closed form anywhere."""
+    t, w = np.polynomial.legendre.leggauss(q)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    top = np.arcsinh(y / x)
+    mid = min(np.arccosh(max(math.sqrt(kink2) / x, 1.0)), top)
+    total = 0.0
+    for lo, hi in ((0.0, mid), (mid, top)):
+        c = np.cosh(lo + (hi - lo) * t)
+        total += (hi - lo) * np.sum(w * f(x * c) / c)
+    return total
+
+
+def _k_everywhere(family, r):
+    """K for D = 3 on [0, inf): the series on [0, 1], K(1) + M_2(1) (1 - 1/r) beyond."""
+    k = quadrature._wendland_k(family, 3)
+    m2_end = quadrature._wendland_moment(family, 3, 2)(1.0)
+    return np.where(r < 1.0, k(np.minimum(r, 1.0)), k(1.0) + m2_end * (1.0 - 1.0 / np.maximum(r, 1.0)))
+
+
+# (h, x, y) of a D = 3 foot triangle; (x, y) of a D = 2 edge at distance x
+TRIANGLES = {
+    "outer_only": (0.9, 0.6, 0.5),
+    "both": (0.3, 0.4, 0.9),
+    "inner_only": (0.2, 0.3, 0.4),
+    "height_zero": (0.0, 0.5, 0.7),
+    "height_one": (1.0, 0.5, 0.7),
+    "thin": (0.5, 1e-300, 0.8),
+    "subnormal": (0.5, 5e-324, 0.8),
+    "kink_at_foot": (0.28, 0.96, 0.5),  # 1 - h^2 - x^2 is exactly 0
+    "kink_at_top": (0.5, 0.5, math.sqrt(0.5)),
+}
+EDGES = {
+    "outer_only": (1.0, 0.7),  # distance 1, as clamped: the kink at the foot
+    "both": (0.4, 0.95),
+    "inner_only": (0.3, 0.5),
+    "thin": (1e-300, 0.8),
+    "subnormal": (5e-324, 0.8),
+    "kink_at_top": (0.5, math.sqrt(0.75)),
+}
+
+
+class TestClosedFormSegments:
+    """The segments beyond the support sphere, in closed form, against
+    30-digit mpmath and against GL on both segments."""
+
+    @pytest.mark.parametrize("case", sorted(TRIANGLES))
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_foot_triangle_against_mpmath(self, family, case):
+        mpmath = pytest.importorskip("mpmath")
+        h, x, y = TRIANGLES[case]
+        q = quadrature._SEGMENT_NODES
+        got = quadrature._foot_triangle(KernelSpec(family, 3), *np.array([[h], [x], [y]]), q)[0]
+        with mpmath.workdps(30):
+            exact = float(_triangle_oracle(mpmath.mp, family, h, x, y))
+        assert abs(got - exact) <= 1e-15, f"{family} {case}: {got!r} vs {exact!r}"
+
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_edge_term_against_mpmath(self, family, case):
+        mpmath = pytest.importorskip("mpmath")
+        x, y = EDGES[case]
+        q = quadrature._SEGMENT_NODES
+        got = quadrature._edge_term(KernelSpec(family, 2), np.array([x]), np.array([y]), q)[0]
+        with mpmath.workdps(30):
+            exact = float(_edge_oracle(mpmath.mp, family, x, y))
+        assert abs(got - exact) <= 1e-15, f"{family} {case}: {got!r} vs {exact!r}"
+
+    def test_zero_distance_is_empty(self):
+        got = quadrature._edge_term(KernelSpec("wendland0", 2), np.zeros(2), np.array([0.5, 1.0]), 33)
+        assert np.array_equal(got, np.zeros(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(WENDLAND),
+        h=st.floats(0.0, 1.0),
+        x=st.floats(1e-6, 1.0),
+        y=st.floats(0.0, 1.0),
+    )
+    def test_against_gl_on_both_segments(self, family, h, x, y):
+        q = quadrature._SEGMENT_NODES
+        got = quadrature._foot_triangle(KernelSpec(family, 3), *np.array([[h], [x], [y]]), q)[0]
+        k_h = _k_everywhere(family, np.array(h))
+
+        def radial(rho):
+            return h * (_k_everywhere(family, np.sqrt(h * h + rho * rho)) - k_h)
+
+        ref = _segments_reference(radial, x, y, 1.0 - h * h)
+        assert abs(got - ref) <= 1e-15, f"triangle: {got!r} vs {ref!r}"
+        m1 = quadrature._wendland_moment(family, 2, 1)
+        got = quadrature._edge_term(KernelSpec(family, 2), np.array([x]), np.array([y]), q)[0]
+        ref = _segments_reference(
+            lambda rho: np.where(rho < 1.0, m1(np.minimum(rho, 1.0)), m1(1.0)), x, y, 1.0
+        )
+        assert abs(got - ref) <= 1e-15, f"edge: {got!r} vs {ref!r}"
 
 
 class TestMomentWeights:

@@ -164,6 +164,36 @@ class TestStudyConfigValidation:
         with pytest.raises(ValueError, match="norm"):
             self.config(norm="max")
 
+    @pytest.mark.parametrize(
+        "model,domain",
+        [
+            (GFunction(dim=2), ParameterDomain.symmetric(math.sqrt(3.0), 2)),
+            (PoissonExact(), ParameterDomain.unit(1)),
+        ],
+    )
+    def test_exact_reference_refuses_another_box(self, model, domain):
+        match = f"the exact mean of {type(model).__name__} is over"
+        with pytest.raises(ValueError, match=match):
+            self.config(model=model, domain=domain)
+        self.config(model=model, domain=model.mean_box)
+        self.config(model=model, domain=domain, reference=ReferenceSpec.kernel_at(8, self.setting()))
+
+    def test_exact_reference_of_a_model_without_a_box_is_unchecked(self):
+        class MeanOnly:
+            dim = 1
+
+            def evaluate(self, y):
+                return GridField.scalar(0.0)
+
+            def exact_mean(self):
+                return GridField.scalar(0.0)
+
+        self.config(model=MeanOnly(), domain=ParameterDomain.unit(1))
+
+    def test_dimension_rule_runs_before_the_box_rule(self):
+        with pytest.raises(ValueError, match="model of dimension 1 on a domain of dimension 2"):
+            self.config(domain=ParameterDomain.unit(2))
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             KernelSetting(family="cubic")
