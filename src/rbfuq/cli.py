@@ -50,8 +50,13 @@ def _load(args) -> RunConfig:
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    """The path of output ``name``; its directory is made here, before the model runs."""
+    path = os.path.join(cfg.out_dir, name)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory of output {path}: {exc}") from exc
+    return path
 
 
 def _format_row(values) -> str:
@@ -93,11 +98,10 @@ def cmd_mean(args) -> int:
     if args.dry_run:
         _print_plan(cfg, n, [setting])
         return EXIT_OK
+    mean_path, weights_path = _out_path(cfg, "mean.bin"), _out_path(cfg, "weights.csv")
     result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.level, cfg.jobs)
     weights, mean = result.weights[setting, n], result.means[setting, n]
-    mean_path = _out_path(cfg, "mean.bin")
     write_qoi(mean_path, mean)
-    weights_path = _out_path(cfg, "weights.csv")
     header = "index," + ",".join(f"y{d + 1}" for d in range(cfg.domain.dim)) + ",weight"
     with open(weights_path, "w", newline="\n") as fh:
         fh.write(header + "\n")
@@ -121,8 +125,9 @@ def cmd_study(args) -> int:
         kinds = f"{kinds} distinct kernel{'s' * (kinds != 1)}"
         print(f"gram systems: {kinds} for {cols} column{'s' * (cols != 1)}")
         return EXIT_OK
+    csv_path = _out_path(cfg, cfg.csv_name)  # the JSON sidecar goes beside it
     report = run_study(study_cfg)
-    csv_path, json_path = write_report(report, _out_path(cfg, cfg.csv_name))
+    csv_path, json_path = write_report(report, csv_path)
     for column in report.columns:
         order = report.orders[column]
         shown = "n/a" if order is None else f"{order:.3f}"
@@ -139,6 +144,7 @@ def cmd_reference(args) -> int:
         kernel = ref.kind == "kernel"
         _print_plan(cfg, ref.n_max if kernel else 0, [ref.kernel] if kernel else [])
         return EXIT_OK
+    path, meta_path = _out_path(cfg, "reference.bin"), _out_path(cfg, "reference.json")
     if ref.kind == "exact":
         values = cfg.model.exact_mean().values
         meta = {"kind": "exact"}
@@ -146,9 +152,7 @@ def cmd_reference(args) -> int:
         means = estimate(cfg.model, cfg.domain, {ref.kernel: (ref.n_max,)}, cfg.level, cfg.jobs).means
         values = means[ref.kernel, ref.n_max]
         meta = {"kind": "kernel", "n_max": ref.n_max, "kernel": ref.kernel.column}
-    path = _out_path(cfg, "reference.bin")
     write_qoi(path, values)
-    meta_path = _out_path(cfg, "reference.json")
     with open(meta_path, "w", newline="\n") as fh:
         json.dump({**meta, "m": int(values.size)}, fh, indent=2)
         fh.write("\n")

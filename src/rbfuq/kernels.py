@@ -1,4 +1,4 @@
-"""Radial kernels under a scaled, optionally anisotropic Euclidean norm.
+"""Radial kernels of the scaled Euclidean distance zeta * |y - c|.
 
 Families follow the usual closed forms: the Gaussian exp(-eps^2 r^2),
 the compactly supported Wendland functions phi_{D,k} for k = 0..3, and
@@ -8,7 +8,7 @@ normalized to 1 at r = 0, which leaves interpolation unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -28,51 +28,8 @@ FAMILIES = (
 
 
 @dataclass(frozen=True)
-class NormSpec:
-    """Scaled anisotropic Euclidean norm  zeta * ||(w_1 y_1, ..., w_D y_D)||_2.
-
-    Attributes
-    ----------
-    zeta : float
-        Global scale factor, > 0.
-    weights : tuple of float or None
-        Per-dimension weights, all > 0.  None means all ones.
-    """
-
-    zeta: float = 1.0
-    weights: tuple | None = None
-
-    def __post_init__(self):
-        if not self.zeta > 0:
-            raise ValueError(f"norm scale zeta must be positive, got {self.zeta}")
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            if len(w) == 0 or any(v <= 0 for v in w):
-                raise ValueError("norm weights must all be positive")
-            object.__setattr__(self, "weights", w)
-
-    def _apply_weights(self, pts: np.ndarray) -> np.ndarray:
-        if self.weights is None:
-            return pts
-        w = np.asarray(self.weights)
-        if pts.shape[-1] != w.size:
-            raise ValueError(
-                f"norm has {w.size} weights but points have dimension {pts.shape[-1]}"
-            )
-        return pts * w
-
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Unscaled weighted distances between two point arrays.
-
-        Returns ||w (a_i - b_j)||_2 without the zeta factor; kernel
-        profiles fold zeta in together with their own shape parameters.
-        """
-        return cdist(self._apply_weights(a), self._apply_weights(b))
-
-
-@dataclass(frozen=True)
 class KernelSpec:
-    """A radial kernel family bound to a dimension and a norm.
+    """A radial kernel family bound to a dimension and a norm scale.
 
     Attributes
     ----------
@@ -82,13 +39,14 @@ class KernelSpec:
         Parameter-space dimension D (sets the Wendland exponent).
     epsilon : float
         Gaussian shape parameter; ignored by the other families.
-    norm : NormSpec
+    zeta : float
+        Scale of the Euclidean norm, > 0: the kernel is phi(zeta * |y - c|).
     """
 
     family: str
     dim: int
     epsilon: float = 1.0
-    norm: NormSpec = field(default_factory=NormSpec)
+    zeta: float = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -99,13 +57,11 @@ class KernelSpec:
             raise ValueError(f"kernel dimension must be >= 1, got {self.dim}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.norm.weights is not None and len(self.norm.weights) != self.dim:
-            raise ValueError(
-                f"norm has {len(self.norm.weights)} weights for dimension {self.dim}"
-            )
+        if not self.zeta > 0:
+            raise ValueError(f"norm scale zeta must be positive, got {self.zeta}")
 
     def profile(self, d) -> np.ndarray:
-        """Kernel value as a function of the unscaled weighted distance d.
+        """Kernel value as a function of the unscaled distance d.
 
         The norm scale zeta enters here: Wendland and Matern profiles are
         evaluated at r = zeta * d, the Gaussian at (epsilon * zeta * d)^2,
@@ -117,7 +73,7 @@ class KernelSpec:
     def _profile_in_place(self, d: np.ndarray) -> np.ndarray:
         """The profile at distances d, computed in d's own buffer."""
         gaussian = self.family == "gaussian"
-        d *= self.epsilon * self.norm.zeta if gaussian else self.norm.zeta
+        d *= self.epsilon * self.zeta if gaussian else self.zeta
         if gaussian:
             d *= d
         if self.family in ("gaussian", "matern12"):
@@ -180,7 +136,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"kernel of dimension {spec.dim} applied to point arrays of "
             f"dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    values = spec.norm.pairwise(a, b)
+    values = cdist(a, b)
     rows = max(1, _PROFILE_BLOCK_ENTRIES // max(1, values.shape[1]))
     for s in range(0, values.shape[0], rows):
         spec._profile_in_place(values[s : s + rows])

@@ -17,7 +17,6 @@ from .external import (
     OutputFormatError,
     OutputValueError,
     StaleSampleError,
-    external_evaluate,
     read_qoi,
     run_campaign,
     write_qoi,
@@ -42,7 +41,6 @@ __all__ = [
     "OutputFormatError",
     "OutputValueError",
     "StaleSampleError",
-    "external_evaluate",
     "read_qoi",
     "write_qoi",
     "run_campaign",

@@ -1,7 +1,7 @@
 """Closed-form benchmark models.
 
-Each model maps a D-vector of stochastic parameters to a GridField; the
-Poisson problem additionally has a closed-form mean used as ground truth.
+Each model maps a D-vector of stochastic parameters to a GridField, and
+states its closed-form mean, a study's ground truth, and the box of that mean.
 """
 from __future__ import annotations
 
@@ -48,15 +48,24 @@ def kl_log_field(y, x2, correlation_length: float):
     Both outputs broadcast over x2.
     """
     y = np.asarray(y, dtype=float).ravel()
-    lc = float(correlation_length)
-    x2 = np.asarray(x2, dtype=float)
-    log_field = 1.0 + y[0] * math.sqrt(math.sqrt(math.pi) * lc / 2.0) + np.zeros_like(x2)
-    for m in range(2, y.size + 1):
-        freq = (m // 2) * math.pi
-        phi = np.sin(freq * x2) if m % 2 == 0 else np.cos(freq * x2)
-        log_field = log_field + kl_eigenvalue(m, lc) * phi * y[m - 1]
+    coeffs = _kl_coefficients(y.size, x2, correlation_length)
+    log_field = 1.0 + y[0] * coeffs[0]
+    for c, ym in zip(coeffs[1:], y[1:]):
+        log_field = log_field + c * ym
     force = np.exp(log_field) - 9.81
     return log_field, force
+
+
+def _kl_coefficients(dim: int, x2, correlation_length: float) -> list:
+    """c_m(x2), m = 1..dim, with log_field = 1 + sum_m c_m(x2) y_m."""
+    lc = float(correlation_length)
+    x2 = np.asarray(x2, dtype=float)
+    coeffs = [math.sqrt(math.sqrt(math.pi) * lc / 2.0) + np.zeros_like(x2)]
+    for m in range(2, dim + 1):
+        freq = (m // 2) * math.pi
+        phi = np.sin(freq * x2) if m % 2 == 0 else np.cos(freq * x2)
+        coeffs.append(kl_eigenvalue(m, lc) * phi)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -147,3 +156,17 @@ class KLField:
         x2 = self.grid.points()[:, -1]
         _, force = kl_log_field(y, x2, self.correlation_length)
         return GridField(grid=self.grid, values=force)
+
+    @property
+    def mean_box(self) -> ParameterDomain:
+        """The box of ``exact_mean``: [-sqrt(3), sqrt(3)]^D."""
+        return ParameterDomain.symmetric(math.sqrt(3.0), self.dim)
+
+    def exact_mean(self) -> GridField:
+        """Exact mean over y ~ U(-sqrt(3), sqrt(3))^D: the axes are independent, so it is
+        e prod_m sinh(sqrt(3) c_m) / (sqrt(3) c_m) - 9.81, with a factor 1 where c_m(x2) = 0."""
+        x2 = self.grid.points()[:, -1]
+        a = math.sqrt(3.0) * np.abs(_kl_coefficients(self.dim, x2, self.correlation_length))
+        factors = np.ones_like(a)
+        np.divide(np.sinh(a), a, out=factors, where=a > 0.0)
+        return GridField(grid=self.grid, values=math.e * np.prod(factors, axis=0) - 9.81)

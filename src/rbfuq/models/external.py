@@ -31,8 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridField, GridSpec
-
 
 class ExternalError(RuntimeError):
     """Base class for solver-adapter failures; carries the sample index."""
@@ -195,15 +193,6 @@ def _launched_values(spec: External, line: str, index: int) -> np.ndarray:
     values = _parse_output(spec, index, sample_dir)
     (sample_dir / "done").touch()
     return values
-
-
-def external_evaluate(spec: External, y, sample_index: int) -> GridField:
-    """Evaluate one sample through the file protocol (cache-aware)."""
-    line = _params_line(y)
-    values = _cached_values(spec, line, sample_index)
-    if values is None:
-        values = _launched_values(spec, line, sample_index)
-    return GridField(grid=GridSpec.index_line(values.size), values=values)
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,6 @@ class GridSpec:
         """One-point grid for scalar quantities of interest."""
         return cls(extents=((0.0, 0.0),), counts=(1,))
 
-    @classmethod
-    def index_line(cls, m: int) -> "GridSpec":
-        """1-D grid over component indices 0..m-1, for raw output vectors."""
-        return cls(extents=((0.0, float(max(m - 1, 0))),), counts=(m,))
-
 
 @lru_cache(maxsize=16)
 def _grid_points(grid: GridSpec) -> np.ndarray:

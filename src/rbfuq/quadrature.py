@@ -6,10 +6,10 @@ b_j = integral k(y, y_j) rho(y) dy is the kernel moment of centre y_j
 against the uniform density of the parameter box.
 
 Every kernel here is radial, k(y, c) = phi(|Lambda (y - c)|) with the
-diagonal scaling Lambda = zeta * diag(weights), and phi has a kink at
-the centre (and, for the Wendland families, on the support sphere).  A
-tensor rule over the box converges only algebraically across those
-kinks, so the moments come from one of two exact engines, by family:
+scaling Lambda = zeta * I, and phi has a kink at the centre (and, for
+the Wendland families, on the support sphere).  A tensor rule over the
+box converges only algebraically across those kinks, so the moments
+come from one of two exact engines, by family:
 
 - Gaussian scale mixtures (the Gaussian and both Matern families) are
   sums of Gaussians, phi(r) = sum_k c_k exp(-(sigma_k r)^2): one term for
@@ -185,8 +185,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _axis_scales(spec: KernelSpec) -> np.ndarray:
     """Per-axis factors of Lambda, so that the kernel is phi(|Lambda (y - c)|)."""
-    weights = np.ones(spec.dim) if spec.norm.weights is None else np.asarray(spec.norm.weights)
-    return spec.norm.zeta * weights
+    return spec.zeta * np.ones(spec.dim)
 
 
 def _gaussian_terms(spec: KernelSpec, domain: ParameterDomain) -> tuple[np.ndarray, np.ndarray]:

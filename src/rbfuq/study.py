@@ -31,8 +31,8 @@ from .collocation import (
     _CholFactor,
     assemble_gram,
 )
-from .kernels import KernelSpec, NormSpec
-from .models import External, GridField, run_campaign
+from .kernels import KernelSpec
+from .models import External, run_campaign
 from .models.external import _check_jobs
 from .param_space import CollocationSet, ParameterDomain, halton_points
 from .quadrature import _level_nodes, cc_rule, estimate_mean, kernel_moments, moment_weights
@@ -79,7 +79,7 @@ class KernelSetting:
             family=self.family,
             dim=dim,
             epsilon=self.epsilon,
-            norm=NormSpec(zeta=self.zeta),
+            zeta=self.zeta,
         )
 
 
@@ -226,7 +226,8 @@ def evaluate_samples(model, points: CollocationSet, jobs: int = 1) -> np.ndarray
 
 
 def _norm_values(estimate: np.ndarray, reference: np.ndarray, tag: str) -> float:
-    _check_norm(tag)
+    """Error under a tag already checked: abs_l2 is sqrt(sum (e_j - r_j)^2 / M), rel_l2
+    divides it by the reference's RMS, and the *_scalar tags require M = 1."""
     e = np.asarray(estimate, dtype=float).ravel()
     r = np.asarray(reference, dtype=float).ravel()
     if e.shape != r.shape:
@@ -248,19 +249,9 @@ def _norm_values(estimate: np.ndarray, reference: np.ndarray, tag: str) -> float
     return abs(float(diff[0]) / float(r[0]))
 
 
-def error_norm(estimate: GridField, reference: GridField, tag: str) -> float:
-    """Discrete error between two fields on the same grid.
-
-    abs_l2 is the root mean square sqrt(sum (e_j - r_j)^2 / M); rel_l2
-    divides by the reference's RMS; the *_scalar tags require M = 1.
-    """
-    if estimate.grid != reference.grid:
-        raise ValueError("estimate and reference live on different grids")
-    return _norm_values(estimate.values, reference.values, tag)
-
-
 def _fit_tail(points, window: int, floor: float) -> tuple:
-    """Fitted order and the sample counts it used, or (None, ())."""
+    """Negated log-log slope of error vs N over the last ``window`` points, and the Ns
+    it used; errors within 10x ``floor`` are plateaued, and under two others give (None, ())."""
     tail = list(points)[-window:]
     if any(e <= 0.0 for _, e in tail):
         raise ValueError("nonpositive error in fit window")
@@ -271,16 +262,6 @@ def _fit_tail(points, window: int, floor: float) -> tuple:
     es = np.log([e for _, e in usable])
     slope = np.polyfit(ns, es, 1)[0]
     return -float(slope), tuple(n for n, _ in usable)
-
-
-def fit_order(points, window: int = 4, floor: float = 0.0):
-    """Negated log-log slope of error vs N over the tail window.
-
-    Points whose error is within a factor 10 of ``floor`` (the
-    regularization level) are excluded as plateaued; with fewer than two
-    usable points no order is fitted and None is returned.
-    """
-    return _fit_tail(points, window, floor)[0]
 
 
 def _kernel_groups(settings, dim: int) -> dict:
@@ -390,24 +371,6 @@ def run_study(config: StudyConfig) -> StudyReport:
         config_echo=config_echo(config),
         wall_time=time.monotonic() - t0,
     )
-
-
-def mc_baseline(model, domain: ParameterDomain, n: int, seed: int = 0, method: str = "mc") -> np.ndarray:
-    """Equal-weight mean baseline: pseudo-random or low-discrepancy.
-
-    ``mc`` draws n uniform points with a seeded generator; ``qmc`` takes
-    the first n Halton points.  Both average model outputs with weight 1/n.
-    """
-    if method == "mc":
-        rng = np.random.default_rng(seed)
-        raw = domain.lower + rng.random((n, domain.dim)) * domain.lengths
-        points = CollocationSet(points=raw, source=f"mc(seed={seed})")
-    elif method == "qmc":
-        points = halton_points(domain, n)
-    else:
-        raise ValueError(f"unknown baseline method '{method}'")
-    table = evaluate_samples(model, points)
-    return table.mean(axis=0)
 
 
 def _reg_echo(reg: Regularization) -> dict:

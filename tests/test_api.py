@@ -27,3 +27,35 @@ def test_all_lists_exactly_the_imported_names(package):
     assert len(module.__all__) == len(set(module.__all__))
     assert len(bound) == len(set(bound))
     assert sorted(module.__all__) == sorted(bound)
+
+
+ROOT = SRC.parent
+# Where a use of a public name counts: the package, and the code that ships beside it.
+USERS = ("src", "demos", "perfbench", "tools", "stubs")
+
+
+def _referenced_names() -> set:
+    """Names loaded, read as attributes or imported anywhere in ``USERS`` and in
+    the acceptance tests, outside the package ``__init__`` re-exports."""
+    files = [p for top in USERS for p in sorted((ROOT / top).rglob("*.py"))]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    inits = {SRC / "rbfuq" / "__init__.py", SRC / "rbfuq" / "models" / "__init__.py"}
+    names = set()
+    for path in files:
+        if path in inits:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("package", ["rbfuq", "rbfuq.models"])
+def test_every_public_name_has_a_use_outside_the_tests(package):
+    public = set(importlib.import_module(package).__all__) - {"__version__"}
+    unused = sorted(public - _referenced_names())
+    assert not unused, f"{package} exports names that only their own tests use: {unused}"

@@ -293,6 +293,12 @@ class TestStudy:
         assert "schedule" in capsys.readouterr().err
 
 
+    def test_csv_in_a_new_subdirectory(self, tmp_path):
+        cfg = gfunction_cfg(tmp_path, kernels=[{"family": "gaussian"}], schedule=[4], level=3, csv="sub/g.csv")
+        assert main(["study", "--config", cfg]) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out" / "sub").iterdir()) == ["g.csv", "g.json"]
+
+
 class TestReference:
     def test_exact_reference(self, tmp_path):
         data = {
@@ -340,12 +346,14 @@ class TestReference:
         [
             ({"kind": "unit", "dim": 1}, "PoissonExact"),
             ({"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 2}, "GFunction"),
+            ({"kind": "symmetric", "half_width": 1.0, "dim": 2}, "KLField"),
         ],
     )
     def test_exact_reference_on_another_box(self, tmp_path, capsys, command, domain, model):
+        kinds = {"PoissonExact": "poisson", "GFunction": "gfunction", "KLField": "kl"}
         data = {
             "domain": domain,
-            "model": {"kind": "poisson" if model == "PoissonExact" else "gfunction"},
+            "model": {"kind": kinds[model]},
             "kernels": [{"family": "gaussian"}],
             "schedule": [4],
             "out": str(tmp_path / "out"),
@@ -488,6 +496,26 @@ class TestExitCodes:
         data["domain"] = {"kind": "symmetric", "half_width": 1.0, "dim": 1}
         assert main(["mean", "--config", write_cfg(tmp_path, data)]) == EXIT_EXTERNAL
         assert "sample 0: params.txt reads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "mean", "study", "reference"])
+    def test_output_below_a_file_is_refused_before_any_launch(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        data = {
+            "domain": {"kind": "unit", "dim": 1},
+            "model": {
+                "kind": "external",
+                "command": f"{PY} {STUBS / 'constant_stub.py'} {{params}} {{dir}}",
+                "root": str(tmp_path / "runs"),
+            },
+            "kernels": [{"family": "gaussian"}],
+            "schedule": [4],
+            "reference": {"kind": "kernel", "n_max": 4, "kernel": {"family": "gaussian"}},
+            "n": 4,
+        }
+        out = str(tmp_path / "file" / "out")
+        assert main([command, "--config", write_cfg(tmp_path, data), "--out", out]) == EXIT_CONFIG
+        assert f"cannot create the directory of output {out}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:

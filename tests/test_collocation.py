@@ -9,7 +9,6 @@ from rbfuq import (
     FAMILIES,
     GramMatrix,
     KernelSpec,
-    NormSpec,
     ParameterDomain,
     SingularGramError,
     Tikhonov,

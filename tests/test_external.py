@@ -17,7 +17,6 @@ from rbfuq import (
     OutputFormatError,
     OutputValueError,
     StaleSampleError,
-    external_evaluate,
     read_qoi,
     run_campaign,
     write_qoi,
@@ -126,12 +125,11 @@ class TestSingleSample:
     def test_echo_roundtrip_17_digits(self, tmp_path):
         spec = echo_spec(tmp_path)
         y = np.array([1.0 / 3.0, 0.1, -2.0 / 7.0])
-        field = external_evaluate(spec, y, 0)
-        assert np.array_equal(field.values, y)
+        assert np.array_equal(run_campaign(spec, y).table, [y])
 
     def test_files_laid_out_per_sample(self, tmp_path):
         spec = echo_spec(tmp_path)
-        external_evaluate(spec, [0.5], 3)
+        run_campaign(spec, np.full((4, 1), 0.5))
         sample_dir = spec.samples_dir / "3"
         assert (sample_dir / "params.txt").exists()
         assert (sample_dir / "qoi.bin").exists()
@@ -144,36 +142,35 @@ class TestSingleSample:
             command=f"{PY} {stub} {{params}} {{dir}} {{index}}",
             root=str(tmp_path / "runs"),
         )
-        external_evaluate(spec, [0.5], 7)
-        assert (spec.samples_dir / "7" / "tag7").exists()
+        run_campaign(spec, np.full((3, 1), 0.5))
+        assert sorted(p.name for p in (spec.samples_dir / "2").glob("tag*")) == ["tag2"]
 
     def test_expected_m_mismatch(self, tmp_path):
         spec = echo_spec(tmp_path, expected_m=5)
         with pytest.raises(OutputFormatError, match="expected 5"):
-            external_evaluate(spec, [0.5, 0.5], 0)
+            run_campaign(spec, [[0.5, 0.5]])
+
+
+def failing_spec(tmp_path, body, **kw):
+    stub = make_stub(tmp_path, body)
+    return External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"), **kw)
 
 
 class TestFailureModes:
     def test_nonzero_exit(self, tmp_path):
-        stub = make_stub(tmp_path, "import sys; print('boom', file=sys.stderr); sys.exit(3)")
-        spec = External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"))
-        with pytest.raises(ExternalCommandError, match="sample 4.*exit status 3.*boom"):
-            external_evaluate(spec, [0.5], 4)
+        spec = failing_spec(tmp_path, "import sys; print('boom', file=sys.stderr); sys.exit(3)")
+        with pytest.raises(ExternalCommandError, match="sample 0.*exit status 3.*boom"):
+            run_campaign(spec, [[0.5]])
 
     def test_unlaunchable_command(self, tmp_path):
         spec = External(command="/no/such/binary {params}", root=str(tmp_path / "runs"))
         with pytest.raises(ExternalCommandError, match="could not launch"):
-            external_evaluate(spec, [0.5], 0)
+            run_campaign(spec, [[0.5]])
 
     def test_timeout(self, tmp_path):
-        stub = make_stub(tmp_path, "import time; time.sleep(30)")
-        spec = External(
-            command=f"{PY} {stub} {{params}} {{dir}}",
-            root=str(tmp_path / "runs"),
-            timeout=0.5,
-        )
+        spec = failing_spec(tmp_path, "import time; time.sleep(30)", timeout=0.5)
         with pytest.raises(ExternalTimeoutError, match="timed out"):
-            external_evaluate(spec, [0.5], 0)
+            run_campaign(spec, [[0.5]])
 
     def test_timeout_kills_the_process_tree(self, tmp_path):
         marker = tmp_path / "marker"
@@ -183,25 +180,22 @@ class TestFailureModes:
             timeout=0.3,
         )
         with pytest.raises(ExternalTimeoutError, match="timed out"):
-            external_evaluate(spec, [0.5], 0)
+            run_campaign(spec, [[0.5]])
         time.sleep(1.5)  # the background child would have written its marker by now
         assert not marker.exists()
 
     def test_missing_output(self, tmp_path):
-        stub = make_stub(tmp_path, "pass")
-        spec = External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"))
+        spec = failing_spec(tmp_path, "pass")
         with pytest.raises(OutputFormatError, match="no output file"):
-            external_evaluate(spec, [0.5], 0)
+            run_campaign(spec, [[0.5]])
 
     def test_short_output(self, tmp_path):
         body = (
             "import pathlib, struct, sys\n"
             "pathlib.Path(sys.argv[2], 'qoi.bin').write_bytes(struct.pack('<Q', 9))\n"
         )
-        stub = make_stub(tmp_path, body)
-        spec = External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"))
         with pytest.raises(OutputFormatError, match="short"):
-            external_evaluate(spec, [0.5], 0)
+            run_campaign(failing_spec(tmp_path, body), [[0.5]])
 
     def test_nan_output(self, tmp_path):
         body = (
@@ -209,23 +203,20 @@ class TestFailureModes:
             "with open(pathlib.Path(sys.argv[2]) / 'qoi.bin', 'wb') as fh:\n"
             "    fh.write(struct.pack('<Q', 1) + struct.pack('<d', float('nan')))\n"
         )
-        stub = make_stub(tmp_path, body)
-        spec = External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"))
         with pytest.raises(OutputValueError, match="non-finite"):
-            external_evaluate(spec, [0.5], 0)
+            run_campaign(failing_spec(tmp_path, body), [[0.5]])
 
     def test_errors_carry_sample_index(self, tmp_path):
-        stub = make_stub(tmp_path, "import sys; sys.exit(1)")
-        spec = External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"))
+        stub = make_stub(tmp_path, FAILING_ECHO_STUB)
+        spec = External(command=f"{PY} {stub} {{params}} {{dir}} {{index}} 2", root=str(tmp_path / "runs"))
         with pytest.raises(ExternalError) as info:
-            external_evaluate(spec, [0.5], 11)
-        assert info.value.sample_index == 11
+            run_campaign(spec, np.full((3, 1), 0.5))
+        assert info.value.sample_index == 2
 
     def test_failed_sample_not_marked_done(self, tmp_path):
-        stub = make_stub(tmp_path, "import sys; sys.exit(1)")
-        spec = External(command=f"{PY} {stub} {{params}} {{dir}}", root=str(tmp_path / "runs"))
+        spec = failing_spec(tmp_path, "import sys; sys.exit(1)")
         with pytest.raises(ExternalCommandError):
-            external_evaluate(spec, [0.5], 0)
+            run_campaign(spec, [[0.5]])
         assert not (spec.samples_dir / "0" / "done").exists()
 
 
@@ -249,9 +240,9 @@ class TestCampaign:
 
     def test_cached_sample_at_another_point_is_refused(self, tmp_path):
         spec = echo_spec(tmp_path)
-        assert external_evaluate(spec, [0.5], 0).values[0] == 0.5
+        assert run_campaign(spec, [[0.5]]).table[0, 0] == 0.5
         with pytest.raises(StaleSampleError, match="0.5") as info:
-            external_evaluate(spec, [0.9], 0)
+            run_campaign(spec, [[0.9]])
         assert info.value.sample_index == 0
         # the refusal changes nothing on disk: the old point still hits the cache
         assert run_campaign(spec, np.array([[0.5]])).cached == 1

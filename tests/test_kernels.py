@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from rbfuq import FAMILIES, KernelSpec, NormSpec, kernel_matrix
+from rbfuq import FAMILIES, KernelSpec, kernel_matrix
 
 
 def spec(family, dim=1, **kw):
@@ -55,7 +56,7 @@ class TestProfiles:
         assert np.all(np.diff(v) < 0.0)
 
     def test_support_radius_scales_with_zeta(self):
-        s = spec("wendland2", 2, norm=NormSpec(zeta=4.0))
+        s = spec("wendland2", 2, zeta=4.0)
         assert s.profile(0.25) == 0.0 and s.profile(np.nextafter(0.25, 0.0)) > 0.0
         assert spec("gaussian").profile(20.0) > 0.0
 
@@ -65,50 +66,38 @@ class TestScaling:
         rng = np.random.default_rng(7)
         a = rng.random((40, 3))
         b = rng.random((25, 3))
-        via_zeta = kernel_matrix(spec("gaussian", 3, epsilon=1.7, norm=NormSpec(zeta=2.3)), a, b)
+        via_zeta = kernel_matrix(spec("gaussian", 3, epsilon=1.7, zeta=2.3), a, b)
         via_eps = kernel_matrix(spec("gaussian", 3, epsilon=1.7 * 2.3), a, b)
         assert np.array_equal(via_zeta, via_eps)
 
     def test_zeta_shrinks_wendland_support(self):
-        wide = spec("wendland0", 1, norm=NormSpec(zeta=0.5))
-        narrow = spec("wendland0", 1, norm=NormSpec(zeta=2.0))
+        wide = spec("wendland0", 1, zeta=0.5)
+        narrow = spec("wendland0", 1, zeta=2.0)
         assert float(wide.profile(1.5)) > 0.0
         assert float(narrow.profile(0.75)) == 0.0
 
-    def test_norm_weights_stretch_axes(self):
-        s = spec("matern12", 2, norm=NormSpec(weights=(2.0, 1.0)))
-        y = np.array([1.0, 0.0])
-        # weighted distance 2.0 along the first axis
-        assert kernel_matrix(s, [y], [np.zeros(2)])[0, 0] == math.exp(-2.0)
-
 
 class TestNormSpec:
+    """The norm is zeta times the Euclidean distance."""
+
     def test_distance_scaled(self):
-        s = spec("matern12", 2, norm=NormSpec(zeta=3.0))
+        s = spec("matern12", 2, zeta=3.0)
         assert kernel_matrix(s, [[1.0, 0.0]], [[0.0, 0.0]])[0, 0] == math.exp(-3.0)
 
     def test_pairwise_unscaled(self):
-        n = NormSpec(zeta=3.0)
-        d = n.pairwise(np.array([[0.0]]), np.array([[2.0]]))
-        assert d[0, 0] == 2.0
+        # kernel_matrix hands the profile unscaled distances; the profile applies zeta
+        s = spec("matern12", 1, zeta=3.0)
+        assert float(s.profile(2.0)) == math.exp(-6.0)
+        assert kernel_matrix(s, [[0.0]], [[2.0]])[0, 0] == math.exp(-6.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            NormSpec().pairwise(np.zeros((1, 1)), np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="2 weights"):
-            NormSpec(weights=(1.0, 2.0)).pairwise(np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="dimension 1 applied to point arrays of dimensions 1 and 2"):
+            kernel_matrix(spec("gaussian", 1), np.zeros((1, 1)), np.zeros((1, 2)))
 
     def test_rejects_bad_zeta(self):
-        with pytest.raises(ValueError):
-            NormSpec(zeta=0.0)
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            NormSpec(weights=(1.0, -1.0))
-
-    def test_weight_count_checked_against_dim(self):
-        with pytest.raises(ValueError):
-            KernelSpec(family="gaussian", dim=3, norm=NormSpec(weights=(1.0, 2.0)))
+        for zeta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="norm scale zeta must be positive"):
+                spec("gaussian", 2, zeta=zeta)
 
 
 class TestMatrixHelpers:
@@ -183,9 +172,8 @@ class TestGramBuffers:
     def test_matrix_bitwise_equal_to_plain_expressions(self, family, dim):
         rng = np.random.default_rng(dim)
         a, b = rng.random((60, dim)), rng.random((45, dim))
-        norm = NormSpec(zeta=1.7, weights=tuple(rng.random(dim) + 0.5))
-        s = spec(family, dim, epsilon=0.8, norm=norm)
-        d = norm.pairwise(a, b)
+        s = spec(family, dim, epsilon=0.8, zeta=1.7)
+        d = cdist(a, b)
         assert np.array_equal(kernel_matrix(s, a, b), _plain_profile(family, dim, 0.8 * 1.7, 1.7, d))
         assert np.array_equal(s.profile(d), _plain_profile(family, dim, 0.8 * 1.7, 1.7, d))
 
@@ -212,7 +200,7 @@ class TestGramBuffers:
 
         rng = np.random.default_rng(7)
         a, b = rng.random((300, 3)), rng.random((200, 3))
-        s = spec(family, 3, epsilon=0.8, norm=NormSpec(zeta=1.7, weights=(1.0, 0.5, 2.0)))
+        s = spec(family, 3, epsilon=0.8, zeta=1.7)
         default = kernel_matrix(s, a, b)
         monkeypatch.setattr(kernels, "_PROFILE_BLOCK_ENTRIES", entries)
         assert np.array_equal(kernel_matrix(s, a, b), default)

@@ -36,10 +36,10 @@ class TestGridSpec:
     def test_npoints(self):
         assert GridSpec(extents=((0, 1), (0, 1)), counts=(33, 33)).npoints == 1089
 
-    def test_single_and_index_line(self):
-        assert GridSpec.single().npoints == 1
-        line = GridSpec.index_line(5)
-        assert np.array_equal(line.axes()[0], [0, 1, 2, 3, 4])
+    def test_single(self):
+        single = GridSpec.single()
+        assert single.npoints == 1
+        assert np.array_equal(single.points(), [[0.0]])
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -219,6 +219,37 @@ class TestKL:
         x2 = model.grid.points()[:, -1]
         _, force = kl_log_field(np.array([0.1, -0.2, 0.3, 0.4]), x2, 0.5)
         assert np.array_equal(field.values, force)
+
+    @pytest.mark.parametrize("lc", [0.5, 2.0])
+    def test_exact_mean_against_per_axis_quadrature(self, lc):
+        # E[exp(c y)] for y ~ U(-sqrt 3, sqrt 3), one mpmath.quad per axis and grid point
+        mpmath = pytest.importorskip("mpmath")
+        model = KLField(dim=5, correlation_length=lc)
+        mean = model.exact_mean().values
+        with mpmath.workdps(30):
+            h = mpmath.sqrt(3)
+            for x2, value in zip(model.grid.points()[:, -1], mean):
+                coeffs = [mpmath.sqrt(mpmath.sqrt(mpmath.pi) * lc / 2)]
+                for m in range(2, 6):
+                    lam = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * lc) * mpmath.exp(-((m // 2) * mpmath.pi * lc) ** 2 / 8)
+                    mode = mpmath.sin if m % 2 == 0 else mpmath.cos
+                    coeffs.append(lam * mode((m // 2) * mpmath.pi * mpmath.mpf(x2)))
+                exact = mpmath.e
+                for c in coeffs:
+                    exact *= mpmath.quad(lambda y: mpmath.exp(c * y), [-h, h]) / (2 * h)
+                exact -= mpmath.mpf("9.81")
+                assert abs(value - exact) <= 1e-13 * abs(exact), f"x2 = {x2}: {value!r} vs {exact}"
+
+    def test_exact_mean_where_a_mode_vanishes(self):
+        # at x2 = 0 every sine mode is 0, so its factor is exactly 1
+        model = KLField(dim=2, correlation_length=0.5, grid=GridSpec(extents=((0.0, 0.0),), counts=(1,)))
+        c1 = math.sqrt(3.0) * math.sqrt(math.sqrt(math.pi) * 0.5 / 2.0)
+        assert model.exact_mean().values[0] == math.e * (math.sinh(c1) / c1) - 9.81
+
+    def test_mean_box(self):
+        box = KLField(dim=3).mean_box
+        assert np.array_equal(box.lower, [-math.sqrt(3.0)] * 3)
+        assert np.array_equal(box.upper, [math.sqrt(3.0)] * 3)
 
 
 class TestCenterOfMass:

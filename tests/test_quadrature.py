@@ -13,7 +13,6 @@ from rbfuq import (
     FAMILIES,
     CollocationSet,
     KernelSpec,
-    NormSpec,
     ParameterDomain,
     Tikhonov,
     assemble_gram,
@@ -146,7 +145,7 @@ def _oracle_profile(lib, family, dim, r):
     return (1 - r) ** (ell + k) * poly
 
 
-def _oracle_moment(lib, family, bounds, center, zeta=1.0, weights=None, epsilon=1.0):
+def _oracle_moment(lib, family, bounds, center, zeta=1.0, epsilon=1.0):
     """Kernel moment by iterated 1-D ``lib.quad`` in Cartesian coordinates.
 
     ``lib`` is ``mpmath.mp`` or ``mpmath.fp``.  Every 1-D integral is split
@@ -155,7 +154,6 @@ def _oracle_moment(lib, family, bounds, center, zeta=1.0, weights=None, epsilon=
     the circle meets the box edges (so each piece is smooth up to its ends).
     """
     dim = len(bounds)
-    w = weights or (1.0,) * dim
     scale = zeta * (epsilon if family == "gaussian" else 1.0)
     support = 1.0 / zeta if family.startswith("wendland") else math.inf
 
@@ -163,7 +161,7 @@ def _oracle_moment(lib, family, bounds, center, zeta=1.0, weights=None, epsilon=
         return sorted({lo, hi} | {p for p in kinks if lo < p < hi})
 
     def chord(offset):
-        # half-width of the support circle at a weighted offset from the centre
+        # half-width of the support circle at an offset from the centre
         left = support * support - offset * offset
         return lib.sqrt(left) if left > 0 else 0.0
 
@@ -171,20 +169,20 @@ def _oracle_moment(lib, family, bounds, center, zeta=1.0, weights=None, epsilon=
         return _oracle_profile(lib, family, dim, scale * d)
 
     (lo0, hi0), c0 = bounds[0], center[0]
-    kinks = [c0, c0 - support / w[0], c0 + support / w[0]]
+    kinks = [c0, c0 - support, c0 + support]
     if dim == 1:
-        total = lib.quad(lambda x: radial(abs(w[0] * (x - c0))), pieces(lo0, hi0, kinks))
+        total = lib.quad(lambda x: radial(abs(x - c0)), pieces(lo0, hi0, kinks))
     else:
         (lo1, hi1), c1 = bounds[1], center[1]
         for edge in (lo1, hi1):
-            reach = chord(w[1] * (edge - c1)) / w[0]
+            reach = chord(edge - c1)
             kinks += [c0 - reach, c0 + reach] if reach > 0 else []
 
         def inner(x):
-            dx = w[0] * (x - c0)
-            reach = chord(dx) / w[1]
+            dx = x - c0
+            reach = chord(dx)
             return lib.quad(
-                lambda y: radial(lib.sqrt(dx * dx + (w[1] * (y - c1)) ** 2)),
+                lambda y: radial(lib.sqrt(dx * dx + (y - c1) ** 2)),
                 pieces(lo1, hi1, [c1, c1 - reach, c1 + reach]),
             )
 
@@ -251,26 +249,26 @@ ORACLE_FAMILIES = (
     "gaussian", "wendland0", "wendland1", "wendland2", "wendland3", "matern12", "matern32"
 )
 WENDLAND = ORACLE_FAMILIES[1:5]
-# (bounds, centre, zeta, weights)
+# (bounds, centre, zeta)
 ORACLE_CASES_1D = {
-    "near_face_scaled": ([(0.0, 1.0)], (1e-3,), 1.7, (0.8,)),
-    "end_point": ([(-1.0, 2.0)], (2.0,), 1.0, None),
-    "support_inside": ([(0.0, 2.0)], (1.1,), 2.5, None),
-    "support_crossing": ([(0.0, 1.0)], (0.3,), 1.0, None),
-    "outside": ([(0.0, 1.0)], (1.4,), 1.0, None),
+    "near_face_scaled": ([(0.0, 1.0)], (1e-3,), 1.7),
+    "end_point": ([(-1.0, 2.0)], (2.0,), 1.0),
+    "support_inside": ([(0.0, 2.0)], (1.1,), 2.5),
+    "support_crossing": ([(0.0, 1.0)], (0.3,), 1.0),
+    "outside": ([(0.0, 1.0)], (1.4,), 1.0),
 }
 ORACLE_CASES_2D = {
-    "near_face_scaled": ([(0.0, 1.0), (-1.0, 2.0)], (1e-3, 0.4), 1.7, (0.8, 2.0)),
-    "corner": ([(0.0, 1.0), (0.0, 1.0)], (0.0, 0.0), 1.0, None),
-    "support_inside": ([(0.0, 2.0), (0.0, 2.0)], (1.1, 0.9), 2.5, None),
-    "support_crossing": ([(0.0, 2.0), (0.0, 2.0)], (0.8, 1.1), 1.0, None),
-    "box_inside_support": ([(0.0, 1.0), (0.0, 1.0)], (0.3, 0.6), 1.0, None),
+    "near_face_scaled": ([(0.0, 1.0), (-1.0, 2.0)], (1e-3, 0.4), 1.7),
+    "corner": ([(0.0, 1.0), (0.0, 1.0)], (0.0, 0.0), 1.0),
+    "support_inside": ([(0.0, 2.0), (0.0, 2.0)], (1.1, 0.9), 2.5),
+    "support_crossing": ([(0.0, 2.0), (0.0, 2.0)], (0.8, 1.1), 1.0),
+    "box_inside_support": ([(0.0, 1.0), (0.0, 1.0)], (0.3, 0.6), 1.0),
 }
 
 
-def _engine_moment(family, bounds, center, zeta, weights, level, epsilon=1.0):
+def _engine_moment(family, bounds, center, zeta, level, epsilon=1.0):
     dom = ParameterDomain(*np.transpose(bounds))
-    spec = KernelSpec(family, len(bounds), epsilon=epsilon, norm=NormSpec(zeta, weights))
+    spec = KernelSpec(family, len(bounds), epsilon=epsilon, zeta=zeta)
     return kernel_moments(spec, np.array([center], dtype=float), cc_rule(dom, level))[0]
 
 
@@ -281,34 +279,34 @@ class TestMomentOracles:
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_one_dimension_exact_at_any_level(self, family, case):
         mpmath = pytest.importorskip("mpmath")
-        bounds, center, zeta, weights = ORACLE_CASES_1D[case]
+        bounds, center, zeta = ORACLE_CASES_1D[case]
         with mpmath.workdps(30):
-            exact = _oracle_moment(mpmath.mp, family, bounds, center, zeta, weights)
-        b = _engine_moment(family, bounds, center, zeta, weights, level=1)
+            exact = _oracle_moment(mpmath.mp, family, bounds, center, zeta)
+        b = _engine_moment(family, bounds, center, zeta, level=1)
         assert abs(b - exact) <= 1e-13, f"{family} {case}: {b!r} vs {exact!r}"
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES_2D))
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_two_dimensions(self, family, case):
         mpmath = pytest.importorskip("mpmath")
-        bounds, center, zeta, weights = ORACLE_CASES_2D[case]
-        exact = _oracle_moment(mpmath.fp, family, bounds, center, zeta, weights)
-        b = _engine_moment(family, bounds, center, zeta, weights, level=7)
+        bounds, center, zeta = ORACLE_CASES_2D[case]
+        exact = _oracle_moment(mpmath.fp, family, bounds, center, zeta)
+        b = _engine_moment(family, bounds, center, zeta, level=7)
         assert abs(b - exact) <= 1e-13, f"{family} {case}: {b!r} vs {exact!r}"
 
     def test_gaussian_three_dimensions_is_erf_product(self):
         bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)]
-        eps, zeta, weights = 1.3, 0.7, (1.0, 2.0, 0.5)
+        eps, zeta = 1.3, 0.7
         dom = ParameterDomain(*np.transpose(bounds))
         centers = np.vstack(
             [halton_points(dom, 10).points, [[0.0, -1.0, 0.5], [1e-3, 0.5, 1.0], [1.2, 0.0, 1.0]]]
         )
-        spec = KernelSpec("gaussian", 3, epsilon=eps, norm=NormSpec(zeta, weights))
+        spec = KernelSpec("gaussian", 3, epsilon=eps, zeta=zeta)
         b = kernel_moments(spec, centers, cc_rule(dom, 2))
         for j, c in enumerate(centers):
             exact = 1.0 / dom.volume
-            for (lo, hi), cd, wd in zip(bounds, c, weights):
-                lam = eps * zeta * wd
+            lam = eps * zeta
+            for (lo, hi), cd in zip(bounds, c):
                 exact *= math.sqrt(math.pi) / (2.0 * lam) * (
                     math.erf(lam * (hi - cd)) - math.erf(lam * (lo - cd))
                 )
@@ -343,7 +341,7 @@ class TestMomentOracles:
 
         bottom = -min(height, top)
         exact = fp.quad(slab, sorted({bottom, 0.0, top, *tail}))
-        b = _engine_moment(family, [(0.0, 1.0)] * 3, (height, 0.5, 0.5), zeta, None, level=7)
+        b = _engine_moment(family, [(0.0, 1.0)] * 3, (height, 0.5, 0.5), zeta, level=7)
         assert abs(b - exact) <= 1e-13 * exact, f"{family} at {height}: {b!r} vs {exact!r}"
 
     @pytest.mark.parametrize("family", ORACLE_FAMILIES[1:])
@@ -375,7 +373,7 @@ class TestMomentOracles:
         zeta = 4.0
         radial = mpmath.quad(lambda s: s ** 3 * _oracle_profile(mpmath.mp, family, 4, s), [0, 1])
         exact = 2.0 * math.pi ** 2 * float(radial) / zeta ** 4
-        b = _engine_moment(family, [(0.0, 1.0)] * 4, (0.5,) * 4, zeta, None, level=5)
+        b = _engine_moment(family, [(0.0, 1.0)] * 4, (0.5,) * 4, zeta, level=5)
         assert abs(b - exact) <= 1e-12 * exact
 
     def test_level_sets_resolution(self):
@@ -415,7 +413,7 @@ class TestMomentOracles:
         centres = halton_points(dom, 64)
         for zeta in (0.3, 1.0, 3.0, 100.0, 1e4):
             for family in WENDLAND:
-                spec = KernelSpec(family, dim, norm=NormSpec(zeta))
+                spec = KernelSpec(family, dim, zeta=zeta)
                 b = kernel_moments(spec, centres, rule)
                 with monkeypatch.context() as m:
                     m.setattr(quadrature, "_SEGMENT_NODES", 257)
@@ -511,7 +509,7 @@ class TestScaleMixtures:
     def test_terms_reproduce_profile(self, family, zeta):
         # phi_nu(r) = 2^(1-nu) r^nu K_nu(r) / Gamma(nu); ell = zeta on the unit interval
         mpmath = pytest.importorskip("mpmath")
-        spec = KernelSpec(family, 1, norm=NormSpec(zeta))
+        spec = KernelSpec(family, 1, zeta=zeta)
         sigma, coeff = _gaussian_terms(spec, ParameterDomain.unit(1))
         r = np.geomspace(1e-6 * zeta, 60.0, 200)
         got = np.exp(-np.outer(r, sigma) ** 2) @ coeff
@@ -533,7 +531,7 @@ class TestScaleMixtures:
         for c in (0.0, 0.3, 1.0, 1.4):
             with mpmath.workdps(40):
                 exact = _oracle_moment(mpmath.mp, family, bounds, (c,), zeta=1e-30)
-            b = _engine_moment(family, bounds, (c,), 1e-30, None, level=1)
+            b = _engine_moment(family, bounds, (c,), 1e-30, level=1)
             assert abs(b - exact) <= 1e-15, f"centre {c}: {b!r} vs {exact!r}"
 
     @pytest.mark.parametrize("dim", [1, 3, 5])
@@ -541,7 +539,7 @@ class TestScaleMixtures:
     def test_finite_without_warnings_at_zeta_1e300(self, family, dim):
         dom = ParameterDomain.unit(dim)
         centres = np.vstack([halton_points(dom, 3).points, np.zeros((1, dim))])
-        spec = KernelSpec(family, dim, norm=NormSpec(1e-300))
+        spec = KernelSpec(family, dim, zeta=1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b = kernel_moments(spec, centres, cc_rule(dom, 1))
@@ -550,7 +548,7 @@ class TestScaleMixtures:
     @pytest.mark.parametrize("family", ["matern12", "matern32"])
     def test_small_scale_three_dimensions(self, family):
         # the former radial reduction was off by up to 7e-3 relative here
-        spec = KernelSpec(family, 3, norm=NormSpec(1e-4))
+        spec = KernelSpec(family, 3, zeta=1e-4)
         dom = ParameterDomain.unit(3)
         bounds = list(zip(dom.lower, dom.upper))
         centres = np.vstack([halton_points(dom, 3).points, [[1e-3, 0.5, 0.5]]])
@@ -564,12 +562,11 @@ class TestScaleMixtures:
     def test_five_dimensions_against_mixture_integral(self, family, zeta):
         mpmath = pytest.importorskip("mpmath")
         bounds = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5), (0.0, 1.0), (0.0, 2.0)]
-        weights = (1.0, 2.0, 0.5, 1.0, 1.5)
         centres = [(0.3, 0.1, 1.2, 0.7, 1.9), (1e-3, 2.0, 0.6, 0.5, 1.0)]
         dom = ParameterDomain(*np.transpose(bounds))
-        spec = KernelSpec(family, 5, norm=NormSpec(zeta, weights))
+        spec = KernelSpec(family, 5, zeta=zeta)
         b = kernel_moments(spec, np.array(centres), cc_rule(dom, 1))
-        lam = [zeta * w for w in weights]
+        lam = [zeta] * 5
         for c, bc in zip(centres, b):
             with mpmath.workdps(30):
                 exact = _mixture_oracle(mpmath, family, bounds, c, lam)
@@ -847,7 +844,7 @@ class TestExtremeScale:
             face[0] = dom.lower[0]
             centres = np.vstack([halton_points(dom, 3).points, face, dom.upper + 0.5])
             for zeta in (1e100, 1e200, 1e280, 1e300):
-                spec = KernelSpec(family, dim, norm=NormSpec(zeta))
+                spec = KernelSpec(family, dim, zeta=zeta)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     b = kernel_moments(spec, centres, cc_rule(dom, 4, max_points=None))
@@ -856,6 +853,6 @@ class TestExtremeScale:
 
     def test_matern12_closed_form_at_zeta_1e300(self):
         # an interior centre sees int exp(-zeta |y - c|) dy = 2 / zeta
-        spec = KernelSpec("matern12", 1, norm=NormSpec(1e300))
+        spec = KernelSpec("matern12", 1, zeta=1e300)
         b = kernel_moments(spec, np.array([[0.3], [0.5]]), cc_rule(ParameterDomain.unit(1), 1))
         assert np.all(np.abs(b - 2e-300) <= 4e-16 * 2e-300), b

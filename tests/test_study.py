@@ -10,7 +10,6 @@ from rbfuq import (
     External,
     GFunction,
     GridField,
-    GridSpec,
     KLField,
     KernelSetting,
     ParameterDomain,
@@ -20,95 +19,92 @@ from rbfuq import (
     StudyError,
     Tikhonov,
     TSVD,
-    error_norm,
     estimate,
     evaluate_samples,
-    fit_order,
     halton_points,
-    mc_baseline,
     run_study,
     write_report,
 )
-
-
-def line_field(values):
-    values = np.asarray(values, dtype=float)
-    return GridField(grid=GridSpec.index_line(values.size), values=values)
+from rbfuq.study import _check_norm, _fit_tail, _norm_values
 
 
 class TestErrorNorm:
+    """``_norm_values``, the error of each (kernel, N) against the reference."""
+
     def test_abs_l2_is_rms(self):
-        e = line_field([3.0, 4.0])
-        r = line_field([0.0, 0.0])
-        assert error_norm(e, r, "abs_l2") == math.sqrt(12.5)
+        assert _norm_values(np.array([3.0, 4.0]), np.zeros(2), "abs_l2") == math.sqrt(12.5)
 
     def test_rel_l2(self):
-        e = line_field([2.0, 2.0])
-        r = line_field([1.0, 1.0])
-        assert error_norm(e, r, "rel_l2") == 1.0
+        assert _norm_values(np.array([2.0, 2.0]), np.ones(2), "rel_l2") == 1.0
 
     def test_abs_scalar(self):
-        assert error_norm(line_field([3.0]), line_field([5.0]), "abs_scalar") == 2.0
+        assert _norm_values(np.array([3.0]), np.array([5.0]), "abs_scalar") == 2.0
 
     def test_rel_scalar(self):
-        assert error_norm(line_field([1.1]), line_field([2.0]), "rel_scalar") == abs(1.1 - 2.0) / 2.0
+        assert _norm_values(np.array([1.1]), np.array([2.0]), "rel_scalar") == abs(1.1 - 2.0) / 2.0
 
     def test_scalar_tag_needs_scalar_field(self):
-        e = line_field([1.0, 2.0])
+        e = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="scalar"):
-            error_norm(e, e, "abs_scalar")
+            _norm_values(e, e, "abs_scalar")
 
     def test_zero_reference_rejected(self):
-        e = line_field([1.0])
-        z = line_field([0.0])
-        with pytest.raises(ValueError, match="zero reference"):
-            error_norm(e, z, "rel_scalar")
+        for tag in ("rel_scalar", "rel_l2"):
+            with pytest.raises(ValueError, match="zero reference"):
+                _norm_values(np.array([1.0]), np.array([0.0]), tag)
 
     def test_grid_mismatch_rejected(self):
-        a = line_field([1.0, 2.0])
-        b = GridField(grid=GridSpec(extents=((0.0, 5.0),), counts=(2,)), values=np.ones(2))
-        with pytest.raises(ValueError, match="grids"):
-            error_norm(a, b, "abs_l2")
+        # fields on grids of different sizes
+        with pytest.raises(ValueError, match="size mismatch"):
+            _norm_values(np.ones(2), np.ones(3), "abs_l2")
 
     def test_unknown_tag_rejected(self):
-        e = line_field([1.0])
-        with pytest.raises(ValueError, match="norm"):
-            error_norm(e, e, "l_infinity")
+        with pytest.raises(ValueError, match="unknown norm tag 'l_infinity'"):
+            _check_norm("l_infinity")
 
 
 class TestFitOrder:
+    """``_fit_tail``, the order fitted on the tail of each error curve."""
+
     def test_exact_first_order(self):
         pts = [(2, 0.1), (4, 0.05), (8, 0.025), (16, 0.0125)]
-        assert abs(fit_order(pts) - 1.0) < 1e-12
+        order, used = _fit_tail(pts, 4, 0.0)
+        assert abs(order - 1.0) < 1e-12
+        assert used == (2, 4, 8, 16)
 
     def test_exact_second_order(self):
         pts = [(4, 1.0), (8, 0.25), (16, 0.0625), (32, 0.015625)]
-        assert abs(fit_order(pts) - 2.0) < 1e-12
+        assert abs(_fit_tail(pts, 4, 0.0)[0] - 2.0) < 1e-12
 
     def test_flat_curve_is_zero(self):
         pts = [(2, 0.5), (4, 0.5), (8, 0.5), (16, 0.5)]
-        assert abs(fit_order(pts)) < 1e-12
+        assert abs(_fit_tail(pts, 4, 0.0)[0]) < 1e-12
 
     def test_window_ignores_preasymptotic_head(self):
         head = [(2, 1e3), (4, 1e3)]
         tail = [(8, 1e-2), (16, 2.5e-3), (32, 6.25e-4), (64, 1.5625e-4)]
-        assert abs(fit_order(head + tail, window=4) - 2.0) < 1e-12
+        order, used = _fit_tail(head + tail, 4, 0.0)
+        assert abs(order - 2.0) < 1e-12
+        assert used == (8, 16, 32, 64)
 
     def test_floor_excludes_plateau(self):
         pts = [(8, 1e-2), (16, 1e-3), (32, 5e-6), (64, 5e-6)]
-        expected = math.log(10.0) / math.log(2.0)
-        assert abs(fit_order(pts, floor=1e-6) - expected) < 1e-12
+        order, used = _fit_tail(pts, 4, 1e-6)
+        assert abs(order - math.log(10.0) / math.log(2.0)) < 1e-12
+        assert used == (8, 16)
 
     def test_fully_plateaued_returns_none(self):
         pts = [(8, 5e-6), (16, 4e-6), (32, 3e-6), (64, 2e-6)]
-        assert fit_order(pts, floor=1e-6) is None
+        assert _fit_tail(pts, 4, 1e-6) == (None, ())
 
     def test_nonpositive_error_rejected(self):
         with pytest.raises(ValueError, match="nonpositive"):
-            fit_order([(2, 0.1), (4, 0.0), (8, 0.1), (16, 0.1)])
+            _fit_tail([(2, 0.1), (4, 0.0), (8, 0.1), (16, 0.1)], 4, 0.0)
 
     def test_short_list_uses_all_points(self):
-        assert abs(fit_order([(2, 0.1), (4, 0.05)], window=4) - 1.0) < 1e-12
+        order, used = _fit_tail([(2, 0.1), (4, 0.05)], 4, 0.0)
+        assert abs(order - 1.0) < 1e-12
+        assert used == (2, 4)
 
 
 class TestStudyConfigValidation:
@@ -169,6 +165,7 @@ class TestStudyConfigValidation:
         [
             (GFunction(dim=2), ParameterDomain.symmetric(math.sqrt(3.0), 2)),
             (PoissonExact(), ParameterDomain.unit(1)),
+            (KLField(dim=2), ParameterDomain.unit(2)),
         ],
     )
     def test_exact_reference_refuses_another_box(self, model, domain):
@@ -486,10 +483,8 @@ class TestSharedKernel:
         )
         report = run_study(config)
         result = estimate(config.model, config.domain, {column: config.schedule, reference: (128,)}, level=5)
-        ref = line_field(result.means[reference, 128])
-        expected = tuple(
-            error_norm(line_field(result.means[column, n]), ref, "abs_l2") for n in config.schedule
-        )
+        ref = result.means[reference, 128]
+        expected = tuple(_norm_values(result.means[column, n], ref, "abs_l2") for n in config.schedule)
         assert report.errors["matern32"] == expected
         assert expected[-1] > 0.0
 
@@ -512,42 +507,12 @@ class TestKernelReference:
         setting = KernelSetting(family="gaussian", regularization=Tikhonov(1e-14))
         domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
         ref = estimate(model, domain, {setting: (512,)}, level=7).means[setting, 512]
-        exact = model.exact_mean()
-        assert error_norm(GridField(grid=model.grid, values=ref), exact, "abs_l2") < 1e-9
+        assert _norm_values(ref, model.exact_mean().values, "abs_l2") < 1e-9
 
     def test_gfunction_reference_close_to_exact(self):
         setting = KernelSetting(family="gaussian", epsilon=2.0, regularization=Tikhonov(1e-8))
         ref = estimate(GFunction(3), ParameterDomain.unit(3), {setting: (512,)}, level=5).means[setting, 512]
         assert abs(ref[0] - 1.0) < 1e-2
-
-
-class TestMcBaseline:
-    def test_constant_model_recovered_exactly(self):
-        class Constant:
-            dim = 2
-
-            def evaluate(self, y):
-                return GridField.scalar(7.0)
-
-        mean = mc_baseline(Constant(), ParameterDomain.unit(2), 10)
-        assert mean.shape == (1,)
-        assert mean[0] == 7.0
-
-    def test_gfunction_mc_and_qmc(self):
-        model = GFunction(3)
-        domain = ParameterDomain.unit(3)
-        mc_err = abs(mc_baseline(model, domain, 4096, seed=0, method="mc")[0] - 1.0)
-        qmc_err = abs(mc_baseline(model, domain, 4096, method="qmc")[0] - 1.0)
-        assert mc_err < 0.1
-        assert qmc_err < mc_err
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            mc_baseline(GFunction(2), ParameterDomain.unit(2), 8, method="lhs")
-
-    def test_field_output_keeps_grid_length(self):
-        mean = mc_baseline(PoissonExact(), ParameterDomain.symmetric(1.0, 1), 5)
-        assert mean.shape == (1089,)
 
 
 class TestWriteReport:
