@@ -66,6 +66,10 @@ def _format_row(values) -> str:
 def cmd_sample(args) -> int:
     cfg = _load(args)
     n = cfg.sample_count()
+    if args.dry_run:
+        print(f"samples: {n}")
+        print(f"would write {os.path.join(cfg.out_dir, 'points.csv')}")
+        return EXIT_OK
     rows = halton_points(cfg.domain, n).points if n > 0 else []
     path = _out_path(cfg, "points.csv")
     header = ",".join(f"y{d + 1}" for d in range(cfg.domain.dim))
@@ -94,6 +98,8 @@ def _print_plan(cfg: RunConfig, n: int, settings) -> None:
 def cmd_mean(args) -> int:
     cfg = _load(args)
     n = cfg.sample_count()
+    if n < 1:
+        raise ConfigError(f"config.n must be >= 1 for mean, got {n}")
     setting = cfg.first_kernel()
     if args.dry_run:
         _print_plan(cfg, n, [setting])

@@ -1,13 +1,15 @@
 """Gram systems, regularized solves, and kernel interpolants.
 
 The interpolation matrix A[i,j] = k(y_i, y_j) is dense and symmetric.
-A plain or Tikhonov-shifted (A + eps_reg I) solve goes through a Cholesky
-factorization.  Over a nested point set one factor serves every prefix:
-the leading n x n block of the Cholesky factor of A + eps_reg I is the
-factor of the first n points' shifted block, so a Gram matrix that is a
-leading block can carry the factor of a larger one and solve on its
-corner.  Where the factorization breaks down at a leading minor m (the
-matrix is not numerically positive definite there), prefixes n < m keep
+Each factorization is one object, which hands out the solve function of
+a block.  A plain or Tikhonov-shifted (A + eps_reg I) solve asks one
+Cholesky factor object.  Over a nested point set one factor serves every
+prefix: the leading n x n block of the Cholesky factor of A + eps_reg I
+is the factor of the first n points' shifted block, so a Gram matrix
+that carries a factor (``GramMatrix.factored``) hands it to its leading
+blocks, which solve on its corner.  The factor object also owns what
+happens where the factorization breaks down at a leading minor m (the
+matrix is not numerically positive definite there): prefixes n < m keep
 the factor; an unregularized solve at n >= m raises SingularGramError,
 and a shifted one falls back to LU with a warning.  Unregularized solves
 also check the reciprocal condition number of their block.  A truncated
@@ -92,9 +94,9 @@ class GramMatrix:
     the kernel values are too; the diagonal is then set to the kernel's
     value at zero distance.  ``values`` may be a view, such as the
     leading block of a larger Gram matrix over a nested point set; such a
-    block may carry ``cholesky``, the shared factor of a larger block,
-    which its plain or Tikhonov solves with that factor's shift use.  The
-    eigenpairs its TSVD solves use are computed once and kept.
+    block keeps ``cholesky``, the factor of the larger one (``factored``),
+    which its plain or Tikhonov solves with that factor's regularization
+    use.  The eigenpairs its TSVD solves use are computed once and kept.
     """
 
     values: np.ndarray
@@ -109,9 +111,17 @@ class GramMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def leading(self, n: int, cholesky: _CholFactor | None = None) -> GramMatrix:
-        """The Gram matrix of the first n points, a view of the leading block."""
-        return GramMatrix(self.values[:n, :n], self.spec, self.points.prefix(n), cholesky)
+    def leading(self, n: int) -> GramMatrix:
+        """The Gram matrix of the first n points, a view of the leading block, with this one's factor."""
+        return GramMatrix(self.values[:n, :n], self.spec, self.points.prefix(n), self.cholesky)
+
+    def factored(self, reg: Tikhonov | None) -> GramMatrix:
+        """This Gram matrix carrying one Cholesky factor of A + eps_reg I for it and its leading blocks.
+
+        The factor is taken by the first plain or Tikhonov solve with ``reg``
+        and is freed with the last Gram matrix that carries it.
+        """
+        return GramMatrix(self.values, self.spec, self.points, _CholFactor(self, reg))
 
     def tsvd_eigenpairs(self, drop_tol: float) -> tuple:
         """(eigenvalues, eigenvectors) holding every pair with |lambda| >= drop_tol * max |lambda|.
@@ -188,39 +198,14 @@ def assemble_gram(spec: KernelSpec, points: CollocationSet) -> GramMatrix:
     return GramMatrix(values=values, spec=spec, points=points)
 
 
-class _LUFactor:
-    """Shared LU factorization of A + shift I with single-vector solves."""
-
-    def __init__(self, values: np.ndarray, shift: float, context: str):
-        # one private Fortran-ordered copy, shifted and factored in place; A is
-        # bitwise symmetric, so copying A^T is a straight copy of the same matrix
-        matrix = np.array(values.T, order="F")
-        matrix[np.diag_indices_from(matrix)] += shift
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", LinAlgWarning)
-            self._lu = lu_factor(matrix, overwrite_a=True)
-        if any(issubclass(w.category, LinAlgWarning) for w in caught):
-            shifted = np.array(values)  # error path only; the LU overwrote the first copy
-            shifted[np.diag_indices_from(shifted)] += shift
-            cond = _singular_extremes(shifted)[2]
-            raise SingularGramError(
-                f"{context}: Gram matrix is numerically singular "
-                f"(condition {cond:.3e}); add regularization or remove "
-                "duplicate points",
-                condition=cond,
-            )
-
-    def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, rhs)
-
-
 class _CholFactor:
-    """One Cholesky factorization of A + shift I for every leading block of A.
+    """One Cholesky factorization of A + shift I, and the solves of A's leading blocks.
 
     ``gram`` is the largest block to be solved on.  The factor is taken on
     first use, so it is paid by the first solve, and is kept while this
     object lives.  dpotrf's ``info`` = m > 0 says the leading minor of
-    order m is not positive; blocks n < m still solve on the factor.
+    order m is not positive; blocks n < m still solve on the factor, and
+    from m on a plain solve is singular and a shifted one is solved by LU.
     """
 
     def __init__(self, gram: GramMatrix, reg: Tikhonov | None):
@@ -228,14 +213,11 @@ class _CholFactor:
         self.shift = 0.0 if reg is None else reg.eps_reg
         kind = "unregularized solve" if reg is None else f"Tikhonov(eps_reg={self.shift:g})"
         self.context = f"{gram.spec.family} {kind}"
-        self._gram = gram
+        self._values = gram.values
 
     @cached_property
     def _factor(self) -> tuple:
-        # the factor's own storage, a straight copy of A^T, bitwise equal to A
-        matrix = np.array(self._gram.values.T, order="F")
-        matrix[np.diag_indices_from(matrix)] += self.shift
-        factor, info = dpotrf(matrix, lower=0, clean=0, overwrite_a=1)
+        factor, info = dpotrf(_shifted(self._values, self.shift), lower=0, clean=0, overwrite_a=1)
         if info > 0 and self.reg is not None:
             warnings.warn(
                 f"{self.context}: A + {self.shift:g} I is not positive definite "
@@ -245,25 +227,27 @@ class _CholFactor:
         return factor, info
 
     def solver(self, gram: GramMatrix):
-        """Solver for a leading block of this factor's matrix."""
+        """The solve function of a leading block of this factor's matrix."""
         factor, info = self._factor
         n = gram.n
         if info == 0 or n < info:
             block = np.asfortranarray(factor[:n, :n])  # no copy when n is the full size
             if self.reg is None:
-                self._check_rcond(gram, block)
-            return _CholBlock(block)
+                rcond, _ = dpocon(block, np.linalg.norm(gram.values, 1))
+                if rcond < np.finfo(float).eps:
+                    self._singular(gram, f"reciprocal condition estimate {rcond:.3e}")
+            return lambda rhs: cho_solve((block, False), rhs, check_finite=False)
         if self.reg is None:
             self._singular(gram, f"Cholesky breaks down at leading minor {info}")
-        return _LUFactor(gram.values, self.shift, self.context)
-
-    def _check_rcond(self, gram: GramMatrix, block: np.ndarray) -> None:
-        rcond, _ = dpocon(block, np.linalg.norm(gram.values, 1))
-        if rcond < np.finfo(float).eps:
-            self._singular(gram, f"reciprocal condition estimate {rcond:.3e}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", LinAlgWarning)
+            lu = lu_factor(_shifted(gram.values, self.shift), overwrite_a=True)
+        if any(issubclass(w.category, LinAlgWarning) for w in caught):
+            self._singular(gram, "zero pivot in LU")
+        return lambda rhs: lu_solve(lu, rhs)
 
     def _singular(self, gram: GramMatrix, why: str):
-        cond = _singular_extremes(gram.values)[2]  # error path only
+        cond = _singular_extremes(_shifted(gram.values, self.shift))[2]  # error path only
         raise SingularGramError(
             f"{self.context} at N={gram.n}: Gram matrix is numerically singular "
             f"({why}, condition {cond:.3e}); add regularization or remove "
@@ -272,14 +256,15 @@ class _CholFactor:
         )
 
 
-class _CholBlock:
-    """Solves with an upper Cholesky factor R, A + shift I = R^T R."""
+def _shifted(values: np.ndarray, shift: float) -> np.ndarray:
+    """A + shift I in a private Fortran-ordered copy, for LAPACK to overwrite.
 
-    def __init__(self, factor: np.ndarray):
-        self._factor = factor
-
-    def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve((self._factor, False), rhs, check_finite=False)
+    A is bitwise symmetric, so the copy of A^T is bitwise A, and a plain
+    memory copy when A is C-contiguous.
+    """
+    matrix = np.array(values.T, order="F")
+    matrix[np.diag_indices_from(matrix)] += shift
+    return matrix
 
 
 def _lanczos(values: np.ndarray, k: int) -> tuple | None:
@@ -304,27 +289,19 @@ def _lanczos(values: np.ndarray, k: int) -> tuple | None:
         return None
 
 
-class _TSVDFactor:
-    """Truncated pseudoinverse V diag(mask / lambda) V^T from the Gram matrix's leading eigenpairs."""
-
-    def __init__(self, gram: GramMatrix, drop_tol: float):
-        lam, self._v = gram.tsvd_eigenpairs(drop_tol)
-        size = np.abs(lam)
-        keep = size >= drop_tol * size.max()
-        self._inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-
-    def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        return self._v @ (self._inv * (self._v.T @ rhs))
-
-
 def _factorize(gram: GramMatrix, reg: Regularization):
-    """One factorization per (Gram, regularization); shared by all channels.
+    """The solve function of one factorization per (Gram, regularization), shared by all channels.
 
-    A plain or Tikhonov solve uses the factor ``gram`` carries when its
-    shift matches, and factors ``gram`` itself otherwise.
+    A TSVD solve applies the truncated pseudoinverse V diag(mask / lambda)
+    V^T of the Gram matrix's kept eigenpairs.  A plain or Tikhonov solve
+    uses the factor ``gram`` carries when its regularization matches, and
+    factors ``gram`` itself otherwise.
     """
     if isinstance(reg, TSVD):
-        return _TSVDFactor(gram, reg.drop_tol)
+        lam, v = gram.tsvd_eigenpairs(reg.drop_tol)
+        size = np.abs(lam)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=size >= reg.drop_tol * size.max())
+        return lambda rhs: v @ (inv * (v.T @ rhs))
     if reg is not None and not isinstance(reg, Tikhonov):
         raise TypeError(f"unknown regularization {reg!r}")
     factor = gram.cholesky
@@ -360,11 +337,11 @@ def solve(gram: GramMatrix, data: np.ndarray, reg: Regularization = None) -> Int
         raise ValueError(
             f"data has {data.shape[0]} rows for {gram.n} collocation points"
         )
-    factor = _factorize(gram, reg)
+    solve_block = _factorize(gram, reg)
     coeffs = np.empty_like(data)
     # Column-wise solves keep each channel bit-identical to a standalone solve.
     for j in range(data.shape[1]):
-        coeffs[:, j] = factor.solve_vector(data[:, j])
+        coeffs[:, j] = solve_block(data[:, j])
     return Interpolant(coefficients=coeffs, points=gram.points, spec=gram.spec)
 
 
@@ -377,7 +354,7 @@ def lagrange_values(gram: GramMatrix, reg: Regularization, z) -> np.ndarray:
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     rhs = kernel_matrix(gram.spec, gram.points.points, z)[:, 0]
-    return _factorize(gram, reg).solve_vector(rhs)
+    return _factorize(gram, reg)(rhs)
 
 
 def _singular_extremes(values: np.ndarray) -> tuple[float, float, float]:

@@ -546,7 +546,7 @@ def moment_weights(
     b = np.asarray(b, dtype=float)
     if b.shape != (gram.n,):
         raise ValueError(f"moment vector has shape {b.shape}, expected ({gram.n},)")
-    return MomentWeights(omega=_factorize(gram, reg).solve_vector(b), moments=b)
+    return MomentWeights(omega=_factorize(gram, reg)(b), moments=b)
 
 
 def estimate_mean(weights: MomentWeights, samples: np.ndarray) -> np.ndarray:

@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collocation import (
-    Regularization,
-    SingularGramError,
-    Tikhonov,
-    TSVD,
-    _CholFactor,
-    assemble_gram,
-)
+from .collocation import Regularization, SingularGramError, Tikhonov, TSVD, assemble_gram
 from .kernels import KernelSpec
 from .models import External, run_campaign
 from .models.external import _check_jobs
@@ -317,19 +310,19 @@ def estimate(
         tsvd = [s for s in settings if isinstance(s.regularization, TSVD)]
         for reg in dict.fromkeys(s.regularization for s in settings if s not in tsvd):
             group = [s for s in settings if s.regularization == reg]
-            factor = _CholFactor(gram_full.leading(max(counts[s][-1] for s in group)), reg)
-            _solve_prefixes(weights, gram_full, b_full, group, counts, factor)
-            del factor  # freed before the next factor or eigendecomposition is taken
+            factored = gram_full.leading(max(counts[s][-1] for s in group)).factored(reg)
+            _solve_prefixes(weights, factored, b_full, group, counts)
+            del factored  # its factor is freed before the next factor or eigendecomposition is taken
         _solve_prefixes(weights, gram_full, b_full, tsvd, counts)
         del gram_full  # free this kernel's matrix before the next is assembled
     means = {(setting, n): estimate_mean(w, table[:n]) for (setting, n), w in weights.items()}
     return Estimates(points=points, table=table, weights=weights, means=means)
 
 
-def _solve_prefixes(weights: dict, gram_full, b_full, settings, counts: dict, factor=None) -> None:
+def _solve_prefixes(weights: dict, gram_full, b_full, settings, counts: dict) -> None:
     """Weights of ``settings`` at each of their N, on leading blocks of ``gram_full``."""
     for n in sorted({n for setting in settings for n in counts[setting]}):
-        gram = gram_full.leading(n, factor)
+        gram = gram_full.leading(n)
         for setting in (s for s in settings if n in counts[s]):
             try:
                 weights[setting, n] = moment_weights(gram, setting.regularization, b_full[:n])

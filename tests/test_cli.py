@@ -145,13 +145,24 @@ class TestMean:
         main(["mean", "--config", cfg_path])
         assert "mean estimate:" in capsys.readouterr().out
 
-    def test_dry_run_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["mean", "sample"])
+    def test_dry_run_writes_nothing(self, tmp_path, capsys, command):
         cfg_path = gfunction_cfg(tmp_path, dim=2, n=16, kernels=[{"family": "gaussian"}])
-        assert main(["mean", "--config", cfg_path, "--dry-run"]) == EXIT_OK
+        assert main([command, "--config", cfg_path, "--dry-run"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "samples: 16" in out
-        assert "collocation system: 16 x 16" in out
-        assert not (tmp_path / "out" / "mean.bin").exists()
+        if command == "mean":
+            assert "collocation system: 16 x 16" in out
+        else:
+            assert f"would write {tmp_path / 'out' / 'points.csv'}" in out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_zero_samples_refused_before_any_directory(self, tmp_path, capsys, dry_run):
+        cfg_path = gfunction_cfg(tmp_path, n=16, kernels=[{"family": "gaussian"}])
+        assert main(["mean", "--config", cfg_path, "--n", "0", *dry_run]) == EXIT_CONFIG
+        assert "config.n must be >= 1 for mean, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--out", "")])
     def test_flag_refused_as_its_key(self, tmp_path, capsys, flag, value):

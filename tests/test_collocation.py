@@ -212,14 +212,11 @@ class TestNestedCholesky:
     def test_regularized_breakdown_falls_back_to_lu_bitwise(self):
         from scipy.linalg import lu_factor, lu_solve
 
-        from rbfuq.collocation import _CholFactor
-
-        top = self.indefinite()
         reg = Tikhonov(0.5)
-        factor = _CholFactor(top, reg)
+        top = self.indefinite().factored(reg)
         b = np.sin(np.arange(1.0, 7.0))
         with pytest.warns(UserWarning, match=r"Tikhonov\(eps_reg=0.5\).*leading minor 4"):
-            omega = {n: moment_weights(top.leading(n, factor), reg, b[:n]).omega for n in range(1, 7)}
+            omega = {n: moment_weights(top.leading(n), reg, b[:n]).omega for n in range(1, 7)}
         for n in range(4, 7):
             shifted = top.values[:n, :n] + 0.5 * np.eye(n)
             assert np.array_equal(omega[n], lu_solve(lu_factor(shifted), b[:n]))
@@ -228,34 +225,49 @@ class TestNestedCholesky:
             assert np.max(np.abs(shifted @ omega[n] - b[:n])) <= 1e-15
 
     def test_unregularized_breakdown_names_n_and_minor(self):
-        from rbfuq.collocation import _CholFactor
-
         top = self.indefinite()
-        top = GramMatrix(values=top.values + 0.5 * np.eye(6), spec=top.spec, points=top.points)
-        factor = _CholFactor(top, None)
-        assert np.all(np.isfinite(solve(top.leading(3, factor), np.ones(3)).coefficients))
+        top = GramMatrix(values=top.values + 0.5 * np.eye(6), spec=top.spec, points=top.points).factored(None)
+        assert np.all(np.isfinite(solve(top.leading(3), np.ones(3)).coefficients))
         with pytest.raises(SingularGramError, match="gaussian unregularized solve at N=5.*leading minor 4"):
-            solve(top.leading(5, factor), np.ones(5))
+            solve(top.leading(5), np.ones(5))
 
     @pytest.mark.parametrize("n", [40, 64], ids=["leading-block", "full"])
     def test_straight_copy_factors_bitwise(self, n):
         # the factors copy A^T, a straight copy of the bitwise symmetric A
-        from scipy.linalg import lu_factor
+        from scipy.linalg import cho_solve, lu_factor, lu_solve
         from scipy.linalg.lapack import dpotrf
 
-        from rbfuq.collocation import _CholFactor, _LUFactor
-
-        gram = random_gram("wendland3", n=64, dim=3).leading(n)
+        top = random_gram("wendland3", n=64, dim=3)
+        gram = top.leading(n)
         assert gram.values.flags.c_contiguous == (n == 64)
         shifted = np.array(gram.values, order="F")  # the transposing copy
         shifted[np.diag_indices(n)] += 1e-8
         expected, info = dpotrf(shifted.copy(order="F"), lower=0, clean=0)
-        factor, got = _CholFactor(gram, Tikhonov(1e-8))._factor
-        assert info == got == 0
-        assert np.array_equal(factor, expected)
-        lu, piv = _LUFactor(gram.values, 1e-8, "test")._lu
-        lu_expected, piv_expected = lu_factor(shifted)
-        assert np.array_equal(lu, lu_expected) and np.array_equal(piv, piv_expected)
+        assert info == 0
+        b = np.cos(np.arange(float(n)))
+        omega = moment_weights(gram, Tikhonov(1e-8), b).omega
+        assert np.array_equal(omega, cho_solve((expected, False), b))
+        # a negative first pivot breaks Cholesky down at minor 1, so every block is solved by LU
+        values = top.values.copy()
+        values[0, 0] = -1.0
+        indefinite = GramMatrix(values=values, spec=top.spec, points=top.points).leading(n)
+        shifted[0, 0] = -1.0 + 1e-8
+        with pytest.warns(UserWarning, match="leading minor 1"):
+            omega = moment_weights(indefinite, Tikhonov(1e-8), b).omega
+        assert np.array_equal(omega, lu_solve(lu_factor(shifted), b))
+
+    def test_factor_of_another_regularization_is_not_used(self):
+        # a block carrying a Tikhonov(1e-8) factor solves any other
+        # regularization as if it carried none
+        top = random_gram("matern12", n=30, seed=7)
+        factored = top.factored(Tikhonov(1e-8))
+        b = np.sin(np.arange(1.0, 31.0))
+        moment_weights(factored, Tikhonov(1e-8), b)  # the factor is taken
+        for n in (20, 30):
+            for reg in (Tikhonov(1e-6), None, TSVD(1e-3)):
+                carried = moment_weights(factored.leading(n), reg, b[:n]).omega
+                plain = moment_weights(top.leading(n), reg, b[:n]).omega
+                assert np.array_equal(carried, plain)
 
     def test_unregularized_reciprocal_condition_checked(self):
         # positive definite, so the factorization succeeds, but cond = 1e18
@@ -284,7 +296,7 @@ class TestLanczosTSVD:
 
     @staticmethod
     def full_weights(pairs, tol, b):
-        # _TSVDFactor's mask and solve, on the full eigendecomposition
+        # _factorize's TSVD mask and solve, on the full eigendecomposition
         lam, v = pairs
         size = np.abs(lam)
         inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=size >= tol * size.max())
