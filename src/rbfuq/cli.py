@@ -147,8 +147,10 @@ def cmd_reference(args) -> int:
     ref = cfg.reference
     _check_reference(ref, cfg.model, cfg.domain)  # StudyConfig's rule, so a dry run is refused too
     if args.dry_run:
-        kernel = ref.kind == "kernel"
-        _print_plan(cfg, ref.n_max if kernel else 0, [ref.kernel] if kernel else [])
+        if ref.kind == "exact":  # no samples, no system: the model states its mean
+            print(f"reference: the exact mean of {type(cfg.model).__name__}")
+        else:
+            _print_plan(cfg, ref.n_max, [ref.kernel])
         return EXIT_OK
     path, meta_path = _out_path(cfg, "reference.bin"), _out_path(cfg, "reference.json")
     if ref.kind == "exact":

@@ -27,6 +27,7 @@ import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,7 @@ class External:
         if self.expected_m is not None and self.expected_m < 1:
             raise ValueError(f"expected_m must be >= 1, got {self.expected_m}")
 
-    @property
+    @cached_property  # built once: every cached sample's path starts with it
     def samples_dir(self) -> Path:
         return Path(self.root) / "samples"
 
@@ -168,7 +169,7 @@ def _params_line(y) -> str:
 
 def _cached_values(spec: External, line: str, index: int) -> np.ndarray | None:
     """The outputs of a finished sample at this point; None when it has no ``done`` marker."""
-    sample_dir = os.path.join(spec.root, "samples", str(index))
+    sample_dir = os.path.join(spec.samples_dir, str(index))
     if not os.path.exists(os.path.join(sample_dir, "done")):
         return None
     try:

@@ -183,11 +183,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _axis_scales(spec: KernelSpec) -> np.ndarray:
-    """Per-axis factors of Lambda, so that the kernel is phi(|Lambda (y - c)|)."""
-    return spec.zeta * np.ones(spec.dim)
-
-
 def _gaussian_terms(spec: KernelSpec, domain: ParameterDomain) -> tuple[np.ndarray, np.ndarray]:
     """Terms (sigma_k, c_k) with phi(r) = sum_k c_k exp(-(sigma_k r)^2).
 
@@ -204,7 +199,7 @@ def _gaussian_terms(spec: KernelSpec, domain: ParameterDomain) -> tuple[np.ndarr
     if spec.family == "gaussian":
         return np.array([spec.epsilon]), np.array([1.0])
     nu = 0.5 if spec.family == "matern12" else 1.5
-    ell = float(np.min(_axis_scales(spec) * (domain.upper - domain.lower)))
+    ell = float(np.min(spec.zeta * (domain.upper - domain.lower)))
     box = 2.0 * math.log(min(ell, 1.0)) - 60.0 / (nu + domain.dim / 2.0)
     bottom = max(box, -60.0 / nu) - 4.0
     u = np.arange(_MIXTURE_TOP, bottom, -_MIXTURE_STEP)
@@ -218,8 +213,8 @@ def _gaussian_moments(spec: KernelSpec, pts: np.ndarray, domain: ParameterDomain
     temporaries hold about ``_BATCH_ENTRIES`` entries; the terms are summed
     in a fixed order, so the batches do not change the result.
 
-    At huge scales sigma_k * Lambda_d can pass the float range.  That axis
-    would give the term a factor below sqrt(pi) / Lambda_d < 1e-308, so
+    At huge scales sigma_k * zeta can pass the float range.  Each axis
+    would give the term a factor below sqrt(pi) / (sigma_k zeta) < 1e-308, so
     the term gets a zero coefficient; it is not removed, so that the sum
     over the terms keeps its order and every other moment its bits.  Ends
     of an erf difference past the float range are +-inf, where erf and
@@ -227,11 +222,12 @@ def _gaussian_moments(spec: KernelSpec, pts: np.ndarray, domain: ParameterDomain
     """
     sigma, coeff = _gaussian_terms(spec, domain)
     with np.errstate(over="ignore"):
-        lam = sigma[:, None] * _axis_scales(spec)
-    dead = np.isinf(lam).any(axis=1)
+        lam = sigma * spec.zeta
+    dead = np.isinf(lam)
     lam[dead] = 1.0
     coeff = np.where(dead, 0.0, coeff)
-    batch = max(1, _BATCH_ENTRIES // (8 * lam.size))
+    lam = lam[:, None]  # one row per term, broadcast over the axes
+    batch = max(1, _BATCH_ENTRIES // (8 * lam.size * domain.dim))
     b = np.empty(pts.shape[0])
     for s in range(0, pts.shape[0], batch):
         with np.errstate(over="ignore"):
@@ -505,10 +501,10 @@ def kernel_moments(
     if not spec.family.startswith("wendland"):
         return _gaussian_moments(spec, pts, domain)
 
-    lam = _axis_scales(spec)
+    zeta = spec.zeta
     # signed distances to the lower and upper faces in scaled units; the
     # box integral is the signed sum of the 2^D orthant integrals
-    half = np.stack([(pts - domain.lower) * lam, (domain.upper - pts) * lam], axis=-1)
+    half = np.stack([(pts - domain.lower) * zeta, (domain.upper - pts) * zeta], axis=-1)
     ext = np.minimum(np.abs(half), 1.0)  # nothing lies beyond the support radius
     corners = np.array(list(itertools.product((0, 1), repeat=dim)))
     axes = np.arange(dim)
@@ -524,7 +520,7 @@ def kernel_moments(
         orthants = _orthant_integrals(unit, chunk.reshape(-1, dim), q)
         b[s : s + batch] = np.sum(signs[s : s + batch] * orthants.reshape(chunk.shape[:2]), axis=1)
     with np.errstate(over="ignore"):  # past the float range every moment underflows to 0
-        return b / (domain.volume * np.prod(lam))
+        return b / (domain.volume * math.prod([zeta] * dim))
 
 
 @dataclass(frozen=True)

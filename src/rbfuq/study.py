@@ -12,14 +12,16 @@ leading blocks factor every prefix, and the TSVD settings at one N share
 that block's eigenpairs: from 1024 points on only the leading ones, by
 Lanczos iteration, unless the spectrum is too flat for that.  Errors
 against the reference are reported per (kernel, N), with a least-squares
-order fitted on the tail of each log-log curve.
+order fitted on the tail of each log-log curve.  The JSON sidecar beside
+the error table echoes the config by one rule (``config_echo``): each
+config object as its type and its fields by name.
 """
 from __future__ import annotations
 
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -366,66 +368,21 @@ def run_study(config: StudyConfig) -> StudyReport:
     )
 
 
-def _reg_echo(reg: Regularization) -> dict:
-    if reg is None:
-        return {"type": "none"}
-    if isinstance(reg, Tikhonov):
-        return {"type": "tikhonov", "eps_reg": reg.eps_reg}
-    if isinstance(reg, TSVD):
-        return {"type": "tsvd", "drop_tol": reg.drop_tol}
-    raise TypeError(f"unknown regularization {reg!r}")
-
-
-def _model_echo(model) -> dict:
-    if isinstance(model, External):
-        return {
-            "kind": "external",
-            "command": model.command,
-            "root": str(model.root),
-            "timeout": model.timeout,
-            "expected_m": model.expected_m,
-        }
-    echo = {"kind": type(model).__name__.lower()}
-    if hasattr(model, "dim"):
-        echo["dim"] = int(model.dim)
-    if hasattr(model, "correlation_length"):
-        echo["correlation_length"] = model.correlation_length
-    if hasattr(model, "grid"):
-        echo["grid_counts"] = list(model.grid.counts)
-        echo["grid_extents"] = [list(e) for e in model.grid.extents]
-    return echo
-
-
-def config_echo(config: StudyConfig) -> dict:
-    """JSON-ready snapshot of the full study configuration."""
-    ref = {"kind": config.reference.kind}
-    if config.reference.kind == "kernel":
-        ref["n_max"] = config.reference.n_max
-        ref["kernel"] = _kernel_echo(config.reference.kernel)
-    return {
-        "model": _model_echo(config.model),
-        "domain": {
-            "lower": config.domain.lower.tolist(),
-            "upper": config.domain.upper.tolist(),
-        },
-        "kernels": [_kernel_echo(k) for k in config.kernels],
-        "schedule": list(config.schedule),
-        "level": config.level,
-        "norm": config.norm,
-        "reference": ref,
-        "jobs": config.jobs,
-        "fit_window": config.fit_window,
-    }
-
-
-def _kernel_echo(setting: KernelSetting) -> dict:
-    return {
-        "family": setting.family,
-        "label": setting.column,
-        "zeta": setting.zeta,
-        "epsilon": setting.epsilon,
-        "regularization": _reg_echo(setting.regularization),
-    }
+def config_echo(value):
+    """JSON-ready echo of a config object, by one rule: a dataclass is a dict of
+    its lower-case type name under ``type`` and each init field, echoed in turn;
+    a tuple, list or array is a list; a NumPy scalar is a Python scalar; None,
+    str, int and float are themselves; any other object is its type name alone."""
+    if is_dataclass(value):
+        echo = {"type": type(value).__name__.lower()}
+        return echo | {f.name: config_echo(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [config_echo(v) for v in value]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    return {"type": type(value).__name__.lower()}
 
 
 def write_report(report: StudyReport, csv_path) -> tuple:

@@ -331,8 +331,8 @@ class TestReference:
             "out": str(tmp_path / "out"),
         }
         assert main(["reference", "--config", write_cfg(tmp_path, data), "--dry-run"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "samples: 0\n" in out and "kernel moments" not in out
+        assert capsys.readouterr().out == "reference: the exact mean of PoissonExact\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
     def test_exact_reference_needs_an_exact_mean(self, tmp_path, capsys, dry_run):
@@ -412,6 +412,29 @@ class TestReference:
         expected = estimate(cfg.model, cfg.domain, {ref.kernel: (48,)}, level=5).means[ref.kernel, 48]
         assert expected.shape == (9,)
         assert np.array_equal(read_qoi(tmp_path / "out" / "reference.bin"), expected)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _tree(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_bundled_config_dry_runs_write_nothing(tmp_path, monkeypatch, capsys, name):
+    """Each dry run of each bundled config exits 0, plans at least one sample and
+    writes nothing: the copy's external roots resolve inside ``tmp_path``."""
+    cfg = tmp_path / "configs" / name
+    cfg.parent.mkdir()
+    cfg.write_text((CONFIGS / name).read_text())
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    commands = ["study", "reference"] + ["mean"] * ("n" in json.loads(cfg.read_text()))
+    for command in commands:
+        assert main([command, "--config", str(cfg), "--out", "out", "--dry-run"]) == EXIT_OK, command
+        assert "samples: 0\n" not in capsys.readouterr().out, command
+    assert _tree(tmp_path) == before
 
 
 class TestValidate:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,13 @@ from rbfuq import (
     estimate,
     evaluate_samples,
     halton_points,
+    load_config,
     run_study,
     write_report,
 )
-from rbfuq.study import _check_norm, _fit_tail, _norm_values
+from rbfuq.study import _check_norm, _fit_tail, _norm_values, config_echo
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestErrorNorm:
@@ -215,6 +219,25 @@ class CountingModel:
 
     def exact_mean(self):
         return GridField.scalar(1.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class RelabelledModel:
+    """A frozen-dataclass model with a tuple and an array field, read through ``base``."""
+
+    base: object
+    perm: tuple
+    mean: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    def evaluate(self, y):
+        return self.base.evaluate(np.asarray(y)[list(self.perm)])
+
+    def exact_mean(self):
+        return self.base.exact_mean()
 
 
 class TestRunStudy:
@@ -554,3 +577,37 @@ class TestWriteReport:
         assert sidecar["config"]["schedule"] == [4, 8, 16]
         assert set(sidecar["orders"]) == {"gaussian", "matern32"}
         assert sidecar["wall_time_s"] > 0.0
+
+    def test_sidecar_echoes_every_field_by_type(self, tmp_path):
+        model = RelabelledModel(PoissonExact(), (0,), np.array([0.25, 0.5]))
+        kernels = (
+            KernelSetting(family="wendland2", regularization=Tikhonov(1e-8), label="tik"),
+            KernelSetting(family="wendland2", regularization=TSVD(1e-3), label="tsvd"),
+            KernelSetting(family="wendland2", regularization=None, label="plain"),
+        )
+        config = StudyConfig(model=model, domain=ParameterDomain.unit(1), kernels=kernels, schedule=(4, 8), level=5)
+        _, json_path = write_report(run_study(config), tmp_path / "out.csv")
+        with open(json_path) as fh:
+            echo = json.load(fh)["config"]
+        assert echo["type"] == "studyconfig"
+        assert echo["model"] == {
+            "type": "relabelledmodel",
+            "base": {"type": "poissonexact", "grid": {"type": "gridspec", "extents": [[-0.5, 0.5], [-0.5, 0.5]], "counts": [33, 33]}},
+            "perm": [0],
+            "mean": [0.25, 0.5],
+        }
+        assert echo["domain"] == {"type": "parameterdomain", "lower": [0.0], "upper": [1.0]}
+        assert [k["regularization"] for k in echo["kernels"]] == [
+            {"type": "tikhonov", "eps_reg": 1e-8},
+            {"type": "tsvd", "drop_tol": 1e-3},
+            None,
+        ]
+        assert echo["reference"] == {"type": "referencespec", "kind": "exact", "n_max": None, "kernel": None}
+        assert config_echo(dataclasses.replace(config, model=CountingModel()))["model"] == {"type": "countingmodel"}
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_bundled_config_echo_is_json(self, path):
+        study = load_config(path).study()
+        echo = json.loads(json.dumps(config_echo(study)))
+        assert echo["schedule"] == list(study.schedule)
+        assert [k["label"] for k in echo["kernels"]] == [k.label for k in study.kernels]
