@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -34,7 +33,7 @@ from .config import ConfigError, RunConfig, load_config
 from .models import External, ExternalError, NonFiniteFieldError, write_qoi
 from .param_space import halton_points
 from .quadrature import _moment_plan, kernel_moments, moment_weights  # noqa: F401
-from .study import StudyError, _check_reference, _kernel_groups, estimate, evaluate_samples, run_study, write_report  # noqa: F401
+from .study import StudyError, _check_reference, _kernel_groups, _write_csv, _write_json, config_echo, estimate, evaluate_samples, run_study, write_report  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,10 +58,6 @@ def _out_path(cfg: RunConfig, name: str) -> str:
     return path
 
 
-def _format_row(values) -> str:
-    return ",".join(format(float(v), ".17g") for v in values)
-
-
 def cmd_sample(args) -> int:
     cfg = _load(args)
     n = cfg.sample_count()
@@ -72,11 +67,7 @@ def cmd_sample(args) -> int:
         return EXIT_OK
     rows = halton_points(cfg.domain, n).points if n > 0 else []
     path = _out_path(cfg, "points.csv")
-    header = ",".join(f"y{d + 1}" for d in range(cfg.domain.dim))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(_format_row(row) + "\n")
+    _write_csv(path, [f"y{d + 1}" for d in range(cfg.domain.dim)], rows)
     print(f"wrote {n} points to {path}")
     return EXIT_OK
 
@@ -108,11 +99,9 @@ def cmd_mean(args) -> int:
     result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.level, cfg.jobs)
     weights, mean = result.weights[setting, n], result.means[setting, n]
     write_qoi(mean_path, mean)
-    header = "index," + ",".join(f"y{d + 1}" for d in range(cfg.domain.dim)) + ",weight"
-    with open(weights_path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i, (row, w) in enumerate(zip(result.points.points, weights.omega)):
-            fh.write(f"{i}," + _format_row(row) + "," + format(w, ".17g") + "\n")
+    header = ["index", *(f"y{d + 1}" for d in range(cfg.domain.dim)), "weight"]
+    rows = ((i, *row, w) for i, (row, w) in enumerate(zip(result.points.points, weights.omega)))
+    _write_csv(weights_path, header, rows)
     if mean.size == 1:
         print(f"mean estimate: {mean[0]:.17g}")
     print(f"wrote {mean_path} ({mean.size} values) and {weights_path}")
@@ -155,15 +144,11 @@ def cmd_reference(args) -> int:
     path, meta_path = _out_path(cfg, "reference.bin"), _out_path(cfg, "reference.json")
     if ref.kind == "exact":
         values = cfg.model.exact_mean().values
-        meta = {"kind": "exact"}
     else:
         means = estimate(cfg.model, cfg.domain, {ref.kernel: (ref.n_max,)}, cfg.level, cfg.jobs).means
         values = means[ref.kernel, ref.n_max]
-        meta = {"kind": "kernel", "n_max": ref.n_max, "kernel": ref.kernel.column}
     write_qoi(path, values)
-    with open(meta_path, "w", newline="\n") as fh:
-        json.dump({**meta, "m": int(values.size)}, fh, indent=2)
-        fh.write("\n")
+    _write_json(meta_path, {"reference": config_echo(ref), "m": int(values.size)})
     print(f"wrote {path} ({values.size} values)")
     return EXIT_OK
 

@@ -81,16 +81,15 @@ def _parse_domain(obj, where: str = "domain") -> ParameterDomain:
         raise ConfigError(f"{where} must be an object")
     if "kind" in obj:
         kind = _string(obj["kind"], f"{where}.kind")
+        if kind not in ("unit", "symmetric"):
+            raise ConfigError(f"{where}.kind must be 'unit' or 'symmetric', got '{kind}'")
+        _check_keys(obj, ("kind", "dim", "half_width") if kind == "symmetric" else ("kind", "dim"), where)
+        dim = _integer(_require(obj, "dim", where), f"{where}.dim")
+        _owned(where, _halton_bases, dim)  # before the box, 16 bytes per dimension, is allocated
         if kind == "unit":
-            _check_keys(obj, ("kind", "dim"), where)
-            dim = _integer(_require(obj, "dim", where), f"{where}.dim")
             return _owned(where, ParameterDomain.unit, dim)
-        if kind == "symmetric":
-            _check_keys(obj, ("kind", "half_width", "dim"), where)
-            half = _number(_require(obj, "half_width", where), f"{where}.half_width")
-            dim = _integer(_require(obj, "dim", where), f"{where}.dim")
-            return _owned(where, ParameterDomain.symmetric, half, dim)
-        raise ConfigError(f"{where}.kind must be 'unit' or 'symmetric', got '{kind}'")
+        half = _number(_require(obj, "half_width", where), f"{where}.half_width")
+        return _owned(where, ParameterDomain.symmetric, half, dim)
     _check_keys(obj, ("lower", "upper"), where)
     lower = _require(obj, "lower", where)
     upper = _require(obj, "upper", where)
@@ -99,6 +98,7 @@ def _parse_domain(obj, where: str = "domain") -> ParameterDomain:
             raise ConfigError(f"{where}.{name} must be a non-empty list")
         for v in arr:
             _number(v, f"{where}.{name} entries")
+    _owned(where, _halton_bases, len(lower))
     return _owned(where, ParameterDomain, lower, upper)
 
 
@@ -237,7 +237,6 @@ def parse_config(data, base_dir=".") -> RunConfig:
     _check_keys(data, _TOP_KEYS, "config")
     base_dir = Path(base_dir)
     domain = _parse_domain(_require(data, "domain", "config"))
-    _owned("domain", _halton_bases, domain.dim)
     model = _parse_model(_require(data, "model", "config"), domain.dim, base_dir)
     _owned("model", _check_model_dim, model, domain)
     kernels = ()

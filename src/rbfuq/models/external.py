@@ -65,6 +65,8 @@ class StaleSampleError(ExternalError):
 class External:
     """External-solver model: command template plus working-dir root.
 
+    A command token may hold only the placeholders ``{params}``, ``{dir}`` and
+    ``{index}`` (``{{`` is a brace); one that cannot be filled is refused here.
     ``expected_m`` of None accepts whatever length the solver writes.
     """
 
@@ -74,7 +76,7 @@ class External:
     expected_m: int | None = None
 
     def __post_init__(self):
-        if not shlex.split(self.command):  # an unbalanced quote raises here too
+        if not _argv(self.command, self.samples_dir / "0", 0):  # an unbalanced quote raises here too
             raise ValueError(f"command {self.command!r} names no program")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
@@ -86,24 +88,24 @@ class External:
         return Path(self.root) / "samples"
 
 
-def write_qoi(path, values) -> None:
-    """Write a count-prefixed little-endian f64 vector.
-
-    The bytes go to a temporary file in the target's directory, which then
-    replaces the target, so a reader sees the old file or the new one,
-    never a part of either.
-    """
-    values = np.asarray(values, dtype="<f8").ravel()
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` that then replaces
+    it, so a reader sees the old file or the new one, never a part of either."""
     # unique per writing thread; open() gives it the mode the target would get
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<Q", values.size))
-            fh.write(values.tobytes())
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+
+
+def write_qoi(path, values) -> None:
+    """Write a count-prefixed little-endian f64 vector, atomically (``_write_atomic``)."""
+    values = np.asarray(values, dtype="<f8").ravel()
+    _write_atomic(path, struct.pack("<Q", values.size) + values.tobytes())
 
 
 def read_qoi(path) -> np.ndarray:
@@ -135,11 +137,21 @@ def _parse_output(spec: External, index: int, sample_dir) -> np.ndarray:
     return values
 
 
+def _argv(command: str, sample_dir: Path, index: int) -> list:
+    """The command's tokens with the placeholders of one sample filled in."""
+    fields = {"params": str(sample_dir / "params.txt"), "dir": str(sample_dir), "index": str(index)}
+    argv = []
+    for token in shlex.split(command):
+        try:
+            argv.append(token.format(**fields))
+        except (LookupError, ValueError, AttributeError) as exc:
+            raise ValueError(f"command token {token!r} takes only {{params}}, {{dir}} and {{index}}: {exc!r}") from exc
+    return argv
+
+
 def _launch(spec: External, line: str, index: int, sample_dir: Path) -> None:
-    params = sample_dir / "params.txt"
-    params.write_bytes(line.encode())
-    fields = {"params": str(params), "dir": str(sample_dir), "index": str(index)}
-    argv = [token.format(**fields) for token in shlex.split(spec.command)]
+    (sample_dir / "params.txt").write_bytes(line.encode())
+    argv = _argv(spec.command, sample_dir, index)
     try:
         proc = subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True

@@ -88,7 +88,7 @@ class ParameterDomain:
         if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
             raise ValueError("domain bounds must be finite")
         if not np.all(lo < hi):
-            bad = int(np.argmin(hi - lo))
+            bad = int(np.argmin(lo < hi))  # the first; a width hi - lo can overflow
             raise ValueError(
                 f"dimension {bad} has empty interval [{lo[bad]}, {hi[bad]}]"
             )

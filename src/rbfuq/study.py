@@ -28,7 +28,7 @@ import numpy as np
 from .collocation import Regularization, SingularGramError, Tikhonov, TSVD, assemble_gram
 from .kernels import KernelSpec
 from .models import External, run_campaign
-from .models.external import _check_jobs
+from .models.external import _check_jobs, _write_atomic
 from .param_space import CollocationSet, ParameterDomain, halton_points
 from .quadrature import _level_nodes, cc_rule, estimate_mean, kernel_moments, moment_weights
 
@@ -385,29 +385,32 @@ def config_echo(value):
     return {"type": type(value).__name__.lower()}
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a header line, then one line per row with every cell in %.17g, Unix newlines."""
+    lines = [",".join(header), *(",".join(format(float(v), ".17g") for v in row) for row in rows)]
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def _write_json(path, value) -> None:
+    """Write ``value`` as JSON indented by 2, with a trailing newline."""
+    _write_atomic(path, (json.dumps(value, indent=2) + "\n").encode())
+
+
 def write_report(report: StudyReport, csv_path) -> tuple:
     """Write the error table as CSV plus a JSON metadata sidecar.
 
-    CSV: header ``collocationpoints`` then one column per kernel, values
-    in %.17g, Unix newlines.  The sidecar carries the config echo, fitted
+    CSV: header ``collocationpoints`` then one column per kernel, one row
+    per N (``_write_csv``).  The sidecar carries the config echo, fitted
     orders, fit windows, and wall time.
     """
     csv_path = os.fspath(csv_path)
-    lines = ["collocationpoints," + ",".join(report.columns)]
-    for i, n in enumerate(report.schedule):
-        cells = [str(n)]
-        cells += [format(report.errors[c][i], ".17g") for c in report.columns]
-        lines.append(",".join(cells))
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    sidecar = {
+    rows = zip(report.schedule, *(report.errors[c] for c in report.columns))
+    _write_csv(csv_path, ("collocationpoints", *report.columns), rows)
+    json_path = os.path.splitext(csv_path)[0] + ".json"
+    _write_json(json_path, {
         "config": report.config_echo,
         "orders": {c: report.orders[c] for c in report.columns},
         "fit_points": {c: list(report.fit_points[c]) for c in report.columns},
         "wall_time_s": report.wall_time,
-    }
-    json_path = os.path.splitext(csv_path)[0] + ".json"
-    with open(json_path, "w", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    })
     return csv_path, json_path

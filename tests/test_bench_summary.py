@@ -24,3 +24,26 @@ def test_machine_names_blas_threads_and_versions():
     assert record["blas"]["name"]
     assert set(record["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     assert {"python", "numpy", "scipy"} <= set(record)
+
+
+def test_verdict_is_worse_beyond_the_bound():
+    # medians 1.0 -> 1.3 on a lower-is-better metric: 30% worse, quartile spread 10%
+    result = bench_summary.verdict([0.9, 1.0, 1.0, 1.1], [1.2, 1.3, 1.3, 1.4], "lower", 0.25)
+    assert result["verdict"] == "worse" and result["bound"] == 0.25
+    assert abs(result["relative"] - 0.3) < 1e-12
+
+
+def test_verdict_is_within_the_bound_in_either_direction():
+    within = bench_summary.verdict([9.0, 10.0, 10.0, 11.0], [8.0, 9.0, 9.0, 10.0], "higher", 0.25)
+    assert within["verdict"] == "within" and abs(within["relative"] - 0.1) < 1e-12
+    better = bench_summary.verdict([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], "lower", 0.1)
+    assert better == {"relative": -0.5, "bound": 0.1, "verdict": "within"}
+
+
+def test_verdict_is_unresolved_when_the_base_spread_exceeds_the_bound():
+    # quartiles 0.6 and 1.0 around a median of 0.8: spread 50% against a bound of 25%
+    noisy = [0.4, 0.6, 0.8, 1.0, 1.2]
+    assert bench_summary.verdict(noisy, [0.8, 0.8, 0.8, 0.8, 0.8], "lower", 0.25)["verdict"] == "unresolved"
+    assert bench_summary.verdict(noisy, [2.0, 2.0, 2.0, 2.0, 2.0], "lower", 0.25)["verdict"] == "unresolved"
+    # unless every run of the other side is better than every base run
+    assert bench_summary.verdict(noisy, [0.3, 0.3, 0.35, 0.3, 0.3], "lower", 0.25)["verdict"] == "within"

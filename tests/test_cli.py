@@ -1,5 +1,8 @@
+import builtins
 import json
 import math
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -7,6 +10,8 @@ import numpy as np
 import pytest
 
 from rbfuq import (
+    ConfigError,
+    External,
     PoissonExact,
     assemble_gram,
     cc_rule,
@@ -16,6 +21,7 @@ from rbfuq import (
     kernel_moments,
     load_config,
     moment_weights,
+    parse_config,
     read_qoi,
 )
 from rbfuq.cli import EXIT_CONFIG, EXIT_EXTERNAL, EXIT_NUMERICAL, EXIT_OK, main
@@ -322,7 +328,7 @@ class TestReference:
         values = read_qoi(tmp_path / "out" / "reference.bin")
         assert np.array_equal(values, PoissonExact().exact_mean().values)
         meta = json.loads((tmp_path / "out" / "reference.json").read_text())
-        assert meta == {"kind": "exact", "m": 1089}
+        assert meta == {"reference": {"type": "referencespec", "kind": "exact", "n_max": None, "kernel": None}, "m": 1089}
 
     def test_exact_reference_dry_run_has_no_kernel_moments(self, tmp_path, capsys):
         data = {
@@ -390,7 +396,15 @@ class TestReference:
         values = read_qoi(tmp_path / "out" / "reference.bin")
         assert values.shape == (1,)
         meta = json.loads((tmp_path / "out" / "reference.json").read_text())
-        assert meta == {"kind": "kernel", "n_max": 32, "kernel": "gaussian", "m": 1}
+        kernel = {
+            "type": "kernelsetting",
+            "family": "gaussian",
+            "zeta": 1.0,
+            "epsilon": 2.0,
+            "regularization": {"type": "tikhonov", "eps_reg": 1e-12},
+            "label": None,
+        }
+        assert meta == {"reference": {"type": "referencespec", "kind": "kernel", "n_max": 32, "kernel": kernel}, "m": 1}
 
 
     def test_kernel_reference_matches_library(self, tmp_path):
@@ -435,6 +449,50 @@ def test_bundled_config_dry_runs_write_nothing(tmp_path, monkeypatch, capsys, na
         assert main([command, "--config", str(cfg), "--out", "out", "--dry-run"]) == EXIT_OK, command
         assert "samples: 0\n" not in capsys.readouterr().out, command
     assert _tree(tmp_path) == before
+
+
+class _HalfWrite:
+    """A file whose first write stores half its data, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "command,target",
+    [("study", "study.csv"), ("study", "study.json"), ("mean", "weights.csv"), ("reference", "reference.json")],
+)
+def test_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch, command, target):
+    run = {"kernels": [{"family": "gaussian"}], "schedule": [4, 8], "level": 3}
+    assert main([command, "--config", gfunction_cfg(tmp_path, n=4, **run)]) == EXIT_OK
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_open = builtins.open
+
+    def failing_open(name, mode="r", *args, **kwargs):
+        fh = real_open(name, mode, *args, **kwargs)
+        # the target, or a temporary file named after it
+        writes_target = "w" in mode and os.path.basename(os.fspath(name)).startswith(target)
+        return _HalfWrite(fh) if writes_target else fh
+
+    reference = {"kind": "kernel", "n_max": 8, "kernel": {"family": "gaussian"}}
+    cfg = gfunction_cfg(tmp_path, n=8, reference=reference, **run)
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="No space"):
+        main([command, "--config", cfg])
+    monkeypatch.undo()
+    assert (out / target).read_bytes() == before[target]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
 
 class TestValidate:
@@ -530,6 +588,28 @@ class TestExitCodes:
         data["domain"] = {"kind": "symmetric", "half_width": 1.0, "dim": 1}
         assert main(["mean", "--config", write_cfg(tmp_path, data)]) == EXIT_EXTERNAL
         assert "sample 0: params.txt reads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["{foo}", "{0}", "{"])
+    def test_unfillable_command_template_is_refused_before_any_launch(self, tmp_path, capsys, token):
+        command = f"{PY} {STUBS / 'constant_stub.py'} {{params}} {token}"
+        message = f"command token {re.escape(repr(token))} takes only"
+        with pytest.raises(ValueError, match=message):
+            External(command=command, root=str(tmp_path / "runs"))
+        data = {
+            "domain": {"kind": "unit", "dim": 1},
+            "model": {"kind": "external", "command": command, "root": str(tmp_path / "runs")},
+            "kernels": [{"family": "gaussian"}],
+            "out": str(tmp_path / "out"),
+            "n": 4,
+        }
+        with pytest.raises(ConfigError, match=f"^model: {message}"):
+            parse_config(data)
+        cfg = write_cfg(tmp_path, data)
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert main(["mean", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(re.match(f"config error: model: {message}", line) for line in err)
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sample", "mean", "study", "reference"])
     def test_output_below_a_file_is_refused_before_any_launch(self, tmp_path, capsys, command):

@@ -1,9 +1,13 @@
+import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbfuq import (
     MAX_DIM,
@@ -297,6 +301,12 @@ OWNED_RULES = {
         "domain",
         lambda: ParameterDomain.symmetric(0.0, 2),
     ),
+    # an empty interval whose width hi - lo overflows
+    "half_width -1e308": (
+        minimal(domain={"kind": "symmetric", "half_width": -1e308, "dim": 2}),
+        "domain",
+        lambda: ParameterDomain.symmetric(-1e308, 2),
+    ),
     "dim": (minimal(domain={"kind": "unit", "dim": 0}), "domain", lambda: ParameterDomain.unit(0)),
     "dim -1": (minimal(domain={"kind": "unit", "dim": -1}), "domain", lambda: ParameterDomain.unit(-1)),
     "symmetric dim -1": (
@@ -361,6 +371,17 @@ class TestOneOwnerPerRule:
             parse_config(minimal(domain={"kind": "unit", "dim": dim}))
         assert str(config.value) == f"domain: {owner.value}"
 
+    @pytest.mark.parametrize("domain", [{"kind": "unit"}, {"kind": "symmetric", "half_width": 1.0}])
+    def test_dimension_limit_is_checked_before_the_box_is_built(self, domain):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="exceeds the 64 available prime bases"):
+                parse_config(minimal(domain={**domain, "dim": 10**7}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_run_config_checks_n_jobs_and_out(self):
         cfg = parse_config(minimal())
         for key, value in (("n", -1), ("jobs", 0), ("out_dir", "")):
@@ -412,3 +433,42 @@ class TestLoadConfig:
         cfg = load_config(CONFIGS / name)
         if cfg.kernels and cfg.schedule:
             cfg.study()
+
+
+def _key_paths(value, path=()):
+    """Every key path of a decoded JSON document, the empty path of the whole included."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _key_paths(child, (*path, key))
+
+
+BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+KEY_PATHS = [(name, path) for name, doc in BUNDLED.items() for path in _key_paths(doc)]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**12), 10**12)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(KEY_PATHS), value=JSON_VALUES)
+def test_any_json_value_at_any_key_path_parses_or_is_a_config_error(case, value):
+    name, path = case
+    data = copy.deepcopy(BUNDLED[name])
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        data = value
+    try:
+        parse_config(data, base_dir=CONFIGS)
+    except ConfigError:
+        pass

@@ -93,10 +93,10 @@ class TestQoiFile:
         write_qoi(path, [1.0, 2.0])
         opened = []
 
-        class FailingSecondWrite:
+        class FailingWrite:  # the one write stops after the count header, as a full disk would
             def __init__(self, name, mode):
                 opened.append(str(name))
-                self.fh, self.writes = builtins.open(name, mode), 0
+                self.fh = builtins.open(name, mode)
 
             def __enter__(self):
                 return self
@@ -105,12 +105,10 @@ class TestQoiFile:
                 self.fh.close()
 
             def write(self, data):
-                self.writes += 1
-                if self.writes == 2:
-                    raise OSError(28, "No space left on device")
-                return self.fh.write(data)
+                self.fh.write(data[:8])
+                raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(external, "open", FailingSecondWrite, raising=False)
+        monkeypatch.setattr(external, "open", FailingWrite, raising=False)
         with pytest.raises(OSError, match="No space"):
             write_qoi(path, [3.0, 4.0, 5.0])
         monkeypatch.undo()

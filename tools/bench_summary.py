@@ -15,7 +15,8 @@ first on odd seeds.  The summary, written at the root of this
 repository, holds per side, workload and end-to-end metric of
 ``BENCHMARK.json``, the median, the quartiles and the run count; with two
 sides, how many seed pairs the second side won, tied and lost on each
-metric; every run's raw result; and the machine: nproc, the BLAS that
+metric, and a verdict on each by the no-regression rule (``verdict``);
+every run's raw result; and the machine: nproc, the BLAS that
 ``numpy.show_config()`` reports, the BLAS thread variables, and the
 Python, NumPy and SciPy versions.
 """
@@ -71,6 +72,26 @@ def pair_counts(base: list, other: list, better: str) -> dict:
     return {"won": sum(d > 0 for d in diffs), "tied": sum(d == 0 for d in diffs), "lost": sum(d < 0 for d in diffs)}
 
 
+def verdict(base: list, other: list, better: str, bound: float) -> dict:
+    """``other`` against ``base`` on one metric with the relative ``bound`` of ``BENCHMARK.json``.
+
+    ``relative`` is the signed change of the medians, positive when ``other``
+    is worse.  The verdict is ``unresolved`` when the quartile spread of
+    ``base``, (q3 - q1) / median, exceeds the bound, unless every run of
+    ``other`` is better than every run of ``base``; ``worse`` when
+    ``relative`` exceeds the bound; and ``within`` otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    stats = summary(base)
+    relative = sign * (statistics.median(other) - stats["median"]) / stats["median"]
+    all_better = max(sign * o for o in other) < min(sign * b for b in base)
+    if (stats["q3"] - stats["q1"]) / stats["median"] > bound and not all_better:
+        name = "unresolved"
+    else:
+        name = "worse" if relative > bound else "within"
+    return {"relative": relative, "bound": bound, "verdict": name}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
@@ -95,7 +116,7 @@ def main(argv=None) -> int:
                 raw[name].setdefault(workload, []).append(result)
                 print(f"{workload} seed {seed} {name}: {json.dumps(result['metrics'])}", file=sys.stderr)
 
-    report = {"machine": machine(), "seconds": seconds, "sides": {}, "pairs": {}}
+    report = {"machine": machine(), "seconds": seconds, "sides": {}, "pairs": {}, "verdicts": {}}
     for name, workloads in raw.items():
         report["sides"][name] = {}
         for workload, results in workloads.items():
@@ -111,15 +132,15 @@ def main(argv=None) -> int:
             }
     if len(sides) == 2:
         base, other = list(sides)
-        for workload, results in raw[base].items():
-            report["pairs"][workload] = {
-                m["name"]: pair_counts(
-                    [r["metrics"][m["name"]]["value"] for r in results],
-                    [r["metrics"][m["name"]]["value"] for r in raw[other][workload]],
-                    m["better"],
-                )
-                for m in end_to_end
-            }
+        for workload in raw[base]:
+            report["pairs"][workload], report["verdicts"][workload] = {}, {}
+            for m in end_to_end:
+                runs = [[r["metrics"][m["name"]]["value"] for r in raw[side][workload]] for side in (base, other)]
+                report["pairs"][workload][m["name"]] = pair_counts(*runs, m["better"])
+                result = verdict(*runs, m["better"], m["bound"])
+                report["verdicts"][workload][m["name"]] = result
+                print(f"{workload} {m['name']}: {result['verdict']} ({result['relative']:+.3f}, bound {m['bound']})",
+                      file=sys.stderr)
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
