@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,11 @@ def kl_log_field(y, x2, correlation_length: float):
     Both outputs broadcast over x2.
     """
     y = np.asarray(y, dtype=float).ravel()
-    coeffs = _kl_coefficients(y.size, x2, correlation_length)
+    return _kl_sum(y, _kl_coefficients(y.size, x2, correlation_length))
+
+
+def _kl_sum(y: np.ndarray, coeffs: list):
+    """(log_field, force) from the coefficients c_m(x2), one per entry of y."""
     log_field = 1.0 + y[0] * coeffs[0]
     for c, ym in zip(coeffs[1:], y[1:]):
         log_field = log_field + c * ym
@@ -152,9 +157,15 @@ class KLField:
         if not self.correlation_length > 0:
             raise ValueError(f"correlation_length must be positive, got {self.correlation_length}")
 
+    @cached_property  # built once per model, not once per sample
+    def _coefficients(self) -> list:
+        return _kl_coefficients(self.dim, self.grid.points()[:, -1], self.correlation_length)
+
     def evaluate(self, y) -> GridField:
-        x2 = self.grid.points()[:, -1]
-        _, force = kl_log_field(y, x2, self.correlation_length)
+        y = np.asarray(y, dtype=float).ravel()
+        if y.size != self.dim:
+            raise ValueError(f"KLField of dimension {self.dim} evaluated at a point of dimension {y.size}")
+        _, force = _kl_sum(y, self._coefficients)
         return GridField(grid=self.grid, values=force)
 
     @property
@@ -165,8 +176,7 @@ class KLField:
     def exact_mean(self) -> GridField:
         """Exact mean over y ~ U(-sqrt(3), sqrt(3))^D: the axes are independent, so it is
         e prod_m sinh(sqrt(3) c_m) / (sqrt(3) c_m) - 9.81, with a factor 1 where c_m(x2) = 0."""
-        x2 = self.grid.points()[:, -1]
-        a = math.sqrt(3.0) * np.abs(_kl_coefficients(self.dim, x2, self.correlation_length))
+        a = math.sqrt(3.0) * np.abs(self._coefficients)
         factors = np.ones_like(a)
         np.divide(np.sinh(a), a, out=factors, where=a > 0.0)
         return GridField(grid=self.grid, values=math.e * np.prod(factors, axis=0) - 9.81)

@@ -1,6 +1,7 @@
 """Uniform-grid fields used as vector-valued quantities of interest."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +42,7 @@ class GridSpec:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.counts, dtype=np.int64))
+        return math.prod(self.counts)
 
     def axes(self) -> tuple:
         return tuple(

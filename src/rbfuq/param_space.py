@@ -92,6 +92,14 @@ class ParameterDomain:
             raise ValueError(
                 f"dimension {bad} has empty interval [{lo[bad]}, {hi[bad]}]"
             )
+        with np.errstate(over="ignore"):
+            wide = np.isinf(hi - lo)
+        if np.any(wide):
+            bad = int(np.argmax(wide))
+            raise ValueError(
+                f"dimension {bad} has interval [{lo[bad]}, {hi[bad]}], "
+                "whose width overflows the float range"
+            )
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -2,6 +2,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
 spec = importlib.util.spec_from_file_location("bench_summary", SCRIPT)
 bench_summary = importlib.util.module_from_spec(spec)
@@ -47,3 +49,52 @@ def test_verdict_is_unresolved_when_the_base_spread_exceeds_the_bound():
     assert bench_summary.verdict(noisy, [2.0, 2.0, 2.0, 2.0, 2.0], "lower", 0.25)["verdict"] == "unresolved"
     # unless every run of the other side is better than every base run
     assert bench_summary.verdict(noisy, [0.3, 0.3, 0.35, 0.3, 0.3], "lower", 0.25)["verdict"] == "within"
+
+
+# ten seed pairs of a lower-is-better metric: parent quartiles 0.9625 and 1.0375
+PARENT = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.2, 0.8, 1.0]
+
+
+def test_claim_is_met_when_nine_of_ten_pairs_win_by_more_than_the_parent_spread():
+    change = [p - 0.3 for p in PARENT[:9]] + [PARENT[9] + 0.1]  # loses the last pair
+    result = bench_summary.claim(PARENT, change, "lower")
+    assert result["won"] == 9 and result["pairs"] == 10 and result["met"]
+    assert abs(result["difference"] - 0.3) < 1e-12 and abs(result["parent_iqr"] - 0.075) < 1e-12
+
+
+def test_claim_is_not_met_with_eight_wins_or_a_small_difference():
+    eight = [p - 0.3 for p in PARENT[:8]] + [p + 0.1 for p in PARENT[8:]]
+    assert bench_summary.claim(PARENT, eight, "lower")["won"] == 8
+    assert not bench_summary.claim(PARENT, eight, "lower")["met"]
+    small = [p - 0.05 for p in PARENT]  # wins every pair, by less than q3 - q1 = 0.075
+    result = bench_summary.claim(PARENT, small, "lower")
+    assert result["won"] == 10 and not result["met"]
+
+
+def test_claim_ties_count_for_neither_side():
+    nine = [p - 0.3 for p in PARENT[:9]] + PARENT[9:]
+    assert bench_summary.claim(PARENT, nine, "lower")["met"]
+    eight = [p - 0.3 for p in PARENT[:8]] + PARENT[8:]
+    result = bench_summary.claim(PARENT, eight, "lower")
+    assert result["won"] == 8 and not result["met"]
+
+
+def test_claim_follows_the_better_direction():
+    higher = [p + 0.3 for p in PARENT]
+    assert bench_summary.claim(PARENT, higher, "higher")["met"]
+    assert not bench_summary.claim(PARENT, higher, "lower")["met"]
+    assert bench_summary.claim(PARENT, higher, "lower")["difference"] < 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--claim", "kernels:run_s", "kernels:1"],  # one side
+        ["--side", "a=.", "--side", "b=.", "--claim", "rerun:run_s", "kernels:1"],  # not run
+        ["--side", "a=.", "--side", "b=.", "--claim", "kernels:speed", "kernels:1"],  # no such metric
+    ],
+)
+def test_claim_refuses_what_it_cannot_judge_before_any_run(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_summary.main(["--tag", "unused", *argv])
+    assert exit_info.value.code == 2

@@ -307,6 +307,12 @@ OWNED_RULES = {
         "domain",
         lambda: ParameterDomain.symmetric(-1e308, 2),
     ),
+    # finite bounds whose width hi - lo overflows
+    "half_width 1e308": (
+        minimal(domain={"kind": "symmetric", "half_width": 1e308, "dim": 2}),
+        "domain",
+        lambda: ParameterDomain.symmetric(1e308, 2),
+    ),
     "dim": (minimal(domain={"kind": "unit", "dim": 0}), "domain", lambda: ParameterDomain.unit(0)),
     "dim -1": (minimal(domain={"kind": "unit", "dim": -1}), "domain", lambda: ParameterDomain.unit(-1)),
     "symmetric dim -1": (

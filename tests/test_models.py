@@ -220,6 +220,11 @@ class TestKL:
         _, force = kl_log_field(np.array([0.1, -0.2, 0.3, 0.4]), x2, 0.5)
         assert np.array_equal(field.values, force)
 
+    def test_model_refuses_a_point_of_another_dimension(self):
+        # the model's coefficients are built once, for its own dimension
+        with pytest.raises(ValueError, match="KLField of dimension 4 evaluated at a point of dimension 3"):
+            KLField(dim=4).evaluate(np.zeros(3))
+
     @pytest.mark.parametrize("lc", [0.5, 2.0])
     def test_exact_mean_against_per_axis_quadrature(self, lc):
         # E[exp(c y)] for y ~ U(-sqrt 3, sqrt 3), one mpmath.quad per axis and grid point

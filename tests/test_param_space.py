@@ -73,6 +73,14 @@ class TestParameterDomain:
         with pytest.raises(ValueError):
             ParameterDomain([0.0], [np.inf])
 
+    def test_rejects_a_width_that_overflows(self):
+        # finite bounds, but hi - lo is inf: the Halton points would all be inf
+        with pytest.raises(ValueError, match=r"^dimension 0 has interval \[-1e\+308, 1e\+308\], whose width overflows"):
+            ParameterDomain.symmetric(1e308, 2)
+        with pytest.raises(ValueError, match="^dimension 1 has"):
+            ParameterDomain([0.0, -1e308, -1e308], [1.0, 1e308, 1e308])
+        assert ParameterDomain([-8e307], [8e307]).lengths[0] == 1.6e308
+
 
 class TestHaltonPoints:
     def test_first_point_matches_radical_inverses(self):

@@ -501,6 +501,30 @@ def _mixture_oracle(mpmath, family, bounds, centre, lam):
     return float(total / mpmath.gamma(nu)) / math.prod(hi - lo for lo, hi in bounds)
 
 
+def _three_branch_moments(spec, pts, domain):
+    """``_gaussian_moments`` with all three erf differences computed on
+    every entry and one picked by np.where, in one batch."""
+    from scipy.special import erf, erfc
+
+    sigma, coeff = _gaussian_terms(spec, domain)
+    with np.errstate(over="ignore"):
+        lam = sigma * spec.zeta
+    dead = np.isinf(lam)
+    lam[dead] = 1.0
+    coeff = np.where(dead, 0.0, coeff)
+    lam = lam[:, None]
+    with np.errstate(over="ignore"):
+        lo = (domain.lower - pts[:, None]) * lam
+        hi = (domain.upper - pts[:, None]) * lam
+    diff = np.where(
+        lo > 0.5,
+        erfc(lo) - erfc(hi),
+        np.where(hi < -0.5, erfc(-hi) - erfc(-lo), erf(hi) - erf(lo)),
+    )
+    terms = np.prod(diff * (math.sqrt(math.pi) / 2.0 / lam), axis=2)
+    return np.sum(terms * coeff, axis=1) / domain.volume
+
+
 class TestScaleMixtures:
     """Gaussian and Matern moments from the erf products of Gaussian terms."""
 
@@ -571,6 +595,19 @@ class TestScaleMixtures:
             with mpmath.workdps(30):
                 exact = _mixture_oracle(mpmath, family, bounds, c, lam)
             assert abs(bc - exact) <= 1e-13 * exact, f"centre {c}: {bc!r} vs {exact!r}"
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    @pytest.mark.parametrize("family", ["gaussian", "matern12", "matern32"])
+    def test_one_erf_branch_per_entry_is_bitwise_the_three_branch_formula(self, family, dim):
+        dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        inside = halton_points(dom, 9).points
+        centres = np.vstack([inside, inside + 2.5, inside - 4.0, dom.lower, dom.upper])
+        for zeta in (1e-3, 1.0, 1e3, 1e300):  # at 1e300 some terms are dead
+            spec = KernelSpec(family, dim, zeta=zeta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = quadrature._gaussian_moments(spec, centres, dom)
+            assert np.array_equal(got, _three_branch_moments(spec, centres, dom)), zeta
 
     @pytest.mark.parametrize("family", ["gaussian", "matern12", "matern32"])
     def test_level_does_not_matter(self, family):
@@ -645,15 +682,107 @@ class TestRadialMoments:
 
 
 @functools.lru_cache(maxsize=None)
-def _exact_radial_moments(family, dim):
-    """M_1 and M_2 of a Wendland profile on [0, 1] for mpmath, from the
-    rational polynomial through ``_oracle_profile`` at 20 rational nodes
-    (every profile here has degree at most 13, so it is exact)."""
+def _oracle_moments(family, dim):
+    """The symbol r and M_0, M_1, M_2 of a Wendland profile on [0, 1] as
+    exact sympy polynomials, from the rational polynomial through
+    ``_oracle_profile`` at 20 rational nodes (every profile here has degree
+    at most 13, so it is exact)."""
     sympy = pytest.importorskip("sympy")
     r = sympy.Symbol("r")
     nodes = [sympy.Rational(i, 19) for i in range(20)]
     phi = sympy.interpolate([(t, _oracle_profile(sympy, family, dim, t)) for t in nodes], r)
-    return tuple(sympy.lambdify(r, sympy.integrate(r ** j * phi, r), "mpmath") for j in (1, 2))
+    return r, tuple(sympy.integrate(r ** j * phi, (r, 0, r)) for j in (0, 1, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _rounded_polynomial(family, dim, j):
+    """M_j (j >= 0) or K = M_1 - M_2 / r (j = None) of ``_oracle_moments``,
+    as a callable that evaluates it at each float in exact integer
+    arithmetic and rounds once, so its values are correctly rounded; arrays
+    keep their shape."""
+    sympy = pytest.importorskip("sympy")
+    r, moment = _oracle_moments(family, dim)
+    poly = moment[j] if j is not None else sympy.cancel(moment[1] - moment[2] / r)
+    coeffs = sympy.Poly(poly, r).all_coeffs()  # highest power first
+    den = math.lcm(*(int(c.q) for c in coeffs))
+    ints = [int(c.p) * (den // int(c.q)) for c in coeffs]
+
+    def value(x):
+        # x = m / e exactly; the polynomial is sum_i ints[i] m^(N-i) e^i / (den e^N)
+        m, e = float(x).as_integer_ratio()
+        acc = 0
+        for i, a in enumerate(ints):
+            acc = acc * m + a * e ** i
+        return acc / (den * e ** (len(ints) - 1))  # integer division rounds correctly
+
+    return np.vectorize(value, otypes=[float])
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_radial_moments(family, dim):
+    """M_1 and M_2 of ``_oracle_moments`` for mpmath."""
+    sympy = pytest.importorskip("sympy")
+    r, moment = _oracle_moments(family, dim)
+    return tuple(sympy.lambdify(r, moment[j], "mpmath") for j in (1, 2))
+
+
+class TestExactPolynomials:
+    """The Wendland radial polynomials at the rounding level, from their
+    exact rational coefficients."""
+
+    @pytest.mark.parametrize("box", ["unit", "symmetric"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_moments_against_exact_polynomials(self, monkeypatch, family, dim, box):
+        # the same reduction with M_j and K correctly rounded from the exact
+        # rationals; the reduction itself is checked by the triangle and edge
+        # oracles of TestClosedFormSegments
+        if box == "unit":
+            dom = ParameterDomain.unit(dim)
+        else:
+            dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        centres, rule = halton_points(dom, 6), cc_rule(dom, 1)
+        zetas = (1e-4, 1e-2, 0.3, 1.0, 3.0, 1e4)
+        got = [kernel_moments(KernelSpec(family, dim, zeta=z), centres, rule) for z in zetas]
+        monkeypatch.setattr(quadrature, "_wendland_moment", _rounded_polynomial)
+        monkeypatch.setattr(quadrature, "_wendland_k", lambda f, d: _rounded_polynomial(f, d, None))
+        for zeta, b in zip(zetas, got):
+            ref = kernel_moments(KernelSpec(family, dim, zeta=zeta), centres, rule)
+            err = np.max(np.abs(b - ref) / ref)
+            assert err <= 1e-13, f"zeta {zeta}: {err:.2e}"
+
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_values_at_the_support_radius(self, family):
+        # every outer closed form in D = 3 multiplies K(1) and M_2(1)
+        sympy = pytest.importorskip("sympy")
+        r, moment = _oracle_moments(family, 3)
+        m1, m2 = (moment[j].subs(r, 1) for j in (1, 2))
+        for got, exact in (
+            (quadrature._wendland_k(family, 3)(1.0), m1 - m2),
+            (quadrature._wendland_moment(family, 3, 2)(1.0), m2),
+        ):
+            assert abs(sympy.Rational(float(got)) - exact) <= sympy.Rational(2, 10 ** 17), (got, exact)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_derivative_of_m0_is_the_profile(self, family, dim):
+        # one Wendland polynomial: the rational one behind the moments and
+        # the float one of KernelSpec.profile agree
+        from fractions import Fraction
+
+        coeffs = quadrature._exact_moment(family, dim, 0)  # M_0 = r sum_n p_n r^n
+        r = np.linspace(0.0, 1.0, 101)
+        exact = [float(sum((n + 1) * p * Fraction(x) ** n for n, p in enumerate(coeffs))) for x in r]
+        err = np.abs(KernelSpec(family, dim).profile(r) - exact)
+        assert np.max(err) <= 1e-15, f"r = {r[np.argmax(err)]}: off by {np.max(err):.2e}"
+
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_shape_in_is_shape_out(self, family):
+        m1, k = quadrature._wendland_moment(family, 3, 1), quadrature._wendland_k(family, 3)
+        assert np.ndim(m1(0.5)) == 0 and np.ndim(k(0.5)) == 0
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert m1(grid).shape == k(grid).shape == (3, 4)
+        assert np.array_equal(m1(grid)[1], m1(grid[1]))
 
 
 def _angular_oracle(mp, f, x, y, kink2):

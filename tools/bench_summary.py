@@ -19,6 +19,12 @@ metric, and a verdict on each by the no-regression rule (``verdict``);
 every run's raw result; and the machine: nproc, the BLAS that
 ``numpy.show_config()`` reports, the BLAS thread variables, and the
 Python, NumPy and SciPy versions.
+
+``--claim WORKLOAD:METRIC`` (two sides only) also applies the gain rule
+to one metric (``claim``): the second side must win at least 9 of every
+10 seed pairs, and its median must beat the first side's by more than
+the first side's quartile spread q3 - q1.  The result goes into the
+summary as ``claim`` and is printed as ``met`` or ``not met``.
 """
 from __future__ import annotations
 
@@ -92,11 +98,30 @@ def verdict(base: list, other: list, better: str, bound: float) -> dict:
     return {"relative": relative, "bound": bound, "verdict": name}
 
 
+def claim(base: list, other: list, better: str) -> dict:
+    """The gain rule for ``other`` against ``base`` on one metric.
+
+    ``won`` counts the seed pairs ``other`` won; a tie counts for neither
+    side, so it is a pair not won.  ``difference`` is the change of the
+    medians in the metric's better direction, positive when ``other`` is
+    better.  The claim is ``met`` when ``other`` won at least 9 of every
+    10 pairs and ``difference`` exceeds ``base``'s q3 - q1.
+    """
+    won = pair_counts(base, other, better)["won"]
+    sign = 1.0 if better == "lower" else -1.0
+    stats = summary(base)
+    difference = sign * (stats["median"] - statistics.median(other))
+    parent_iqr = stats["q3"] - stats["q1"]
+    met = 10 * won >= 9 * len(base) and difference > parent_iqr
+    return {"won": won, "pairs": len(base), "difference": difference, "parent_iqr": parent_iqr, "met": met}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
     parser.add_argument("--side", action="append", default=[], metavar="NAME=DIR")
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="apply the gain rule to one metric")
     parser.add_argument("runs", nargs="+", metavar="WORKLOAD:COUNT")
     args = parser.parse_args(argv)
     sides = dict(side.split("=", 1) for side in args.side) or {"change": str(ROOT)}
@@ -105,6 +130,14 @@ def main(argv=None) -> int:
         parser.error("give at most two sides")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    if args.claim:
+        claimed_workload, _, claimed_metric = args.claim.partition(":")
+        if len(sides) != 2:
+            parser.error("--claim needs two sides")
+        if claimed_workload not in {spec.partition(":")[0] for spec in args.runs}:
+            parser.error(f"--claim names workload {claimed_workload!r}, which is not run")
+        if claimed_metric not in {m["name"] for m in end_to_end}:
+            parser.error(f"--claim names {claimed_metric!r}, not an end-to-end metric of BENCHMARK.json")
 
     raw = {name: {} for name in sides}
     for spec in args.runs:
@@ -141,6 +174,13 @@ def main(argv=None) -> int:
                 report["verdicts"][workload][m["name"]] = result
                 print(f"{workload} {m['name']}: {result['verdict']} ({result['relative']:+.3f}, bound {m['bound']})",
                       file=sys.stderr)
+    if args.claim:
+        base, other = list(sides)
+        better = next(m["better"] for m in end_to_end if m["name"] == claimed_metric)
+        runs = [[r["metrics"][claimed_metric]["value"] for r in raw[side][claimed_workload]] for side in (base, other)]
+        report["claim"] = {"workload": claimed_workload, "metric": claimed_metric, **claim(*runs, better)}
+        print(f"claim {args.claim}: {'met' if report['claim']['met'] else 'not met'} "
+              f"(won {report['claim']['won']} of {report['claim']['pairs']})")
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
