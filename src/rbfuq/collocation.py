@@ -91,12 +91,14 @@ class GramMatrix:
     """Dense symmetric kernel matrix over a collocation set.
 
     The pairwise distances are bitwise symmetric with a zero diagonal, so
-    the kernel values are too; the diagonal is then set to the kernel's
-    value at zero distance.  ``values`` may be a view, such as the
-    leading block of a larger Gram matrix over a nested point set; such a
-    block keeps ``cholesky``, the factor of the larger one (``factored``),
-    which its plain or Tikhonov solves with that factor's regularization
-    use.  The eigenpairs its TSVD solves use are computed once and kept.
+    the kernel values are too: ``assemble_gram`` evaluates each pair once
+    and mirrors it, which gives bitwise the matrix of evaluating both.
+    The diagonal is then set to the kernel's value at zero distance.
+    ``values`` may be a view, such as the leading block of a larger Gram
+    matrix over a nested point set; such a block keeps ``cholesky``, the
+    factor of the larger one (``factored``), which its plain or Tikhonov
+    solves with that factor's regularization use.  The eigenpairs its
+    TSVD solves use are computed once and kept.
     """
 
     values: np.ndarray
@@ -180,14 +182,37 @@ class Interpolant:
         return k @ self.coefficients
 
 
+# Entries per row block of the Gram matrix's upper triangle.  On a 2-CPU
+# Xeon, against evaluating every pair: wendland3 43 ms instead of 59 ms in
+# 1-D at N = 2048, 196 instead of 278 ms in D = 3 at N = 4096, where the
+# cheap gaussian and wendland0 profiles break even.  Blocks of 2^15
+# entries were up to 25% slower for those, and 2^19 slower for all.
+_GRAM_BLOCK_ENTRIES = 2 ** 17
+
+
 def assemble_gram(spec: KernelSpec, points: CollocationSet) -> GramMatrix:
     """Assemble the kernel interpolation matrix for a collocation set.
 
-    Duplicate points produce a warning only; the downstream solve may then
-    be singular unless regularization is applied.
+    Each pair is evaluated once.  The matrix is filled by blocks of rows
+    [s, e) against the columns from s on, about ``_GRAM_BLOCK_ENTRIES``
+    entries each: a block goes in as it is, and its part right of the
+    diagonal block goes in transposed below it.  The pairwise distances
+    are bitwise symmetric, so this is bitwise the matrix of evaluating
+    every pair, at about half the kernel evaluations, and the only
+    temporaries beside the matrix are one block's.  Duplicate points
+    produce a warning only; the downstream solve may then be singular
+    unless regularization is applied.
     """
     pts = points.points
-    values = kernel_matrix(spec, pts, pts)  # refuses points of another dimension
+    n = pts.shape[0]
+    values = np.empty((n, n))
+    s = 0
+    while s < n:
+        e = min(n, s + max(1, _GRAM_BLOCK_ENTRIES // (n - s)))
+        block = kernel_matrix(spec, pts[s:e], pts[s:])  # refuses points of another dimension
+        values[s:e, s:] = block
+        values[e:, s:e] = block[:, e - s :].T
+        s = e
     if len(np.unique(pts, axis=0)) < pts.shape[0]:
         warnings.warn(
             "collocation set contains duplicate points; the unregularized "

@@ -122,6 +122,17 @@ def _wendland(r: np.ndarray, dim: int, k: int) -> np.ndarray:
     return base
 
 
+def _point_rows(points) -> np.ndarray:
+    """points as a float array with one point per row; any other shape is
+    refused by name, so that a flat array of 1-D points is not misread."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(
+            f"points must be a 2-D array with one point per row, got an array of shape {points.shape}"
+        )
+    return points
+
+
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of kernel values between two point arrays (rows of a and b).
 
@@ -129,8 +140,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matrix, about ``_PROFILE_BLOCK_ENTRIES`` entries each, so that its
     temporaries stay cache-sized instead of doubling the result's memory.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _point_rows(a), _point_rows(b)
     if a.shape[1] != spec.dim or b.shape[1] != spec.dim:
         raise ValueError(
             f"kernel of dimension {spec.dim} applied to point arrays of "

@@ -39,7 +39,13 @@ come from one of two exact engines, by family:
   and its integral is a closed form in arctangents, with no nodes.  In
   D >= 4 the faces take a tensor GL rule in the same sinh coordinates
   that does not split the support sphere, so there the convergence is
-  algebraic.
+  algebraic.  Only the polynomials differ between the Wendland
+  families: the extents, segment splits, nodes, distances and
+  arctangent spans depend on the centres, the box and zeta alone.  So
+  the reduction takes a tuple of families and, per batch of centres,
+  builds that geometry once and evaluates each family's polynomials on
+  it in turn, with the same operations as on its own; one family is
+  the one-element case, and each row is bitwise that family's vector.
 
 In D <= 3 every inner segment has ``_SEGMENT_NODES`` = 33 nodes at
 every level, already at the rounding floor, so the moments do not
@@ -68,7 +74,7 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .collocation import GramMatrix, Regularization, _factorize
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _point_rows
 from .param_space import CollocationSet, ParameterDomain
 
 # Bound on array entries per batch of centres, so memory stays flat in N.
@@ -322,12 +328,6 @@ def _wendland_k(family: str, dim: int) -> partial:
     return _shifted(2, tuple(a - b for a, b in zip(m1, m2)))
 
 
-def _radial_moment(unit: KernelSpec, j: int, r: np.ndarray) -> np.ndarray:
-    """M_j(r) = integral_0^r s^j phi(s) ds for the unit-scale Wendland
-    profile phi; it stays at M_j(1) beyond the support."""
-    return _wendland_moment(unit.family, unit.dim, j)(np.minimum(r, 1.0))
-
-
 def _atan_span(x, lo, hi) -> np.ndarray:
     """atan(hi / x) - atan(lo / x) for x > 0 and 0 <= lo <= hi, as one
     arctan2 that forms neither quotient, so x may be tiny."""
@@ -335,25 +335,27 @@ def _atan_span(x, lo, hi) -> np.ndarray:
 
 
 def _edge_integral(x, y, kink2, inner, outer, q: int) -> np.ndarray:
-    """integral_0^asinh(y/x) f(x cosh s) / cosh s ds, per row.
+    """integral_0^asinh(y/x) f(x cosh s) / cosh s ds, one row per family.
 
     This is the angular integral over a right triangle with its apex at
     the origin, legs x (to the far edge) and y (along it), of a function
-    f of the distance x cosh s to the far edge's points.  The variable s
+    f of the distance x cosh s to the far edge's points, for each of
+    several families of f that share the triangles.  The variable s
     stays smooth however small x is relative to y.  f has a kink where
     that distance reaches sqrt(kink2), at the offset p = sqrt(kink2 - x^2)
     along the edge (0 when x is beyond it, y when the edge ends first).
-    On the inner segment [0, asinh(p/x)] a GL rule of q nodes samples
-    inner(distances, rows), shape (live, q), only for the rows where
-    that segment has positive width; inner may overwrite the distances,
-    and its result, a new array, is weighted in place, so that few large
-    temporaries are made.  Beyond the kink f is elementary,
-    and outer(x, p, y) gives its integral from offset p to y in closed
-    form, in u = sinh s = offset / x with ds / cosh s = du / (1 + u^2);
-    it must vanish where p = y.  Rows with x below the smallest normal
-    float are empty: their integral is below x y, and p / x could pass
-    the float range.  Each row adds its q nodes in the same order
-    whatever the batch around it.
+    On the inner segment [0, asinh(p/x)] a GL rule of q nodes samples f
+    only for the rows where that segment has positive width: the nodes
+    are placed once, and inner(distances, rows) may overwrite the
+    distances, shape (live, q), and then yields each family's values at
+    them, a new array each, which is weighted in place and summed before
+    the next family's is made.  Beyond the kink f is elementary, and
+    outer(x, p, y) gives its integral from offset p to y in closed form,
+    one row per family, in u = sinh s = offset / x with
+    ds / cosh s = du / (1 + u^2); it must vanish where p = y.  Rows with
+    x below the smallest normal float are empty: their integral is below
+    x y, and p / x could pass the float range.  Each row adds its q nodes
+    in the same order whatever the batch or the families around it.
     """
     live = x >= np.finfo(float).tiny
     x = np.where(live, x, 1.0)
@@ -365,23 +367,31 @@ def _edge_integral(x, y, kink2, inner, outer, q: int) -> np.ndarray:
     c = width[rows, None] * t
     np.cosh(c, out=c)
     total = outer(x, mid, y)
-    vals = inner(x[rows, None] * c, rows)
-    vals /= c
-    vals *= w
-    total[rows] += np.sum(vals, axis=1) * width[rows]
+    for f, vals in enumerate(inner(x[rows, None] * c, rows)):
+        vals /= c
+        vals *= w
+        total[f, rows] += np.sum(vals, axis=1) * width[rows]
     return total
 
 
-def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
-    """integral over [0, b] of h H(R) / R^D dp with R^2 = h^2 + |p|^2, per row.
+@np.errstate(over="ignore", invalid="ignore")
+def _face_integral(families: tuple, h, b, q: int) -> np.ndarray:
+    """integral over [0, b] of h H(R) / R^D dp with R^2 = h^2 + |p|^2, one
+    row per family.
 
     Tensor GL rule of order q per axis in the coordinates p_j = h sinh s_j,
     where the integrand is H(h rho) prod_j cosh(s_j) / rho^D with
     rho^2 = 1 + sum_j sinh(s_j)^2.  The trailing face axes, as many as
     fit in ``_BATCH_ENTRIES`` entries, are broadcast, and the leading
     ones are looped over; when the whole grid fits, the loop runs once.
+    Each slice of the grid is built once, and each family's H is
+    evaluated and summed on it in turn.  A face so near the centre that
+    its coordinates s_j pass the float range (h below about 1e-38 b in
+    D <= 8) holds under h prod(b) / D of the integral, and counts as
+    empty, as a face at h = 0 does.
     """
-    dim = unit.dim
+    dim = b.shape[1] + 1
+    moments = [_wendland_moment(family, dim, dim - 1) for family in families]
     live = h > 0
     h = np.where(live, h, 1.0)
     top = np.where(live[:, None], np.arcsinh(b / h[:, None]), 0.0)
@@ -394,7 +404,7 @@ def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
         lead += 1
     trail = dim - 1 - lead
     height = h.reshape((-1,) + (1,) * trail)
-    total = 0.0
+    total = np.zeros((len(families), h.size))
     for node in itertools.product(range(q), repeat=lead):
         # the same additions and products, in the same order, as on the full grid
         grid_sinh2 = np.zeros((h.size,) + (1,) * trail)
@@ -409,28 +419,37 @@ def _face_integral(unit: KernelSpec, h, b, q: int) -> np.ndarray:
             grid_sinh2 = grid_sinh2 + sinh2[:, d, axis].reshape(shape)
             grid_jac = grid_jac * jac[:, d, axis].reshape(shape)
         rho = np.sqrt(1.0 + grid_sinh2)
-        vals = _radial_moment(unit, dim - 1, height * rho) * grid_jac / rho ** dim
-        total = total + vals.reshape(h.size, -1).sum(axis=1)
+        radius = np.minimum(height * rho, 1.0)  # H stays at H(1) beyond the support
+        rho_d = rho ** dim
+        for row, moment in zip(total, moments):
+            vals = moment(radius)
+            vals *= grid_jac
+            vals /= rho_d
+            row += vals.reshape(h.size, -1).sum(axis=1)
+    total[~np.isfinite(total)] = 0.0
     return total
 
 
-def _edge_term(unit: KernelSpec, h, y, q: int) -> np.ndarray:
-    """D = 2 integral over an edge at distance h of h H(R) / R^2, from its foot to y.
+def _edge_term(families: tuple, h, y, q: int) -> np.ndarray:
+    """D = 2 integral over an edge at distance h of h H(R) / R^2, from its
+    foot to y, one row per family.
 
     With offset h sinh s along the edge, this is the integral of
     M_1(h cosh s) / cosh s: the polynomial M_1 inside the support
     circle, and M_1(1) [atan u] in closed form beyond it.
     """
-    m1 = _wendland_moment(unit.family, unit.dim, 1)
+    m1 = [_wendland_moment(family, 2, 1) for family in families]
+    ends = np.array([m(1.0) for m in m1])[:, None]
     return _edge_integral(
-        h, y, 1.0, lambda r, rows: m1(r), lambda x, lo, hi: m1(1.0) * _atan_span(x, lo, hi), q
+        h, y, 1.0, lambda r, rows: (m(r) for m in m1), lambda x, lo, hi: ends * _atan_span(x, lo, hi), q
     )
 
 
-def _foot_triangle(unit: KernelSpec, h, x, y, q: int) -> np.ndarray:
+def _foot_triangle(families: tuple, h, x, y, q: int) -> np.ndarray:
     """D = 3 integral of h H(R) / R^3 over a right triangle of a face at
     distance h, with its apex at the foot (the face corner nearest the
-    centre) and legs x (to the far edge) and y (along it).
+    centre) and legs x (to the far edge) and y (along it), one row per
+    family.
 
     In polar coordinates about the foot, R dR = rho drho turns the radial
     direction into h (K(R) - K(h)) with K' = H / R^2, which integration by
@@ -440,21 +459,24 @@ def _foot_triangle(unit: KernelSpec, h, x, y, q: int) -> np.ndarray:
     K(R) = K(1) + M_2(1) (1 - 1/R), so the outer part is
     h (K(1) + M_2(1) - K(h)) [atan u] - M_2(1) [atan(h u / R)], by
     integral du / ((1 + u^2) R) = atan(h u / R) / h.  At offset p along
-    the edge, u = p / x and R^2 = h^2 + x^2 + p^2.
+    the edge, u = p / x and R^2 = h^2 + x^2 + p^2.  The distances R and
+    both arctangent spans are computed once for all families.
     """
-    k = _wendland_k(unit.family, unit.dim)
-    m2_end = _wendland_moment(unit.family, unit.dim, 2)(1.0)
-    k_h = k(h)
-    flat = h * (k(1.0) + m2_end - k_h)
+    k = [_wendland_k(family, 3) for family in families]
+    m2_end = np.array([_wendland_moment(family, 3, 2)(1.0) for family in families])[:, None]
+    k_h = [kf(h) for kf in k]
+    flat = np.array([h * (kf(1.0) + m2 - kh) for kf, m2, kh in zip(k, m2_end[:, 0], k_h)])
 
     def inner(rho, rows):
         height = h[rows, None]
         rho *= rho
         rho += height * height
-        out = k(np.sqrt(rho, out=rho))
-        out -= k_h[rows, None]
-        out *= height
-        return out
+        radius = np.sqrt(rho, out=rho)
+        for kf, kh in zip(k, k_h):
+            out = kf(radius)
+            out -= kh[rows, None]
+            out *= height
+            yield out
 
     def outer(x, lo, hi):
         def angle(p):
@@ -464,28 +486,32 @@ def _foot_triangle(unit: KernelSpec, h, x, y, q: int) -> np.ndarray:
     return _edge_integral(x, y, 1.0 - h * h, inner, outer, q)
 
 
-def _orthant_integrals(unit: KernelSpec, a: np.ndarray, q: int) -> np.ndarray:
-    """integral over [0, a_1] x ... x [0, a_D] of phi(|u|) du, per row of a.
+def _orthant_integrals(families: tuple, a: np.ndarray, q: int) -> np.ndarray:
+    """integral over [0, a_1] x ... x [0, a_D] of phi(|u|) du, per row of a,
+    one row per Wendland family phi in D = a.shape[1].
 
     The orthant is the union of D pyramids with apex at the origin, one
     per far face u_k = a_k; with u = t p for p on that face, the radial
     direction t integrates to the face integral of a_k H(|p|) / |p|^D.
-    In D = 3 each face splits at its foot into two right triangles.
+    In D = 3 each face splits at its foot into two right triangles.  The
+    geometry is shared: each family evaluates its own polynomials on the
+    same nodes, with the same operations as on its own.
     """
     dim = a.shape[1]
     if dim == 1:
-        return _radial_moment(unit, 0, a[:, 0])
-    total = np.zeros(a.shape[0])
+        r = np.minimum(a[:, 0], 1.0)  # M_0 stays at M_0(1) beyond the support
+        return np.array([_wendland_moment(family, 1, 0)(r) for family in families])
+    total = np.zeros((len(families), a.shape[0]))
     for k in range(dim):
         h, face = a[:, k], np.delete(a, k, axis=1)
         if dim == 2:
-            total += _edge_term(unit, h, face[:, 0], q)
+            total += _edge_term(families, h, face[:, 0], q)
         elif dim == 3:
-            total += _foot_triangle(unit, h, face[:, 0], face[:, 1], q) + _foot_triangle(
-                unit, h, face[:, 1], face[:, 0], q
+            total += _foot_triangle(families, h, face[:, 0], face[:, 1], q) + _foot_triangle(
+                families, h, face[:, 1], face[:, 0], q
             )
         else:
-            total += _face_integral(unit, h, face, q)
+            total += _face_integral(families, h, face, q)
     return total
 
 
@@ -532,7 +558,7 @@ def _moment_plan(family: str, dim: int, level: int) -> str:
 
 
 def kernel_moments(
-    spec: KernelSpec, points: CollocationSet, rule: TensorRule
+    spec: KernelSpec, points: CollocationSet, rule: TensorRule, *, more: tuple | None = None
 ) -> np.ndarray:
     """Kernel moment vector b_j = integral k(y, y_j) rho(y) dy over the box.
 
@@ -549,13 +575,28 @@ def kernel_moments(
     batches and large face rules in slices of about ``_BATCH_ENTRIES`` entries, so
     memory does not grow with the number of centres.  Centres outside
     the box are allowed.
+
+    ``more`` names further Wendland kernels of ``spec``'s dimension and
+    norm scale (``spec`` itself must be Wendland then): all of them share
+    one pass of the radial reduction, which builds the geometry once and
+    evaluates each family's polynomials on it, and the result has one
+    row per kernel, ``spec`` first.  Each row is bitwise the vector of a
+    call for that kernel alone.
     """
-    pts = points.points if isinstance(points, CollocationSet) else np.asarray(points)
+    pts = _point_rows(points.points if isinstance(points, CollocationSet) else points)
     dim = rule.domain.dim
     if pts.shape[1] != dim or spec.dim != dim:
         raise ValueError(
             f"points of dimension {pts.shape[1]} and a kernel of dimension "
             f"{spec.dim} under a rule of dimension {dim}"
+        )
+    specs = (spec,) if more is None else (spec, *more)
+    if more is not None and not all(
+        s.family.startswith("wendland") and (s.dim, s.zeta) == (dim, spec.zeta) for s in specs
+    ):
+        raise ValueError(
+            "kernels sharing one moment pass must be Wendland kernels of one dimension and "
+            f"zeta, got {[(s.family, s.dim, s.zeta) for s in specs]}"
         )
     domain = rule.domain
     if not spec.family.startswith("wendland"):
@@ -571,16 +612,18 @@ def kernel_moments(
     extents = ext[:, axes, corners]
     signs = np.prod(np.sign(half)[:, axes, corners], axis=-1)
 
-    unit = KernelSpec(spec.family, dim)
+    families = tuple(s.family for s in specs)
     q, nodes = _moment_resolution(dim, rule.level)
     batch = max(1, _BATCH_ENTRIES // (2 ** dim * nodes))
-    b = np.empty(pts.shape[0])
+    b = np.empty((len(families), pts.shape[0]))
     for s in range(0, pts.shape[0], batch):
         chunk = extents[s : s + batch]
-        orthants = _orthant_integrals(unit, chunk.reshape(-1, dim), q)
-        b[s : s + batch] = np.sum(signs[s : s + batch] * orthants.reshape(chunk.shape[:2]), axis=1)
+        orthants = _orthant_integrals(families, chunk.reshape(-1, dim), q)
+        for row, orthant in zip(b, orthants):  # each family's sum as on its own
+            row[s : s + batch] = np.sum(signs[s : s + batch] * orthant.reshape(chunk.shape[:2]), axis=1)
     with np.errstate(over="ignore"):  # past the float range every moment underflows to 0
-        return b / (domain.volume * math.prod([zeta] * dim))
+        b /= domain.volume * math.prod([zeta] * dim)
+    return b[0] if more is None else b
 
 
 @dataclass(frozen=True)

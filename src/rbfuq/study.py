@@ -3,10 +3,14 @@
 ``estimate`` is the one pipeline behind ``run_study`` and the CLI's
 ``mean`` and ``reference``.  It evaluates the model once on
 the longest Halton prefix asked for, then for every (setting, N) pair
-reuses the first N samples.  Settings that share a kernel (a kernel
-reference included) get one Gram matrix and one moment vector on their
-longest prefix, and each N solves on the leading N x N block (the
+reuses the first N samples.  Each kernel number is computed once.
+Settings that share a kernel (a kernel reference included; ``epsilon``
+counts for the Gaussian only, the one family that reads it) get one Gram
+matrix, each of whose pairs is evaluated once, and one moment vector on
+their longest prefix, and each N solves on the leading N x N block (the
 low-discrepancy sequence is nested, so prefixes are valid sample sets).
+The Wendland kernels of one norm scale share one moment pass, which
+builds the radial reduction's geometry once for all of them.
 Plain and Tikhonov settings share one Cholesky factor per shift, whose
 leading blocks factor every prefix, and the TSVD settings at one N share
 that block's eigenpairs: from 1024 points on only the leading ones, by
@@ -21,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -260,11 +264,42 @@ def _fit_tail(points, window: int, floor: float) -> tuple:
 
 
 def _kernel_groups(settings, dim: int) -> dict:
-    """Kernel settings grouped by their kernel in ``dim`` dimensions, in order."""
+    """Kernel settings grouped by the kernel they compute in ``dim`` dimensions, in order.
+
+    Only the Gaussian reads ``epsilon``, so settings of another family
+    that differ in it alone share a group, keyed by the kernel at
+    epsilon = 1.
+    """
     groups = {}
     for setting in settings:
-        groups.setdefault(setting.spec(dim), []).append(setting)
+        spec = setting.spec(dim)
+        if spec.family != "gaussian":
+            spec = replace(spec, epsilon=1.0)
+        groups.setdefault(spec, []).append(setting)
     return groups
+
+
+def _group_moments(tops: dict, points: CollocationSet, rule) -> dict:
+    """The moment vector of each kernel in ``tops`` on its prefix of ``points``.
+
+    The Wendland kernels of one norm scale share one ``kernel_moments``
+    pass on the longest prefix any of them needs, and each takes its own
+    leading entries (moments do not depend on the centres beside them);
+    every other kernel gets a call of its own.
+    """
+    passes = {}
+    for spec in tops:
+        key = ("wendland", spec.zeta) if spec.family.startswith("wendland") else spec
+        passes.setdefault(key, []).append(spec)
+    moments = {}
+    for first, *rest in passes.values():
+        prefix = points.prefix(max(tops[spec] for spec in (first, *rest)))
+        if first.family.startswith("wendland"):
+            rows = kernel_moments(first, prefix, rule, more=tuple(rest))
+        else:
+            rows = [kernel_moments(first, prefix, rule)]
+        moments.update((spec, row[: tops[spec]]) for spec, row in zip((first, *rest), rows))
+    return moments
 
 
 @dataclass(frozen=True)
@@ -283,14 +318,18 @@ def estimate(
     """Mean estimates of every ``KernelSetting`` in ``requests`` at each of its N.
 
     The model runs once, on the longest Halton prefix asked for.  Settings
-    that share a kernel share one Gram matrix and one moment vector on
-    their longest prefix; each N solves on the leading N x N block, a
-    view.  Plain and Tikhonov settings share one Cholesky factor per
-    shift, taken on the longest prefix that shift asks for, and one
-    factor is alive at a time; the TSVD settings at one N share the
-    block's eigenpairs, from ``LANCZOS_MIN_N`` points on only those of
-    largest modulus (``GramMatrix.tsvd_eigenpairs``), so a setting's
-    weights do not depend on the settings beside it.  A failed solve
+    that share a kernel (``_kernel_groups``: the same family, zeta, and
+    for the Gaussian epsilon) share one Gram matrix and one moment vector
+    on their longest prefix; each N solves on the leading N x N block, a
+    view.  The moments of all Wendland kernels of one zeta come from one
+    ``kernel_moments`` pass on the longest prefix any of them needs, of
+    which each takes its leading entries, bitwise its own vector.  Plain
+    and Tikhonov settings share one Cholesky factor per shift, taken on
+    the longest prefix that shift asks for, and one factor is alive at a
+    time; the TSVD settings at one N share the block's eigenpairs, from
+    ``LANCZOS_MIN_N`` points on only those of largest modulus
+    (``GramMatrix.tsvd_eigenpairs``), so a setting's weights do not
+    depend on the settings beside it.  A failed solve
     raises ``StudyError`` naming the setting's column and N.  Every input
     is checked before the model runs: that some setting is requested, the
     model's and the domain's dimension, ``jobs``, each sample count and
@@ -304,11 +343,13 @@ def estimate(
     rule = cc_rule(domain, level, max_points=None)  # kernel_moments never expands it
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))
     table = evaluate_samples(model, points, jobs=jobs)
+    groups = _kernel_groups(counts, domain.dim)
+    tops = {spec: max(counts[setting][-1] for setting in settings) for spec, settings in groups.items()}
+    moments = _group_moments(tops, points, rule)
     weights = {}
-    for spec, settings in _kernel_groups(counts, domain.dim).items():
-        top = max(counts[setting][-1] for setting in settings)
-        gram_full = assemble_gram(spec, points.prefix(top))
-        b_full = kernel_moments(spec, points.prefix(top), rule)
+    for spec, settings in groups.items():
+        gram_full = assemble_gram(spec, points.prefix(tops[spec]))
+        b_full = moments[spec]
         tsvd = [s for s in settings if isinstance(s.regularization, TSVD)]
         for reg in dict.fromkeys(s.regularization for s in settings if s not in tsvd):
             group = [s for s in settings if s.regularization == reg]

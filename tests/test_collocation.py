@@ -17,11 +17,13 @@ from rbfuq import (
     cc_rule,
     condition_report,
     halton_points,
+    kernel_matrix,
     kernel_moments,
     lagrange_values,
     moment_weights,
     solve,
 )
+from rbfuq import collocation
 
 E1 = math.exp(-1.0)
 # 2x2 matern12 system on points {0, 1} with data (1, 0):
@@ -76,6 +78,56 @@ class TestAssembly:
         pts = CollocationSet(np.zeros((3, 2)), source="x")
         with pytest.raises(ValueError):
             assemble_gram(KernelSpec(family="gaussian", dim=1), pts)
+
+
+# The largest N whose Gram matrix is assembled in one block of rows.
+ONE_BLOCK_N = math.isqrt(collocation._GRAM_BLOCK_ENTRIES)
+
+
+class TestGramPairsOnce:
+    """assemble_gram evaluates each pair once and mirrors it."""
+
+    @staticmethod
+    def full_matrix(spec, points):
+        """Every pair evaluated, and the diagonal set to the value at zero distance."""
+        values = kernel_matrix(spec, points.points, points.points)
+        np.fill_diagonal(values, float(spec.profile(0.0)))
+        return values
+
+    @pytest.mark.parametrize("n", [1, 2, ONE_BLOCK_N - 1, ONE_BLOCK_N, ONE_BLOCK_N + 1, 2048])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bitwise_the_full_matrix(self, family, dim, n):
+        spec = KernelSpec(family, dim, epsilon=0.7, zeta=1.3)
+        points = halton_points(ParameterDomain.symmetric(1.5, dim), n)
+        values = assemble_gram(spec, points).values
+        assert values.flags.c_contiguous
+        assert np.array_equal(values, self.full_matrix(spec, points))
+
+    @pytest.mark.parametrize("gram_entries,profile_entries", [(1, 2 ** 15), (100, 1), (100, 7), (10 ** 9, 3)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_sizes_do_not_change_the_matrix(self, monkeypatch, family, gram_entries, profile_entries):
+        from rbfuq import kernels
+
+        spec = KernelSpec(family, 3, epsilon=0.7, zeta=1.3)
+        points = halton_points(ParameterDomain.unit(3), 60)
+        expect = {n: self.full_matrix(spec, points.prefix(n)) for n in (1, 2, 9, 10, 11, 60)}
+        monkeypatch.setattr(collocation, "_GRAM_BLOCK_ENTRIES", gram_entries)
+        monkeypatch.setattr(kernels, "_PROFILE_BLOCK_ENTRIES", profile_entries)
+        for n, values in expect.items():
+            assert np.array_equal(assemble_gram(spec, points.prefix(n)).values, values)
+
+    @pytest.mark.parametrize("family,dim", [("wendland3", 1), ("matern32", 3), ("gaussian", 2)])
+    def test_peak_under_one_and_a_half_matrices(self, family, dim):
+        n = 2048
+        points = halton_points(ParameterDomain.unit(dim), n)
+        tracemalloc.start()
+        try:
+            assemble_gram(KernelSpec(family, dim), points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} matrices"
 
 
 class TestSolve:

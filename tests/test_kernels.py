@@ -113,6 +113,12 @@ class TestMatrixHelpers:
         with pytest.raises(ValueError):
             kernel_matrix(spec("gaussian", 2), np.zeros((3, 1)), np.zeros((3, 1)))
 
+    def test_flat_point_array_is_refused_by_shape(self):
+        flat, rows = np.array([0.2, 0.5]), np.array([[0.1]])
+        for a, b in ((flat, rows), (rows, flat)):
+            with pytest.raises(ValueError, match=r"shape \(2,\)"):
+                kernel_matrix(spec("gaussian", 1), a, b)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec(family="cubic", dim=1)

@@ -244,6 +244,12 @@ class TestKernelMoments:
         with pytest.raises(ValueError):
             kernel_moments(KernelSpec(family="gaussian", dim=3), centers, rule)
 
+    @pytest.mark.parametrize("family", ["gaussian", "wendland3"])
+    def test_flat_point_array_is_refused_by_shape(self, family):
+        rule = cc_rule(ParameterDomain.unit(1), 3)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            kernel_moments(KernelSpec(family, 1), np.array([0.2, 0.5]), rule)
+
 
 ORACLE_FAMILIES = (
     "gaussian", "wendland0", "wendland1", "wendland2", "wendland3", "matern12", "matern32"
@@ -430,29 +436,28 @@ class TestMomentOracles:
 
         def inner(r, rows):
             seen.append(rows)
-            return m1(r)
+            yield m1(r)
 
         def outer(leg, lo, hi):
-            return m1(1.0) * quadrature._atan_span(leg, lo, hi)
+            return m1(1.0) * quadrature._atan_span(leg, lo, hi)[None]
 
         q = quadrature._SEGMENT_NODES
-        batch = quadrature._edge_integral(x, y, 1.0, inner, outer, q)
+        batch = quadrature._edge_integral(x, y, 1.0, inner, outer, q)[0]
         assert np.array_equal(seen[0], [0, 1, 4])  # GL nodes on the inner segments only
         assert batch[3] == 0.0
-        assert np.array_equal(batch, quadrature._edge_term(KernelSpec("wendland2", 2), x, y, q))
+        assert np.array_equal(batch, quadrature._edge_term(("wendland2",), x, y, q)[0])
         # a row in a batch of one adds its terms as it does in any batch
         for i in range(x.size):
-            alone = quadrature._edge_integral(x[i : i + 1], y[i : i + 1], 1.0, inner, outer, q)
+            alone = quadrature._edge_integral(x[i : i + 1], y[i : i + 1], 1.0, inner, outer, q)[0]
             assert np.array_equal(alone, batch[i : i + 1])
         # in D = 3 the foot triangles gather each live row's height
         a = np.array(
             [[0.5, 0.5, 0.5], [0.2, 0.9, 0.9], [0.95, 0.6, 0.7], [0.0, 0.3, 0.4], [1.0, 1.0, 0.1]]
         )
-        unit = KernelSpec("wendland2", 3)
-        batch = quadrature._orthant_integrals(unit, a, q)
+        batch = quadrature._orthant_integrals(("wendland2",), a, q)
         for i in range(a.shape[0]):
-            alone = quadrature._orthant_integrals(unit, a[i : i + 1], q)
-            assert np.array_equal(alone, batch[i : i + 1])
+            alone = quadrature._orthant_integrals(("wendland2",), a[i : i + 1], q)
+            assert np.array_equal(alone, batch[:, i : i + 1])
 
 
 def _split_oracle(profile, bounds, centre, order):
@@ -658,6 +663,61 @@ class TestMemoryBound:
                 assert np.array_equal(b, expect)
             else:  # the face grid is split, so only the summation order changes
                 assert np.max(np.abs(b - expect) / np.abs(expect)) <= 1e-14
+
+
+class TestSharedPass:
+    """Wendland kernels of one D and zeta share one radial-reduction pass,
+    and each row is bitwise the one-family vector."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_the_one_family_vectors(self, data):
+        dim = data.draw(st.sampled_from([1, 2, 3, 4]), label="D")
+        families = data.draw(st.permutations(WENDLAND), label="order")
+        families = families[: data.draw(st.integers(1, len(WENDLAND)), label="count")]
+        zeta = data.draw(st.sampled_from([1e-4, 0.3, 1.0, 3.0, 1e4]), label="zeta")
+        if data.draw(st.booleans(), label="unit box"):
+            dom = ParameterDomain.unit(dim)
+        else:
+            dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        # Halton centres, box corners and centres outside the box, in a drawn order
+        corners = np.array(list(itertools.product(*zip(dom.lower, dom.upper))))[:4]
+        outside = data.draw(
+            st.lists(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim), max_size=3),
+            label="outside",
+        )
+        pts = np.vstack([halton_points(dom, data.draw(st.integers(1, 12), label="N")).points, corners])
+        if outside:
+            pts = np.vstack([pts, outside])
+        pts = pts[data.draw(st.permutations(range(len(pts))), label="centre order")]
+        rule = cc_rule(dom, 3 if dim == 4 else 2, max_points=None)
+        specs = [KernelSpec(family, dim, zeta=zeta) for family in families]
+        rows = kernel_moments(specs[0], pts, rule, more=tuple(specs[1:]))
+        assert rows.shape == (len(specs), len(pts))
+        for spec, row in zip(specs, rows):
+            top = data.draw(st.integers(1, len(pts)), label=f"{spec.family} top")
+            assert np.array_equal(row[:top], kernel_moments(spec, pts[:top], rule))
+
+    def test_one_row_for_an_empty_tuple(self):
+        dom = ParameterDomain.unit(2)
+        spec, pts, rule = KernelSpec("wendland1", 2), halton_points(dom, 5), cc_rule(dom, 3)
+        rows = kernel_moments(spec, pts, rule, more=())
+        assert rows.shape == (1, 5)
+        assert np.array_equal(rows[0], kernel_moments(spec, pts, rule))
+
+    @pytest.mark.parametrize(
+        "first,other",
+        [
+            (KernelSpec("wendland0", 2), KernelSpec("gaussian", 2)),
+            (KernelSpec("gaussian", 2), KernelSpec("wendland0", 2)),
+            (KernelSpec("wendland0", 2), KernelSpec("wendland3", 2, zeta=2.0)),
+            (KernelSpec("wendland0", 2), KernelSpec("wendland3", 3)),
+        ],
+    )
+    def test_kernels_of_another_kind_or_scale_are_refused(self, first, other):
+        dom = ParameterDomain.unit(2)
+        with pytest.raises(ValueError, match="sharing one moment pass"):
+            kernel_moments(first, halton_points(dom, 3), cc_rule(dom, 3), more=(other,))
 
 
 class TestRadialMoments:
@@ -871,7 +931,7 @@ class TestClosedFormSegments:
         mpmath = pytest.importorskip("mpmath")
         h, x, y = TRIANGLES[case]
         q = quadrature._SEGMENT_NODES
-        got = quadrature._foot_triangle(KernelSpec(family, 3), *np.array([[h], [x], [y]]), q)[0]
+        got = quadrature._foot_triangle((family,), *np.array([[h], [x], [y]]), q)[0, 0]
         with mpmath.workdps(30):
             exact = float(_triangle_oracle(mpmath.mp, family, h, x, y))
         assert abs(got - exact) <= 1e-15, f"{family} {case}: {got!r} vs {exact!r}"
@@ -882,13 +942,13 @@ class TestClosedFormSegments:
         mpmath = pytest.importorskip("mpmath")
         x, y = EDGES[case]
         q = quadrature._SEGMENT_NODES
-        got = quadrature._edge_term(KernelSpec(family, 2), np.array([x]), np.array([y]), q)[0]
+        got = quadrature._edge_term((family,), np.array([x]), np.array([y]), q)[0, 0]
         with mpmath.workdps(30):
             exact = float(_edge_oracle(mpmath.mp, family, x, y))
         assert abs(got - exact) <= 1e-15, f"{family} {case}: {got!r} vs {exact!r}"
 
     def test_zero_distance_is_empty(self):
-        got = quadrature._edge_term(KernelSpec("wendland0", 2), np.zeros(2), np.array([0.5, 1.0]), 33)
+        got = quadrature._edge_term(("wendland0",), np.zeros(2), np.array([0.5, 1.0]), 33)[0]
         assert np.array_equal(got, np.zeros(2))
 
     @settings(max_examples=60, deadline=None)
@@ -900,7 +960,7 @@ class TestClosedFormSegments:
     )
     def test_against_gl_on_both_segments(self, family, h, x, y):
         q = quadrature._SEGMENT_NODES
-        got = quadrature._foot_triangle(KernelSpec(family, 3), *np.array([[h], [x], [y]]), q)[0]
+        got = quadrature._foot_triangle((family,), *np.array([[h], [x], [y]]), q)[0, 0]
         k_h = _k_everywhere(family, np.array(h))
 
         def radial(rho):
@@ -909,7 +969,7 @@ class TestClosedFormSegments:
         ref = _segments_reference(radial, x, y, 1.0 - h * h)
         assert abs(got - ref) <= 1e-15, f"triangle: {got!r} vs {ref!r}"
         m1 = quadrature._wendland_moment(family, 2, 1)
-        got = quadrature._edge_term(KernelSpec(family, 2), np.array([x]), np.array([y]), q)[0]
+        got = quadrature._edge_term((family,), np.array([x]), np.array([y]), q)[0, 0]
         ref = _segments_reference(
             lambda rho: np.where(rho < 1.0, m1(np.minimum(rho, 1.0)), m1(1.0)), x, y, 1.0
         )
@@ -979,6 +1039,21 @@ class TestExtremeScale:
                     b = kernel_moments(spec, centres, cc_rule(dom, 4, max_points=None))
                 # the whole-space integral of every profile is below 4 / zeta in D = 1
                 assert np.all((b >= 0.0) & (b <= 4.0 / zeta)), (dom, zeta, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_centre_a_hair_off_a_face(self, family, dim):
+        # a face at distance 1e-300 or a subnormal one is the face itself
+        dom = ParameterDomain.unit(dim)
+        on_face = dom.lower + 0.3 * dom.lengths
+        on_face[-1] = 0.0
+        centres = np.repeat(on_face[None], 4, axis=0)
+        centres[1:, -1] = (1e-300, 2.2250738585072014e-308, 1e-310)
+        for zeta in (1e-4, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b = kernel_moments(KernelSpec(family, dim, zeta=zeta), centres, cc_rule(dom, 3, max_points=None))
+            assert np.all(np.abs(b - b[0]) <= 1e-15 * b[0]), (zeta, b)
 
     def test_matern12_closed_form_at_zeta_1e300(self):
         # an interior centre sees int exp(-zeta |y - c|) dy = 2 / zeta

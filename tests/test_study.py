@@ -453,6 +453,52 @@ class TestSharedKernel:
         run_study(dataclasses.replace(config, reference=ReferenceSpec.kernel_at(256, setting)))
         assert calls == {"assemble_gram": 1, "kernel_moments": 1}
 
+    def test_wendland_columns_of_one_zeta_share_one_moment_pass(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        requests = {
+            KernelSetting("gaussian", epsilon=2.0, regularization=Tikhonov(1e-8)): (16, 32),
+            KernelSetting("wendland0"): (8, 16),
+            KernelSetting("wendland1"): (16, 40),
+            KernelSetting("wendland2"): (32,),
+            KernelSetting("wendland3", regularization=TSVD(1e-6)): (8, 24),
+            KernelSetting("matern32"): (16, 32),
+        }
+        domain = ParameterDomain.unit(3)
+        shared = estimate(GFunction(3), domain, requests, level=3).weights
+        assert calls == {"assemble_gram": 6, "kernel_moments": 3}
+        for setting, ns in requests.items():
+            alone = estimate(GFunction(3), domain, {setting: ns}, level=3).weights
+            for n in ns:
+                assert np.array_equal(shared[setting, n].moments, alone[setting, n].moments)
+                assert np.array_equal(shared[setting, n].omega, alone[setting, n].omega)
+
+    def test_one_wendland_pass_per_zeta(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        requests = {
+            KernelSetting("wendland0"): (8,),
+            KernelSetting("wendland3", zeta=2.0): (16,),
+            KernelSetting("wendland1", zeta=2.0): (8,),
+            KernelSetting("wendland2"): (8,),
+        }
+        estimate(GFunction(3), ParameterDomain.unit(3), requests, level=3)
+        assert calls == {"assemble_gram": 4, "kernel_moments": 2}
+
+    def test_epsilon_splits_only_the_gaussian(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        wendland = [KernelSetting("wendland3", epsilon=e, label=f"w{e:g}") for e in (1.0, 2.0)]
+        report = run_study(self.config(wendland))
+        assert calls == {"assemble_gram": 1, "kernel_moments": 1}
+        assert [k["epsilon"] for k in report.config_echo["kernels"]] == [1.0, 2.0]
+        domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
+        shared = estimate(PoissonExact(), domain, {s: (8, 32) for s in wendland}, level=5).weights
+        for setting in wendland:  # each as its own group, as when epsilon split them
+            alone = estimate(PoissonExact(), domain, {setting: (8, 32)}, level=5).weights
+            for n in (8, 32):
+                assert np.array_equal(shared[setting, n].omega, alone[setting, n].omega)
+        calls.update(assemble_gram=0, kernel_moments=0)
+        run_study(self.config([KernelSetting("gaussian", epsilon=e, label=f"g{e:g}") for e in (1.0, 2.0)]))
+        assert calls == {"assemble_gram": 2, "kernel_moments": 2}
+
     def test_one_cholesky_per_shift_and_one_eigh_per_prefix(self, monkeypatch):
         import weakref
 
