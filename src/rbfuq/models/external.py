@@ -15,6 +15,13 @@ a ``done`` marker is never launched again; its ``params.txt`` must then
 match the requested point bitwise, or the sample is refused as stale.
 Each solve runs in its own session, so a timeout kills the solver's
 whole process group, children included.
+
+A campaign formats all its ``params.txt`` lines once and reads its cached
+samples with ``os``-level calls: a ``stat`` of ``done``, one read of
+``params.txt``, and one vectored read of ``qoi.bin`` whose payload lands
+straight in the sample's row of the one result table.  The table is the
+campaign's only copy of the outputs; one finiteness pass over it follows
+the reads, before any solver starts.
 """
 from __future__ import annotations
 
@@ -102,28 +109,51 @@ def _write_atomic(path, data: bytes) -> None:
             os.unlink(tmp)
 
 
+_COUNT = struct.Struct("<Q")  # the count header of a qoi file
+
+
 def write_qoi(path, values) -> None:
     """Write a count-prefixed little-endian f64 vector, atomically (``_write_atomic``)."""
     values = np.asarray(values, dtype="<f8").ravel()
-    _write_atomic(path, struct.pack("<Q", values.size) + values.tobytes())
+    _write_atomic(path, _COUNT.pack(values.size) + values.tobytes())
+
+
+def _read_values(path, row=None) -> np.ndarray:
+    """The values of the count-prefixed file at ``path``; ValueError on truncation.
+
+    Bytes after the promised values are ignored.  When ``row`` has as many
+    entries as the header promises, the values are read straight into it and
+    ``row`` is returned; otherwise they go into a new array.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        head = bytearray(8)
+        got = os.readv(fd, [head] if row is None else [head, row])
+        if got < 8:
+            raise ValueError(f"{path}: too short for a count header")
+        (m,) = _COUNT.unpack(head)
+        fits = row is not None and m == row.size
+        # a read from a regular file stops short only at its end
+        if (got if fits else os.fstat(fd).st_size) < 8 + 8 * m:
+            raise ValueError(f"{path}: header promises {m} values, file is short")
+        if fits:
+            return row
+        values = np.empty(m, dtype="<f8")
+        os.preadv(fd, [values], 8)
+        return values
+    finally:
+        os.close(fd)
 
 
 def read_qoi(path) -> np.ndarray:
     """Read a count-prefixed vector; raises ValueError on truncation."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise ValueError(f"{path}: too short for a count header")
-    (m,) = struct.unpack("<Q", raw[:8])
-    if len(raw) < 8 + 8 * m:
-        raise ValueError(f"{path}: header promises {m} values, file is short")
-    return np.frombuffer(raw[8 : 8 + 8 * m], dtype="<f8").astype(float)
+    return _read_values(path)
 
 
-def _parse_output(spec: External, index: int, sample_dir) -> np.ndarray:
-    qoi = os.path.join(sample_dir, "qoi.bin")
+def _checked_values(spec: External, index: int, qoi: str, row=None) -> np.ndarray:
+    """A sample's output read by ``_read_values``, of ``expected_m`` values when that is set."""
     try:
-        values = read_qoi(qoi)
+        values = _read_values(qoi, row)
     except FileNotFoundError as exc:
         raise OutputFormatError(index, f"no output file {qoi}") from exc
     except ValueError as exc:
@@ -132,8 +162,6 @@ def _parse_output(spec: External, index: int, sample_dir) -> np.ndarray:
         raise OutputFormatError(
             index, f"expected {spec.expected_m} values, got {values.size}"
         )
-    if not np.all(np.isfinite(values)):
-        raise OutputValueError(index, "non-finite values in output")
     return values
 
 
@@ -149,8 +177,8 @@ def _argv(command: str, sample_dir: Path, index: int) -> list:
     return argv
 
 
-def _launch(spec: External, line: str, index: int, sample_dir: Path) -> None:
-    (sample_dir / "params.txt").write_bytes(line.encode())
+def _launch(spec: External, line: bytes, index: int, sample_dir: Path) -> None:
+    (sample_dir / "params.txt").write_bytes(line)
     argv = _argv(spec.command, sample_dir, index)
     try:
         proc = subprocess.Popen(
@@ -174,36 +202,92 @@ def _launch(spec: External, line: str, index: int, sample_dir: Path) -> None:
         )
 
 
-def _params_line(y) -> str:
+def _params_lines(pts: np.ndarray) -> list:
+    """The ``params.txt`` line of every point, as bytes, formatted in one pass."""
+    rows = np.asarray(pts, dtype=float).reshape(len(pts), -1)
     # %.17g round-trips every double, so equal points give equal lines
-    return " ".join(format(float(v), ".17g") for v in np.asarray(y).ravel()) + "\n"
+    line = " ".join(["{:.17g}"] * rows.shape[1]) + "\n"
+    return [line.format(*y).encode() for y in rows.tolist()]
 
 
-def _cached_values(spec: External, line: str, index: int) -> np.ndarray | None:
-    """The outputs of a finished sample at this point; None when it has no ``done`` marker."""
-    sample_dir = os.path.join(spec.samples_dir, str(index))
-    if not os.path.exists(os.path.join(sample_dir, "done")):
-        return None
+def _check_params(index: int, sample_dir: str, line: bytes) -> None:
+    """Refuse a finished sample whose ``params.txt`` does not hold exactly ``line``."""
     try:
-        with open(os.path.join(sample_dir, "params.txt"), "rb") as fh:
-            cached = fh.read()
+        fd = os.open(f"{sample_dir}/params.txt", os.O_RDONLY)
     except FileNotFoundError:
         cached = b""
-    if cached != line.encode():
-        raise StaleSampleError(
-            index,
-            f"params.txt reads {cached.decode(errors='replace').strip()!r}, "
-            f"not {line.strip()!r}; remove {sample_dir} to relaunch it",
-        )
-    return _parse_output(spec, index, sample_dir)
+    else:
+        try:
+            # one byte past the line tells a longer file apart
+            cached = os.read(fd, len(line) + 1)
+            if cached == line:
+                return
+            while chunk := os.read(fd, 1 << 16):
+                cached += chunk
+        finally:
+            os.close(fd)
+    raise StaleSampleError(
+        index,
+        f"params.txt reads {cached.decode(errors='replace').strip()!r}, "
+        f"not {line.decode().strip()!r}; remove {sample_dir} to relaunch it",
+    )
 
 
-def _launched_values(spec: External, line: str, index: int) -> np.ndarray:
+def _refuse_non_finite(table, odd: dict, stop: int) -> None:
+    """Refuse the first cached sample before ``stop`` with a non-finite value."""
+    bad = [i for i, values in odd.items() if i < stop and not np.isfinite(values).all()]
+    if table is not None:
+        bad += np.flatnonzero(~np.isfinite(table[:stop]).all(axis=1))[:1].tolist()
+    if bad:
+        raise OutputValueError(min(bad), "non-finite values in output")
+
+
+def _read_cached(spec: External, lines: list):
+    """The outputs of every finished sample, each read into its row of one table.
+
+    Returns the table and the indices of the samples to launch.  The table
+    has ``expected_m`` columns, else as many as the first cached sample has
+    values, and is None when neither is known; rows not read hold zeros.
+    The first stale, malformed or non-finite sample in sample order is
+    refused, and then the first whose count differs from the first cached
+    sample's.
+    """
+    n = len(lines)
+    table = None if spec.expected_m is None else np.zeros((n, spec.expected_m), dtype="<f8")
+    misses, odd = [], {}  # odd: cached outputs of another count than the table's
+    for i, line in enumerate(lines):
+        sample_dir = f"{spec.samples_dir}/{i}"
+        try:
+            os.stat(f"{sample_dir}/done")
+        except OSError:
+            misses.append(i)
+            continue
+        try:
+            _check_params(i, sample_dir, line)
+            values = _checked_values(spec, i, f"{sample_dir}/qoi.bin", None if table is None else table[i])
+        except ExternalError:
+            _refuse_non_finite(table, odd, i)  # an earlier non-finite sample is refused first
+            raise
+        if table is None:
+            first, table = i, np.zeros((n, values.size), dtype="<f8")
+            table[i] = values
+        elif values.size != table.shape[1]:
+            odd[i] = values
+    _refuse_non_finite(table, odd, n)
+    if odd:
+        i, values = next(iter(odd.items()))
+        raise OutputFormatError(i, f"sample has {values.size} values, sample {first} has {table.shape[1]}")
+    return table, misses
+
+
+def _launched_values(spec: External, line: bytes, index: int) -> np.ndarray:
     """Launch the solver on one sample, parse its output, then mark it done."""
     sample_dir = spec.samples_dir / str(index)
     sample_dir.mkdir(parents=True, exist_ok=True)
     _launch(spec, line, index, sample_dir)
-    values = _parse_output(spec, index, sample_dir)
+    values = _checked_values(spec, index, f"{sample_dir}/qoi.bin")
+    if not np.isfinite(values).all():
+        raise OutputValueError(index, "non-finite values in output")
     (sample_dir / "done").touch()
     return values
 
@@ -231,20 +315,29 @@ def run_campaign(spec: External, points, jobs: int = 1) -> CampaignResult:
     solver starts.  Only the misses go to the pool.  Sample directories
     are index-disjoint, so workers never share files; rows of the result
     table follow the sample order regardless of completion order.  The
-    first failure cancels the remaining launches.
+    first failure cancels the remaining launches.  When the launched rows
+    do not all have one count, the first row whose count differs from
+    sample 0's is refused once every launch has finished.
     """
     pts = np.atleast_2d(np.asarray(points.points if hasattr(points, "points") else points))
+    if pts.size == 0:
+        raise ValueError(f"points must hold at least one sample, got an empty array of shape {pts.shape}")
     _check_jobs(jobs)
-    lines = [_params_line(y) for y in pts]
-    results = [_cached_values(spec, line, i) for i, line in enumerate(lines)]
-    misses = [i for i, values in enumerate(results) if values is None]
+    lines = _params_lines(pts)
+    table, misses = _read_cached(spec, lines)
+    off = {}  # launched samples whose count differs from the table's: their count
     if misses:
         # map yields in sample order and cancels the queued launches on the first failure
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for i, values in zip(misses, pool.map(lambda i: _launched_values(spec, lines[i], i), misses)):
-                results[i] = values
-    m = results[0].size
-    for i, row in enumerate(results):
-        if row.size != m:
-            raise OutputFormatError(i, f"sample has {row.size} values, sample 0 has {m}")
-    return CampaignResult(table=np.vstack(results), launched=len(misses), cached=len(results) - len(misses))
+                if table is None:
+                    table = np.zeros((len(lines), values.size), dtype="<f8")
+                if values.size == table.shape[1]:
+                    table[i] = values
+                else:
+                    off[i] = values.size
+    if off:
+        counts = [off.get(i, table.shape[1]) for i in range(len(lines))]
+        i = next(i for i, count in enumerate(counts) if count != counts[0])
+        raise OutputFormatError(i, f"sample has {counts[i]} values, sample 0 has {counts[0]}")
+    return CampaignResult(table=table, launched=len(misses), cached=len(lines) - len(misses))

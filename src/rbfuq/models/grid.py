@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class GridSpec:
         return _grid_points(self)
 
     @classmethod
+    @cache  # one shared instance: the G-function builds a field on it per sample
     def single(cls) -> "GridSpec":
         """One-point grid for scalar quantities of interest."""
         return cls(extents=((0.0, 0.0),), counts=(1,))

@@ -174,6 +174,29 @@ class CollocationSet:
         return CollocationSet(self.points[:n], self.source)
 
 
+def _radical_inverses(first: int, n: int, base: int) -> np.ndarray:
+    """``radical_inverse(i, base)`` for i = first, ..., first + n - 1, bitwise.
+
+    The digits of the whole axis are reversed at once into int64 numerators
+    and denominators, followed by one float division.  Below ``_INDEX_LIMIT``
+    both are exact doubles, so each quotient is the correctly rounded one,
+    as in ``radical_inverse``.
+    """
+    i = np.arange(first, first + n, dtype=np.int64)
+    num = np.zeros(n, dtype=np.int64)
+    den = np.ones(n, dtype=np.int64)
+    while i.any():
+        more = i > 0  # indices with digits left
+        num = np.where(more, num * base + i % base, num)
+        den = np.where(more, den * base, den)
+        i //= base
+    return num / den
+
+
+# The denominator of an index i is at most base * i < 311 * 2^44 < 2^53.
+_INDEX_LIMIT = 2**44
+
+
 def halton_points(
     domain: ParameterDomain, n: int, start_index: int = 1
 ) -> CollocationSet:
@@ -191,12 +214,21 @@ def halton_points(
         Number of points, >= 1.
     start_index : int
         First Halton index to emit, >= 1 (``radical_inverse`` refuses 0).
+        Every index must stay below 2^44: beyond it the reversed-digit
+        fraction could pass 2^53 and round.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
+    if start_index < 1:
+        raise ValueError(f"Halton start_index must be >= 1, got {start_index}")
+    if start_index + n > _INDEX_LIMIT:
+        raise ValueError(
+            f"Halton index {start_index + n - 1} is 2^44 or more, where the "
+            "reversed digits no longer divide exactly in double precision"
+        )
     unit = np.empty((n, domain.dim))
     for d, base in enumerate(_halton_bases(domain.dim)):
-        unit[:, d] = [radical_inverse(start_index + i, base) for i in range(n)]
+        unit[:, d] = _radical_inverses(start_index, n, base)
     return CollocationSet(
         domain.map_from_unit(unit), source=f"halton(start_index={start_index})"
     )

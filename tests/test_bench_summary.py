@@ -1,5 +1,6 @@
 """The benchmark summary script's statistics and machine record."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -97,4 +98,32 @@ def test_claim_follows_the_better_direction():
 def test_claim_refuses_what_it_cannot_judge_before_any_run(argv):
     with pytest.raises(SystemExit) as exit_info:
         bench_summary.main(["--tag", "unused", *argv])
+    assert exit_info.value.code == 2
+
+
+def test_traced_stores_each_sides_per_layer_metrics(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text((bench_summary.ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_summary, "ROOT", tmp_path)
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        layer = {"models.cached_ms": {"value": 0.03 if checkout.name == "a" else 0.01, "unit": "ms"}}
+        return {"seed": seed, "correct": True, "attempted": 3, "failed": 0, "metrics": layer}
+
+    monkeypatch.setattr(bench_summary, "run_once", run_once)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    sides = ["--side", f"a={tmp_path / 'a'}", "--side", f"b={tmp_path / 'b'}"]
+    assert bench_summary.main(["--tag", "t", *sides, "--first-seed", "7", "--traced", "rerun"]) == 0
+    assert calls == [("a", "rerun", 7, 1), ("b", "rerun", 7, 1)]
+    traced = json.loads((tmp_path / "BENCH_t.json").read_text())["traced"]["rerun"]
+    assert traced["command"] == "python3 perfbench/run.py --workload rerun --seed 7 --seconds 25 --trace 1"
+    assert traced["a"] == {"models.cached_ms": {"value": 0.03, "unit": "ms"}}
+    assert traced["b"] == {"models.cached_ms": {"value": 0.01, "unit": "ms"}}
+
+
+def test_nothing_to_run_is_refused():
+    with pytest.raises(SystemExit) as exit_info:
+        bench_summary.main(["--tag", "unused"])
     assert exit_info.value.code == 2

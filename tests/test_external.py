@@ -344,3 +344,181 @@ class TestCachedBeforeLaunch:
         result = run_campaign(part, points, jobs=jobs)
         assert np.array_equal(result.table, fresh.table)
         assert (result.launched, result.cached) == (n - len(prefilled), len(prefilled))
+
+
+def params_line(y):
+    """A ``params.txt`` line as the protocol states it: 17 significant digits."""
+    return " ".join(format(float(v), ".17g") for v in y) + "\n"
+
+
+def fill_sample(spec, index, y, values):
+    """Lay out a finished sample by hand, as a finished solve leaves it."""
+    sample_dir = spec.samples_dir / str(index)
+    sample_dir.mkdir(parents=True)
+    (sample_dir / "params.txt").write_text(params_line(y))
+    write_qoi(sample_dir / "qoi.bin", values)
+    (sample_dir / "done").touch()
+    return sample_dir
+
+
+def logging_spec(tmp_path, **kw):
+    """An echo solver that appends its sample index to ``launches.log``."""
+    body = ECHO_STUB + "with open(sys.argv[3], 'a') as fh:\n    fh.write(out_dir.name + '\\n')\n"
+    stub = make_stub(tmp_path, body)
+    log = tmp_path / "launches.log"
+    return External(command=f"{PY} {stub} {{params}} {{dir}} {log}", root=str(tmp_path / "runs"), **kw), log
+
+
+# each cached fault: how it is laid on the sample, and the refusal it must meet
+def _stale(d, y):
+    (d / "params.txt").write_text("0.5 nan\n")  # no drawn point is NaN
+    return StaleSampleError, f"params.txt reads '0.5 nan', not {params_line(y).strip()!r}; remove {d} to relaunch it"
+
+
+def _no_params(d, y):
+    (d / "params.txt").unlink()
+    return StaleSampleError, f"params.txt reads '', not {params_line(y).strip()!r}; remove {d} to relaunch it"
+
+
+def _no_output(d, y):
+    (d / "qoi.bin").unlink()
+    return OutputFormatError, f"no output file {d}/qoi.bin"
+
+
+def _short_header(d, y):
+    (d / "qoi.bin").write_bytes(b"\x02\x00\x00")
+    return OutputFormatError, f"{d}/qoi.bin: too short for a count header"
+
+
+def _short_payload(d, y):
+    (d / "qoi.bin").write_bytes(struct.pack("<Q", len(y)) + b"\x00" * (8 * len(y) - 1))
+    return OutputFormatError, f"{d}/qoi.bin: header promises {len(y)} values, file is short"
+
+
+def _expected_m(d, y):
+    write_qoi(d / "qoi.bin", [*y, 1.0])
+    return OutputFormatError, f"expected {len(y)} values, got {len(y) + 1}"
+
+
+def _non_finite(d, y):
+    write_qoi(d / "qoi.bin", [*y[:-1], np.inf])
+    return OutputValueError, "non-finite values in output"
+
+
+def _other_count(d, y):
+    write_qoi(d / "qoi.bin", [*y, 1.0])
+    return OutputFormatError, f"sample has {len(y) + 1} values, sample 0 has {len(y)}"
+
+
+CACHED_FAULTS = {
+    "stale": _stale,
+    "no params": _no_params,
+    "no output": _no_output,
+    "short header": _short_header,
+    "short payload": _short_payload,
+    "expected_m": _expected_m,
+    "non-finite": _non_finite,
+    "other count": _other_count,
+}
+
+
+class TestCachedReads:
+    """The cached path reads each sample into its row of one table."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.data())
+    def test_one_cached_fault_is_refused_before_any_launch(self, tmp_path_factory, case):
+        kind = case.draw(st.sampled_from(sorted(CACHED_FAULTS)), label="kind")
+        dim = case.draw(st.integers(1, 3), label="dim")
+        n = case.draw(st.integers(2, 7), label="n")
+        cached = case.draw(st.sets(st.integers(0, n - 1), min_size=1), label="cached")
+        if kind == "other count":
+            # a count is compared with sample 0's, as every row of a campaign is
+            cached |= {0, case.draw(st.integers(1, n - 1), label="second")}
+            fault = case.draw(st.sampled_from(sorted(cached - {0})), label="fault")
+        else:
+            fault = case.draw(st.sampled_from(sorted(cached)), label="fault")
+        jobs = case.draw(st.integers(1, 3), label="jobs")
+        points = np.array(case.draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+            min_size=n, max_size=n,
+        )))
+        tmp = tmp_path_factory.mktemp("faults")
+        spec, log = logging_spec(tmp, expected_m=dim if kind == "expected_m" else None)
+        dirs = {i: fill_sample(spec, i, points[i], points[i]) for i in sorted(cached)}
+        expected, message = CACHED_FAULTS[kind](dirs[fault], points[fault])
+        with pytest.raises(ExternalError) as info:
+            run_campaign(spec, points, jobs=jobs)
+        assert type(info.value) is expected
+        assert info.value.sample_index == fault
+        assert str(info.value) == f"sample {fault}: {message}"
+        assert not log.exists()
+        assert sorted(int(p.name) for p in spec.samples_dir.iterdir()) == sorted(cached)
+
+    def test_the_earliest_of_two_faults_is_refused_in_sample_order(self, tmp_path):
+        # the finiteness pass runs after the reads, yet blames as a per-sample check would
+        spec, log = logging_spec(tmp_path)
+        points = np.array([[0.1], [0.2], [0.3], [0.4]])
+        dirs = [fill_sample(spec, i, y, y) for i, y in enumerate(points)]
+        _non_finite(dirs[1], points[1])
+        _stale(dirs[3], points[3])
+        with pytest.raises(OutputValueError) as info:
+            run_campaign(spec, points)
+        assert info.value.sample_index == 1
+        _no_output(dirs[0], points[0])
+        with pytest.raises(OutputFormatError) as info:
+            run_campaign(spec, points)
+        assert info.value.sample_index == 0
+        assert not log.exists()
+
+    def test_cached_rows_of_two_counts_are_refused_before_the_misses_launch(self, tmp_path):
+        spec, log = logging_spec(tmp_path)
+        points = np.array([[0.1], [0.2], [0.3], [0.4]])
+        fill_sample(spec, 1, points[1], points[1])
+        fill_sample(spec, 3, points[3], [0.4, 1.0])
+        with pytest.raises(OutputFormatError) as info:
+            run_campaign(spec, points)
+        assert info.value.sample_index == 3
+        assert str(info.value) == "sample 3: sample has 2 values, sample 1 has 1"
+        assert not log.exists()
+
+    def test_launched_rows_join_the_cached_table(self, tmp_path):
+        spec, log = logging_spec(tmp_path, expected_m=2)
+        points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        fill_sample(spec, 1, points[1], points[1])
+        result = run_campaign(spec, points, jobs=2)
+        assert np.array_equal(result.table, points) and result.table.dtype == np.float64
+        assert (result.launched, result.cached) == (2, 1)
+        assert sorted(log.read_text().split()) == ["0", "2"]
+
+    def test_a_large_cached_table_is_the_campaigns_one_copy(self, tmp_path):
+        import tracemalloc
+
+        spec = External(command="false", root=str(tmp_path / "runs"))
+        points = np.linspace(0.0, 1.0, 64).reshape(-1, 1)
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((64, 2**16))
+        for i, y in enumerate(points):
+            fill_sample(spec, i, y, rows[i])
+        tracemalloc.start()
+        try:
+            result = run_campaign(spec, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(result.table, rows) and result.cached == 64
+        assert peak <= 1.25 * rows.nbytes
+
+    def test_an_empty_point_array_is_refused_before_any_directory(self, tmp_path):
+        spec = echo_spec(tmp_path)
+        with pytest.raises(ValueError, match=r"empty array of shape \(0, 3\)"):
+            run_campaign(spec, np.empty((0, 3)))
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("point", [0.1, 1.0 / 3.0, -0.0, 1e-310, -2.5e300, 3])
+    def test_params_lines_round_trip_every_double(self, tmp_path, point):
+        spec = echo_spec(tmp_path)
+        y = np.array([[point, 0.5]])
+        run_campaign(spec, y)
+        assert (spec.samples_dir / "0" / "params.txt").read_text() == params_line(y[0])
+        assert run_campaign(spec, y).cached == 1

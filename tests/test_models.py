@@ -166,6 +166,13 @@ class TestGFunction:
         assert model.evaluate([0.0, 0.0, 0.0]).values[0] == g_function([0.0, 0.0, 0.0])
         assert model.exact_mean().values[0] == 1.0
 
+    def test_samples_share_one_scalar_grid(self):
+        model = GFunction(3)
+        y = np.random.default_rng(3).random((2, 3))
+        a, b = model.evaluate(y[0]), model.evaluate(y[1])
+        assert a.grid is b.grid is GridSpec.single() is model.exact_mean().grid
+        assert a.values[0] == g_function(y[0]) and b.values[0] == g_function(y[1])
+
 
 class TestKL:
     def test_lambda2_frozen_value(self):

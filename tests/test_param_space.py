@@ -7,6 +7,7 @@ from rbfuq import CollocationSet, MAX_DIM, ParameterDomain, halton_points, radic
 # Hand-computed digit reversals: i = sum d_k b^k maps to sum d_k b^(-k-1).
 BASE2_FIRST8 = [0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875, 0.0625]
 BASE3_FIRST8 = [1 / 3, 2 / 3, 1 / 9, 4 / 9, 7 / 9, 2 / 9, 5 / 9, 8 / 9]
+PRIMES = [p for p in range(2, 312) if all(p % q for q in range(2, p))]  # the MAX_DIM = 64 bases
 
 
 class TestRadicalInverse:
@@ -119,6 +120,20 @@ class TestHaltonPoints:
     def test_rejects_zero_points(self):
         with pytest.raises(ValueError):
             halton_points(ParameterDomain.unit(2), 0)
+
+    @pytest.mark.parametrize("start", [1, 500, 2**20, 2**40, 2**44 - 200])
+    def test_every_base_equals_radical_inverse_bitwise(self, start):
+        unit = halton_points(ParameterDomain.unit(MAX_DIM), 200, start_index=start).points
+        expected = [[radical_inverse(start + i, base) for base in PRIMES] for i in range(200)]
+        assert np.array_equal(unit, expected)
+
+    def test_indices_from_two_to_the_44_are_refused(self):
+        dom = ParameterDomain.unit(2)
+        assert halton_points(dom, 1, start_index=2**44 - 1).n == 1
+        with pytest.raises(ValueError, match=r"^Halton index 17592186044416 is 2\^44 or more"):
+            halton_points(dom, 2, start_index=2**44 - 1)
+        with pytest.raises(ValueError, match="start_index must be >= 1, got 0"):
+            halton_points(dom, 4, start_index=0)
 
 
 class TestCollocationSet:

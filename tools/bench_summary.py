@@ -25,6 +25,11 @@ to one metric (``claim``): the second side must win at least 9 of every
 10 seed pairs, and its median must beat the first side's by more than
 the first side's quartile spread q3 - q1.  The result goes into the
 summary as ``claim`` and is printed as ``met`` or ``not met``.
+
+``--traced WORKLOAD`` (repeatable) adds one ``--trace 1`` run per side
+after the pairs, with the first seed, and stores each side's per-layer
+metrics under ``traced``: every value is the median over that run's
+traced rounds.
 """
 from __future__ import annotations
 
@@ -55,10 +60,14 @@ def machine() -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench_argv(workload: str, seed: int, seconds: float, trace: int = 0) -> list:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in ``checkout``: its last output line, with the seed."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+    argv = [sys.executable, *perfbench_argv(workload, seed, seconds, trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
@@ -122,8 +131,12 @@ def main(argv=None) -> int:
     parser.add_argument("--side", action="append", default=[], metavar="NAME=DIR")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="apply the gain rule to one metric")
-    parser.add_argument("runs", nargs="+", metavar="WORKLOAD:COUNT")
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
+                        help="one --trace 1 run per side; its per-layer metrics go under traced")
+    parser.add_argument("runs", nargs="*", metavar="WORKLOAD:COUNT")
     args = parser.parse_args(argv)
+    if not args.runs and not args.traced:
+        parser.error("give a WORKLOAD:COUNT or a --traced WORKLOAD")
     sides = dict(side.split("=", 1) for side in args.side) or {"change": str(ROOT)}
     sides = {name: Path(path).resolve() for name, path in sides.items()}
     if len(sides) > 2:
@@ -181,6 +194,18 @@ def main(argv=None) -> int:
         report["claim"] = {"workload": claimed_workload, "metric": claimed_metric, **claim(*runs, better)}
         print(f"claim {args.claim}: {'met' if report['claim']['met'] else 'not met'} "
               f"(won {report['claim']['won']} of {report['claim']['pairs']})")
+    if args.traced:
+        report["traced"] = {}
+    for workload in args.traced:
+        argv = perfbench_argv(workload, args.first_seed, seconds, trace=1)
+        report["traced"][workload] = {
+            "command": " ".join(["python3", *argv]),
+            "note": "one run per side, after the pairs; each value is the median over that run's traced rounds",
+        }
+        for name, checkout in sides.items():
+            result = run_once(checkout, workload, args.first_seed, seconds, trace=1)
+            report["traced"][workload][name] = result["metrics"]
+            print(f"{workload} traced {name}: {json.dumps(result['metrics'])}", file=sys.stderr)
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
