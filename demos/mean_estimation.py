@@ -15,7 +15,6 @@ from rbfuq import (
     PoissonExact,
     Tikhonov,
     assemble_gram,
-    cc_rule,
     estimate_mean,
     halton_points,
     kernel_moments,
@@ -30,8 +29,7 @@ print(f"model: 1-D parameter on [-sqrt(3), sqrt(3)], field of {m} grid values")
 
 spec = KernelSpec("gaussian", dim=1)
 reg = Tikhonov(1e-15)
-rule = cc_rule(domain, level=7)
-print(f"moment rule: level {rule.level}; Gaussian moments are exact erf differences")
+print("kernel moments over the box: Gaussian moments are exact erf differences")
 
 print(f"\n{'n':>4s} {'mean at center':>16s} {'field l2 error':>16s} {'sum of weights':>16s}")
 center = m // 2
@@ -40,7 +38,7 @@ for n in (2, 4, 8, 16):
     outputs = np.stack([model.evaluate(y).values for y in sample.points])
 
     gram = assemble_gram(spec, sample)
-    b = kernel_moments(spec, sample, rule)
+    b = kernel_moments(spec, sample, domain)
     weights = moment_weights(gram, reg, b)
     mean = estimate_mean(weights, outputs)
 

@@ -78,7 +78,7 @@ def _print_plan(cfg: RunConfig, n: int, settings) -> None:
     print(f"collocation system: {n} x {n}")
     engines = {}
     for family in dict.fromkeys(s.family for s in settings):
-        engines.setdefault(_moment_plan(family, cfg.domain.dim, cfg.level), []).append(family)
+        engines.setdefault(_moment_plan(family, cfg.domain.dim), []).append(family)
     for plan, families in engines.items():
         print(f"{', '.join(families)} kernel moments: {plan}")
     if isinstance(cfg.model, External):
@@ -96,7 +96,7 @@ def cmd_mean(args) -> int:
         _print_plan(cfg, n, [setting])
         return EXIT_OK
     mean_path, weights_path = _out_path(cfg, "mean.bin"), _out_path(cfg, "weights.csv")
-    result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.level, cfg.jobs)
+    result = estimate(cfg.model, cfg.domain, {setting: (n,)}, cfg.jobs)
     weights, mean = result.weights[setting, n], result.means[setting, n]
     write_qoi(mean_path, mean)
     header = ["index", *(f"y{d + 1}" for d in range(cfg.domain.dim)), "weight"]
@@ -145,7 +145,7 @@ def cmd_reference(args) -> int:
     if ref.kind == "exact":
         values = cfg.model.exact_mean().values
     else:
-        means = estimate(cfg.model, cfg.domain, {ref.kernel: (ref.n_max,)}, cfg.level, cfg.jobs).means
+        means = estimate(cfg.model, cfg.domain, {ref.kernel: (ref.n_max,)}, cfg.jobs).means
         values = means[ref.kernel, ref.n_max]
     write_qoi(path, values)
     _write_json(meta_path, {"reference": config_echo(ref), "m": int(values.size)})

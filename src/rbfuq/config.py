@@ -17,7 +17,7 @@ from pathlib import Path
 from .models import External, GFunction, GridSpec, KLField, PoissonExact
 from .models.external import _check_jobs
 from .param_space import ParameterDomain, _halton_bases
-from .quadrature import _level_nodes
+from .quadrature import _check_moments, _level_nodes
 from .study import (
     KernelSetting,
     ReferenceSpec,
@@ -140,7 +140,7 @@ def _parse_model(obj, dim: int, base_dir: Path, where: str = "model"):
 _KERNEL_KEYS = ("family", "zeta", "epsilon", "eps_reg", "tsvd_tol", "regularization", "label")
 
 
-def _parse_kernel(obj, where: str) -> KernelSetting:
+def _parse_kernel(obj, where: str, dim: int) -> KernelSetting:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     _check_keys(obj, _KERNEL_KEYS, where)
@@ -164,19 +164,21 @@ def _parse_kernel(obj, where: str) -> KernelSetting:
         reg = None
     else:
         reg = _owned(f"{where}.eps_reg", Tikhonov, _number(obj.get("eps_reg", 1e-12), f"{where}.eps_reg"))
-    return _owned(
+    setting = _owned(
         where, KernelSetting, family=family, zeta=zeta, epsilon=epsilon, regularization=reg, label=obj.get("label")
     )
+    _owned(f"{where}.family", _check_moments, family, dim)
+    return setting
 
 
-def _parse_reference(obj, where: str = "reference") -> ReferenceSpec:
+def _parse_reference(obj, dim: int, where: str = "reference") -> ReferenceSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     kind = _string(_require(obj, "kind", where), f"{where}.kind")
     if kind == "kernel":
         _check_keys(obj, ("kind", "n_max", "kernel"), where)
         n_max = _integer(_require(obj, "n_max", where), f"{where}.n_max")
-        kernel = _parse_kernel(_require(obj, "kernel", where), f"{where}.kernel")
+        kernel = _parse_kernel(_require(obj, "kernel", where), f"{where}.kernel", dim)
         return _owned(where, ReferenceSpec.kernel_at, n_max, kernel)
     reference = _owned(where, ReferenceSpec, kind)  # refuses a kind other than exact or kernel
     _check_keys(obj, ("kind",), where)
@@ -245,7 +247,7 @@ def parse_config(data, base_dir=".") -> RunConfig:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("config.kernels must be a non-empty list")
         kernels = tuple(
-            _parse_kernel(obj, f"kernels[{i}]") for i, obj in enumerate(raw)
+            _parse_kernel(obj, f"kernels[{i}]", domain.dim) for i, obj in enumerate(raw)
         )
         _owned("config.kernels", _check_columns, kernels)
     schedule = None
@@ -260,7 +262,7 @@ def parse_config(data, base_dir=".") -> RunConfig:
     norm = data.get("norm", "abs_l2")
     _owned("config.norm", _check_norm, norm)
     reference = (
-        _parse_reference(data["reference"]) if "reference" in data else ReferenceSpec.exact()
+        _parse_reference(data["reference"], domain.dim) if "reference" in data else ReferenceSpec.exact()
     )
     csv_name = _string(data["csv"], "config.csv") if "csv" in data else "study.csv"
     fit_window = _integer(data.get("fit_window", 4), "config.fit_window")

@@ -20,8 +20,8 @@ A campaign formats all its ``params.txt`` lines once and reads its cached
 samples with ``os``-level calls: a ``stat`` of ``done``, one read of
 ``params.txt``, and one vectored read of ``qoi.bin`` whose payload lands
 straight in the sample's row of the one result table.  The table is the
-campaign's only copy of the outputs; one finiteness pass over it follows
-the reads, before any solver starts.
+campaign's only copy of the outputs; one finiteness pass over it, in row
+blocks of ``_FINITE_BLOCK`` entries, follows the reads, before any launch.
 """
 from __future__ import annotations
 
@@ -38,6 +38,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+# Table entries per row block of the finiteness pass, so its masks stay small.
+_FINITE_BLOCK = 1 << 16
 
 
 class ExternalError(RuntimeError):
@@ -234,10 +237,16 @@ def _check_params(index: int, sample_dir: str, line: bytes) -> None:
 
 
 def _refuse_non_finite(table, odd: dict, stop: int) -> None:
-    """Refuse the first cached sample before ``stop`` with a non-finite value."""
+    """Refuse the first cached sample before ``stop`` with a non-finite value,
+    checking the table in row blocks of about ``_FINITE_BLOCK`` entries."""
     bad = [i for i, values in odd.items() if i < stop and not np.isfinite(values).all()]
     if table is not None:
-        bad += np.flatnonzero(~np.isfinite(table[:stop]).all(axis=1))[:1].tolist()
+        rows = max(1, _FINITE_BLOCK // max(1, table.shape[1]))
+        for s in range(0, stop, rows):
+            hit = np.flatnonzero(~np.isfinite(table[s : min(s + rows, stop)]).all(axis=1))
+            if hit.size:
+                bad.append(s + int(hit[0]))
+                break
     if bad:
         raise OutputValueError(min(bad), "non-finite values in output")
 

@@ -15,7 +15,7 @@ come from one of two exact engines, by family:
   sums of Gaussians, phi(r) = sum_k c_k exp(-(sigma_k r)^2): one term for
   the Gaussian, a trapezoid rule over the mixture for the Matern profiles
   (``_gaussian_terms``).  Each term's moment is a product of erf
-  differences, so these are exact in any D, at any level.
+  differences, so these are exact in any D.
 - Radial reduction (the Wendland families) goes through the radial
   moments M_j(R) = integral_0^R s^j phi(s) ds and H(R) = M_{D-1}(R).
   On [0, 1] each M_j is R^(j+1) times a polynomial P, whose coefficients
@@ -25,7 +25,7 @@ come from one of two exact engines, by family:
   the unit and +-sqrt(3) boxes and zeta from 1e-4 to 1e4, the moments
   agree with the same reduction on exactly evaluated polynomials to
   1.4e-15 relative.  The scaled box is split at the centre into 2^D
-  orthants; D = 1 is then exact, and for D >= 2 each orthant is a union
+  orthants; D = 1 is then exact, and in D = 2 and 3 each orthant is a union
   of D pyramids with apex at the centre, one per far face, whose radial
   direction integrates in closed form to the face integral of
   a_k H(R) / R^D.  In D = 2 each face is a segment; in D = 3 it is split
@@ -36,32 +36,24 @@ come from one of two exact engines, by family:
   Gauss-Legendre (GL) segment evaluates the polynomials directly
   and converges spectrally; only segments of positive width are
   evaluated.  Beyond it the integrand is elementary (M_j(R) = M_j(1)),
-  and its integral is a closed form in arctangents, with no nodes.  In
-  D >= 4 the faces take a tensor GL rule in the same sinh coordinates
-  that does not split the support sphere, so there the convergence is
-  algebraic.  Only the polynomials differ between the Wendland
-  families: the extents, segment splits, nodes, distances and
-  arctangent spans depend on the centres, the box and zeta alone.  So
-  the reduction takes a tuple of families and, per batch of centres,
-  builds that geometry once and evaluates each family's polynomials on
-  it in turn, with the same operations as on its own; one family is
-  the one-element case, and each row is bitwise that family's vector.
+  and its integral is a closed form in arctangents, with no nodes.
+  Only the polynomials differ between the Wendland families: the
+  extents, segment splits, nodes, distances and arctangent spans depend
+  on the centres, the box and zeta alone.  So the reduction takes a
+  tuple of families and, per batch of centres, builds that geometry
+  once and evaluates each family's polynomials on it in turn, with the
+  same operations as on its own; one family is the one-element case,
+  and each row is bitwise that family's vector.
 
-In D <= 3 every inner segment has ``_SEGMENT_NODES`` = 33 nodes at
-every level, already at the rounding floor, so the moments do not
-depend on the level.  The ``level`` of the rule passed in sets the
-resolution of the D >= 4 face rules only, through
-``_moment_resolution``: they use the largest per-axis order whose nodes
-per centre do not outnumber the n^D nodes of the tensor rule,
-n = 2^(l-1) + 1 at level l, so two levels there are two distinct
-computations.  Levels run from 1 to
-``MAX_LEVEL``, where the O(n^2) memory of building one per-axis rule is
-still small.  No tensor grid over the box is ever built: both engines
-take centres in batches of about ``_BATCH_ENTRIES`` array entries, and a
-D >= 4 face rule too large for one centre is summed in slices of that
-size, so the temporaries do not grow with N or with the face rule.  The
-tensor rule itself (``cc_rule``, ``cc_nodes_weights``) is kept for
-direct use.
+Every inner segment has ``_SEGMENT_NODES`` = 33 nodes, already at the
+rounding floor, so the moments need only the box.  Wendland moments in
+D >= 4 are refused (``_check_moments``, which names matern32 instead):
+a tensor GL rule on each face, where the support sphere is not split,
+was still 1e-6 off at about 50 ms per centre in D = 5.  Wendland Gram
+matrices and interpolants work in any D.  Both engines take centres in
+batches of about ``_BATCH_ENTRIES`` array entries, so the temporaries
+do not grow with N.  The tensor Clenshaw-Curtis rule (``cc_rule``,
+``cc_nodes_weights``) is kept for direct use.
 """
 from __future__ import annotations
 
@@ -86,13 +78,12 @@ _BATCH_ENTRIES = 500_000
 _MIXTURE_STEP = 3.0 / 16.0
 _MIXTURE_TOP = 61.0 / 16.0
 
-# GL nodes per inner segment of the D <= 3 radial reduction, at every
-# level: 33 reach the rounding floor against a 257-node reference for
-# zeta from 0.3 to 1e4, and more nodes do not move the moments further.
+# GL nodes per inner segment of the radial reduction: 33 reach the
+# rounding floor against a 257-node reference for zeta from 0.3 to 1e4,
+# and more nodes do not move the moments further.
 _SEGMENT_NODES = 33
 
-# Highest level: building one per-axis rule of 2^(l-1) + 1 nodes costs
-# O(n^2) memory, 32 MiB for leggauss(2049) at level 12.
+# Highest level of a tensor rule, whose 2^(l-1) + 1 nodes per axis stay small.
 MAX_LEVEL = 12
 
 
@@ -155,19 +146,17 @@ class TensorRule:
     domain: ParameterDomain
 
 
-def cc_rule(
-    domain: ParameterDomain, level: int, max_points: int | None = 10 ** 8
-) -> TensorRule:
-    """Tensor Clenshaw-Curtis rule over the domain box.
+def cc_rule(domain: ParameterDomain, level: int, max_points: int = 10 ** 8) -> TensorRule:
+    """Tensor Clenshaw-Curtis rule over the domain box, for direct use.
 
     Raises an error when the tensor grid would exceed ``max_points``
     points; in that case lower the level (sparse rules are out of scope).
-    ``max_points=None`` skips the check, for callers that never expand
-    the grid, such as ``kernel_moments``.
+    ``kernel_moments`` needs no rule: it takes the box itself, or reads
+    only the box of a rule.
     """
     n = _level_nodes(level)
     total = n ** domain.dim
-    if max_points is not None and total > max_points:
+    if total > max_points:
         raise ValueError(
             f"tensor rule at level {level} has {n}^{domain.dim} = {total:.3g} "
             f"points, above the cap of {max_points:.3g}; lower the level or "
@@ -334,7 +323,7 @@ def _atan_span(x, lo, hi) -> np.ndarray:
     return np.arctan2(x * (hi - lo), x * x + lo * hi)
 
 
-def _edge_integral(x, y, kink2, inner, outer, q: int) -> np.ndarray:
+def _edge_integral(x, y, kink2, inner, outer) -> np.ndarray:
     """integral_0^asinh(y/x) f(x cosh s) / cosh s ds, one row per family.
 
     This is the angular integral over a right triangle with its apex at
@@ -344,15 +333,16 @@ def _edge_integral(x, y, kink2, inner, outer, q: int) -> np.ndarray:
     stays smooth however small x is relative to y.  f has a kink where
     that distance reaches sqrt(kink2), at the offset p = sqrt(kink2 - x^2)
     along the edge (0 when x is beyond it, y when the edge ends first).
-    On the inner segment [0, asinh(p/x)] a GL rule of q nodes samples f
-    only for the rows where that segment has positive width: the nodes
-    are placed once, and inner(distances, rows) may overwrite the
-    distances, shape (live, q), and then yields each family's values at
-    them, a new array each, which is weighted in place and summed before
-    the next family's is made.  Beyond the kink f is elementary, and
-    outer(x, p, y) gives its integral from offset p to y in closed form,
-    one row per family, in u = sinh s = offset / x with
-    ds / cosh s = du / (1 + u^2); it must vanish where p = y.  Rows with
+    On the inner segment [0, asinh(p/x)] a GL rule of q nodes
+    (``_SEGMENT_NODES``) samples f only for the rows where that segment
+    has positive width: the nodes are placed once, and
+    inner(distances, rows) may overwrite the distances, shape (live, q),
+    and then yields each family's values at them, a new array each,
+    which is weighted in place and summed before the next family's is
+    made.  Beyond the kink f is elementary, and outer(x, p, y) gives its
+    integral from offset p to y in closed form, one row per family, in
+    u = sinh s = offset / x with ds / cosh s = du / (1 + u^2); it must
+    vanish where p = y.  Rows with
     x below the smallest normal float are empty: their integral is below
     x y, and p / x could pass the float range.  Each row adds its q nodes
     in the same order whatever the batch or the families around it.
@@ -363,7 +353,7 @@ def _edge_integral(x, y, kink2, inner, outer, q: int) -> np.ndarray:
     mid = np.minimum(np.sqrt(np.maximum(kink2 - x * x, 0.0)), y)
     width = np.arcsinh(mid / x)
     rows = np.flatnonzero(width > 0)
-    t, w = _gauss_legendre(q)
+    t, w = _gauss_legendre(_SEGMENT_NODES)
     c = width[rows, None] * t
     np.cosh(c, out=c)
     total = outer(x, mid, y)
@@ -374,63 +364,7 @@ def _edge_integral(x, y, kink2, inner, outer, q: int) -> np.ndarray:
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _face_integral(families: tuple, h, b, q: int) -> np.ndarray:
-    """integral over [0, b] of h H(R) / R^D dp with R^2 = h^2 + |p|^2, one
-    row per family.
-
-    Tensor GL rule of order q per axis in the coordinates p_j = h sinh s_j,
-    where the integrand is H(h rho) prod_j cosh(s_j) / rho^D with
-    rho^2 = 1 + sum_j sinh(s_j)^2.  The trailing face axes, as many as
-    fit in ``_BATCH_ENTRIES`` entries, are broadcast, and the leading
-    ones are looped over; when the whole grid fits, the loop runs once.
-    Each slice of the grid is built once, and each family's H is
-    evaluated and summed on it in turn.  A face so near the centre that
-    its coordinates s_j pass the float range (h below about 1e-38 b in
-    D <= 8) holds under h prod(b) / D of the integral, and counts as
-    empty, as a face at h = 0 does.
-    """
-    dim = b.shape[1] + 1
-    moments = [_wendland_moment(family, dim, dim - 1) for family in families]
-    live = h > 0
-    h = np.where(live, h, 1.0)
-    top = np.where(live[:, None], np.arcsinh(b / h[:, None]), 0.0)
-    t, w = _gauss_legendre(q)
-    s = top[..., None] * t
-    sinh2 = np.sinh(s) ** 2
-    jac = np.cosh(s) * (top[..., None] * w)
-    lead = 0
-    while lead < dim - 1 and h.size * q ** (dim - 1 - lead) > _BATCH_ENTRIES:
-        lead += 1
-    trail = dim - 1 - lead
-    height = h.reshape((-1,) + (1,) * trail)
-    total = np.zeros((len(families), h.size))
-    for node in itertools.product(range(q), repeat=lead):
-        # the same additions and products, in the same order, as on the full grid
-        grid_sinh2 = np.zeros((h.size,) + (1,) * trail)
-        grid_jac = np.ones_like(grid_sinh2)
-        for d in range(dim - 1):
-            shape = [h.size] + [1] * trail
-            if d < lead:
-                axis = slice(node[d], node[d] + 1)
-            else:
-                axis = slice(None)
-                shape[d - lead + 1] = q
-            grid_sinh2 = grid_sinh2 + sinh2[:, d, axis].reshape(shape)
-            grid_jac = grid_jac * jac[:, d, axis].reshape(shape)
-        rho = np.sqrt(1.0 + grid_sinh2)
-        radius = np.minimum(height * rho, 1.0)  # H stays at H(1) beyond the support
-        rho_d = rho ** dim
-        for row, moment in zip(total, moments):
-            vals = moment(radius)
-            vals *= grid_jac
-            vals /= rho_d
-            row += vals.reshape(h.size, -1).sum(axis=1)
-    total[~np.isfinite(total)] = 0.0
-    return total
-
-
-def _edge_term(families: tuple, h, y, q: int) -> np.ndarray:
+def _edge_term(families: tuple, h, y) -> np.ndarray:
     """D = 2 integral over an edge at distance h of h H(R) / R^2, from its
     foot to y, one row per family.
 
@@ -441,11 +375,11 @@ def _edge_term(families: tuple, h, y, q: int) -> np.ndarray:
     m1 = [_wendland_moment(family, 2, 1) for family in families]
     ends = np.array([m(1.0) for m in m1])[:, None]
     return _edge_integral(
-        h, y, 1.0, lambda r, rows: (m(r) for m in m1), lambda x, lo, hi: ends * _atan_span(x, lo, hi), q
+        h, y, 1.0, lambda r, rows: (m(r) for m in m1), lambda x, lo, hi: ends * _atan_span(x, lo, hi)
     )
 
 
-def _foot_triangle(families: tuple, h, x, y, q: int) -> np.ndarray:
+def _foot_triangle(families: tuple, h, x, y) -> np.ndarray:
     """D = 3 integral of h H(R) / R^3 over a right triangle of a face at
     distance h, with its apex at the foot (the face corner nearest the
     centre) and legs x (to the far edge) and y (along it), one row per
@@ -483,12 +417,12 @@ def _foot_triangle(families: tuple, h, x, y, q: int) -> np.ndarray:
             return np.arctan2(h * p, x * np.sqrt(h * h + x * x + p * p))
         return flat * _atan_span(x, lo, hi) - m2_end * (angle(hi) - angle(lo))
 
-    return _edge_integral(x, y, 1.0 - h * h, inner, outer, q)
+    return _edge_integral(x, y, 1.0 - h * h, inner, outer)
 
 
-def _orthant_integrals(families: tuple, a: np.ndarray, q: int) -> np.ndarray:
+def _orthant_integrals(families: tuple, a: np.ndarray) -> np.ndarray:
     """integral over [0, a_1] x ... x [0, a_D] of phi(|u|) du, per row of a,
-    one row per Wendland family phi in D = a.shape[1].
+    one row per Wendland family phi in D = a.shape[1] <= 3.
 
     The orthant is the union of D pyramids with apex at the origin, one
     per far face u_k = a_k; with u = t p for p on that face, the radial
@@ -505,76 +439,47 @@ def _orthant_integrals(families: tuple, a: np.ndarray, q: int) -> np.ndarray:
     for k in range(dim):
         h, face = a[:, k], np.delete(a, k, axis=1)
         if dim == 2:
-            total += _edge_term(families, h, face[:, 0], q)
-        elif dim == 3:
-            total += _foot_triangle(families, h, face[:, 0], face[:, 1], q) + _foot_triangle(
-                families, h, face[:, 1], face[:, 0], q
-            )
-        else:
-            total += _face_integral(families, h, face, q)
+            total += _edge_term(families, h, face[:, 0])
+        else:  # the two foot triangles of the face, with their legs swapped
+            total += _foot_triangle(families, h, *face.T) + _foot_triangle(families, h, *face.T[::-1])
     return total
 
 
-def _face_order(dim: int, nodes_per_axis: int) -> int:
-    """Per-axis GL order of the D >= 4 face rules at a given level.
-
-    The largest order (at least 2) whose 2^D * D * q^(D-1) face nodes per
-    centre do not exceed the nodes_per_axis^D nodes of the tensor rule,
-    and at most the per-axis nodes at ``MAX_LEVEL``, which bounds the
-    O(q^2) memory of building the rule.
-    """
-    budget = nodes_per_axis ** dim
-    cap = _level_nodes(MAX_LEVEL)
-    q = 2
-    while q < cap and dim * 2 ** dim * (q + 1) ** (dim - 1) <= budget:
-        q += 1
-    return q
+def _check_moments(family: str, dim: int) -> None:
+    """The one rule on which kernel moments exist: a Wendland family's only up to D = 3."""
+    if family.startswith("wendland") and dim > 3:
+        raise ValueError(
+            f"{family} kernel moments are computed only up to 3 dimensions, not {dim}; "
+            "use matern32, whose moments are exact in any dimension"
+        )
 
 
-def _moment_resolution(dim: int, level: int) -> tuple[int, int]:
-    """GL order of the radial reduction at a level, and its nodes per orthant.
-
-    The order counts nodes per segment for D <= 3, ``_SEGMENT_NODES``
-    at every level, and per face axis for D >= 4.  In D <= 3 only the
-    inner segment of each of the D (D - 1) edges or triangles has nodes.
-    """
-    n = _level_nodes(level)
-    if dim <= 3:
-        return _SEGMENT_NODES, max(1, _SEGMENT_NODES * dim * (dim - 1))
-    q = _face_order(dim, n)
-    return q, dim * q ** (dim - 1)
-
-
-def _moment_plan(family: str, dim: int, level: int) -> str:
-    """One line on how ``kernel_moments`` computes a family's moments at this level."""
+def _moment_plan(family: str, dim: int) -> str:
+    """One line on how ``kernel_moments`` computes a family's moments in ``dim`` dimensions."""
+    _check_moments(family, dim)
     if not family.startswith("wendland"):
-        return "erf products, exact at any level"
-    q, _ = _moment_resolution(dim, level)
+        return "erf products, exact in any dimension"
     if dim == 1:
-        return "radial reduction, exact in one dimension at any level"
-    if dim <= 3:
-        return f"radial reduction with {q}-node Gauss-Legendre segments at any level"
-    return f"level {level}, radial reduction with {q}^{dim - 1}-node face rules"
+        return "radial reduction, exact in one dimension"
+    return f"radial reduction with {_SEGMENT_NODES}-node Gauss-Legendre segments"
 
 
 def kernel_moments(
-    spec: KernelSpec, points: CollocationSet, rule: TensorRule, *, more: tuple | None = None
+    spec: KernelSpec, points: CollocationSet, box: ParameterDomain | TensorRule, *, more: tuple | None = None
 ) -> np.ndarray:
     """Kernel moment vector b_j = integral k(y, y_j) rho(y) dy over the box.
 
-    rho is the uniform density of ``rule.domain``.  Only the domain and
-    the level of ``rule`` are used, never its tensor nodes, so a rule
-    from ``cc_rule(domain, level, max_points=None)`` will do.  The
-    Gaussian and Matern families are exact in any D, whatever the level:
-    they are sums of Gaussians, whose moments are erf products.  The
-    Wendland families go through the radial reduction: exact in D = 1;
-    in D = 2 and 3, GL segments of ``_SEGMENT_NODES`` nodes inside the
-    support sphere and closed forms beyond it, at the rounding floor at
-    any level; and face rules whose order grows with the level in D >= 4
-    (see the module notes).  Centres are taken in
-    batches and large face rules in slices of about ``_BATCH_ENTRIES`` entries, so
-    memory does not grow with the number of centres.  Centres outside
-    the box are allowed.
+    rho is the uniform density of ``box``, a ``ParameterDomain`` or a
+    ``TensorRule``, of which only the box is read.  The Gaussian and
+    Matern families are exact in any D: they are sums of Gaussians, whose
+    moments are erf products.  The Wendland families go through the
+    radial reduction: exact in D = 1; in D = 2 and 3, GL segments of
+    ``_SEGMENT_NODES`` nodes inside the support sphere and closed forms
+    beyond it, at the rounding floor (see the module notes).  In D >= 4
+    their moments are refused with a ValueError that names matern32
+    (``_check_moments``).  Centres are taken in batches of about
+    ``_BATCH_ENTRIES`` entries, so memory does not grow with the number
+    of centres.  Centres outside the box are allowed.
 
     ``more`` names further Wendland kernels of ``spec``'s dimension and
     norm scale (``spec`` itself must be Wendland then): all of them share
@@ -584,11 +489,12 @@ def kernel_moments(
     call for that kernel alone.
     """
     pts = _point_rows(points.points if isinstance(points, CollocationSet) else points)
-    dim = rule.domain.dim
+    domain = box.domain if isinstance(box, TensorRule) else box
+    dim = domain.dim
     if pts.shape[1] != dim or spec.dim != dim:
         raise ValueError(
             f"points of dimension {pts.shape[1]} and a kernel of dimension "
-            f"{spec.dim} under a rule of dimension {dim}"
+            f"{spec.dim} over a box of dimension {dim}"
         )
     specs = (spec,) if more is None else (spec, *more)
     if more is not None and not all(
@@ -598,7 +504,8 @@ def kernel_moments(
             "kernels sharing one moment pass must be Wendland kernels of one dimension and "
             f"zeta, got {[(s.family, s.dim, s.zeta) for s in specs]}"
         )
-    domain = rule.domain
+    for s in specs:
+        _check_moments(s.family, dim)
     if not spec.family.startswith("wendland"):
         return _gaussian_moments(spec, pts, domain)
 
@@ -613,12 +520,12 @@ def kernel_moments(
     signs = np.prod(np.sign(half)[:, axes, corners], axis=-1)
 
     families = tuple(s.family for s in specs)
-    q, nodes = _moment_resolution(dim, rule.level)
-    batch = max(1, _BATCH_ENTRIES // (2 ** dim * nodes))
+    # GL nodes per orthant: only the inner segment of each of the D (D - 1) edges or triangles
+    batch = max(1, _BATCH_ENTRIES // (2 ** dim * max(1, _SEGMENT_NODES * dim * (dim - 1))))
     b = np.empty((len(families), pts.shape[0]))
     for s in range(0, pts.shape[0], batch):
         chunk = extents[s : s + batch]
-        orthants = _orthant_integrals(families, chunk.reshape(-1, dim), q)
+        orthants = _orthant_integrals(families, chunk.reshape(-1, dim))
         for row, orthant in zip(b, orthants):  # each family's sum as on its own
             row[s : s + batch] = np.sum(signs[s : s + batch] * orthant.reshape(chunk.shape[:2]), axis=1)
     with np.errstate(over="ignore"):  # past the float range every moment underflows to 0

@@ -34,7 +34,7 @@ from .kernels import KernelSpec
 from .models import External, run_campaign
 from .models.external import _check_jobs, _write_atomic
 from .param_space import CollocationSet, ParameterDomain, halton_points
-from .quadrature import _level_nodes, cc_rule, estimate_mean, kernel_moments, moment_weights
+from .quadrature import _check_moments, _level_nodes, estimate_mean, kernel_moments, moment_weights
 
 NORM_TAGS = ("abs_l2", "rel_l2", "abs_scalar", "rel_scalar")
 
@@ -125,7 +125,7 @@ class StudyConfig:
         if not kernels:
             raise ValueError("study needs at least one kernel")
         schedule = _check_schedule(self.schedule)
-        _level_nodes(self.level)
+        _level_nodes(self.level)  # the level is checked as a config value; no study number reads it
         _check_norm(self.norm)
         _check_columns(kernels)
         _check_jobs(self.jobs)
@@ -133,6 +133,8 @@ class StudyConfig:
         if self.reference.kind == "kernel" and self.reference.n_max < schedule[-1]:
             raise ValueError("kernel reference n_max must cover the schedule")
         _check_reference(self.reference, self.model, self.domain)
+        for setting in self.requests():
+            _check_moments(setting.family, self.domain.dim)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "schedule", schedule)
 
@@ -279,7 +281,7 @@ def _kernel_groups(settings, dim: int) -> dict:
     return groups
 
 
-def _group_moments(tops: dict, points: CollocationSet, rule) -> dict:
+def _group_moments(tops: dict, points: CollocationSet, domain: ParameterDomain) -> dict:
     """The moment vector of each kernel in ``tops`` on its prefix of ``points``.
 
     The Wendland kernels of one norm scale share one ``kernel_moments``
@@ -295,9 +297,9 @@ def _group_moments(tops: dict, points: CollocationSet, rule) -> dict:
     for first, *rest in passes.values():
         prefix = points.prefix(max(tops[spec] for spec in (first, *rest)))
         if first.family.startswith("wendland"):
-            rows = kernel_moments(first, prefix, rule, more=tuple(rest))
+            rows = kernel_moments(first, prefix, domain, more=tuple(rest))
         else:
-            rows = [kernel_moments(first, prefix, rule)]
+            rows = [kernel_moments(first, prefix, domain)]
         moments.update((spec, row[: tops[spec]]) for spec, row in zip((first, *rest), rows))
     return moments
 
@@ -312,9 +314,7 @@ class Estimates:
     means: dict
 
 
-def estimate(
-    model, domain: ParameterDomain, requests: dict, level: int = 7, jobs: int = 1
-) -> Estimates:
+def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> Estimates:
     """Mean estimates of every ``KernelSetting`` in ``requests`` at each of its N.
 
     The model runs once, on the longest Halton prefix asked for.  Settings
@@ -332,20 +332,22 @@ def estimate(
     depend on the settings beside it.  A failed solve
     raises ``StudyError`` naming the setting's column and N.  Every input
     is checked before the model runs: that some setting is requested, the
-    model's and the domain's dimension, ``jobs``, each sample count and
-    the level, so a refused call evaluates nothing.
+    model's and the domain's dimension, ``jobs``, each sample count, and
+    that each setting's kernel moments exist in this dimension (no
+    Wendland kernel in D >= 4), so a refused call evaluates nothing.
     """
     if not requests:
         raise ValueError("estimate needs at least one kernel setting; requests is empty")
     _check_model_dim(model, domain)
     _check_jobs(jobs)
     counts = {setting: _check_schedule(sorted({int(n) for n in ns})) for setting, ns in requests.items()}
-    rule = cc_rule(domain, level, max_points=None)  # kernel_moments never expands it
+    for setting in counts:
+        _check_moments(setting.family, domain.dim)
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))
     table = evaluate_samples(model, points, jobs=jobs)
     groups = _kernel_groups(counts, domain.dim)
     tops = {spec: max(counts[setting][-1] for setting in settings) for spec, settings in groups.items()}
-    moments = _group_moments(tops, points, rule)
+    moments = _group_moments(tops, points, domain)
     weights = {}
     for spec, settings in groups.items():
         gram_full = assemble_gram(spec, points.prefix(tops[spec]))
@@ -376,7 +378,7 @@ def _solve_prefixes(weights: dict, gram_full, b_full, settings, counts: dict) ->
 def run_study(config: StudyConfig) -> StudyReport:
     """Run the full sweep; deterministic end-to-end for analytic models."""
     t0 = time.monotonic()
-    means = estimate(config.model, config.domain, config.requests(), config.level, config.jobs).means
+    means = estimate(config.model, config.domain, config.requests(), config.jobs).means
     ref = config.reference
     if ref.kind == "exact":
         ref_values = config.model.exact_mean().values

@@ -1,4 +1,5 @@
-"""The package ``__all__`` lists match what each ``__init__`` imports."""
+"""The package ``__all__`` lists match what each ``__init__`` imports, and
+every name the package defines has a use."""
 import ast
 import importlib
 from pathlib import Path
@@ -34,11 +35,9 @@ ROOT = SRC.parent
 USERS = ("src", "demos", "perfbench", "tools", "stubs")
 
 
-def _referenced_names() -> set:
-    """Names loaded, read as attributes or imported anywhere in ``USERS`` and in
-    the acceptance tests, outside the package ``__init__`` re-exports."""
-    files = [p for top in USERS for p in sorted((ROOT / top).rglob("*.py"))]
-    files.append(ROOT / "tests" / "test_acceptance.py")
+def _referenced_names(files) -> set:
+    """Names loaded, read as attributes or imported anywhere in ``files``,
+    outside the package ``__init__`` re-exports."""
     inits = {SRC / "rbfuq" / "__init__.py", SRC / "rbfuq" / "models" / "__init__.py"}
     names = set()
     for path in files:
@@ -56,6 +55,24 @@ def _referenced_names() -> set:
 
 @pytest.mark.parametrize("package", ["rbfuq", "rbfuq.models"])
 def test_every_public_name_has_a_use_outside_the_tests(package):
+    files = [p for top in USERS for p in sorted((ROOT / top).rglob("*.py"))]
+    files.append(ROOT / "tests" / "test_acceptance.py")
     public = set(importlib.import_module(package).__all__) - {"__version__"}
-    unused = sorted(public - _referenced_names())
+    unused = sorted(public - _referenced_names(files))
     assert not unused, f"{package} exports names that only their own tests use: {unused}"
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a definition is not a use, so a private helper whose last caller went is caught
+    files = sorted(SRC.rglob("*.py"))
+    private = [
+        f"{path.relative_to(SRC)}::{node.name}"
+        for path in files
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    used = _referenced_names(files)
+    unused = [name for name in private if name.split("::")[1] not in used]
+    assert not unused, f"private definitions that nothing in src/ uses: {unused}"

@@ -14,7 +14,6 @@ from rbfuq import (
     External,
     PoissonExact,
     assemble_gram,
-    cc_rule,
     estimate,
     estimate_mean,
     halton_points,
@@ -95,7 +94,7 @@ class TestSample:
 class TestMean:
     def test_matches_library_pipeline(self, tmp_path):
         cfg_path = gfunction_cfg(
-            tmp_path, dim=1, n=4, kernels=[{"family": "gaussian"}], level=6
+            tmp_path, dim=1, n=4, kernels=[{"family": "gaussian"}]
         )
         assert main(["mean", "--config", cfg_path]) == EXIT_OK
         mean = read_qoi(tmp_path / "out" / "mean.bin")
@@ -105,7 +104,7 @@ class TestMean:
         points = halton_points(cfg.domain, 4)
         spec = setting.spec(1)
         gram = assemble_gram(spec, points)
-        b = kernel_moments(spec, points, cc_rule(cfg.domain, 6))
+        b = kernel_moments(spec, points, cfg.domain)
         weights = moment_weights(gram, setting.regularization, b)
         table = np.vstack([cfg.model.evaluate(y).values for y in points.points])
         expected = estimate_mean(weights, table)
@@ -113,7 +112,7 @@ class TestMean:
 
     def test_weights_csv_roundtrip(self, tmp_path):
         cfg_path = gfunction_cfg(
-            tmp_path, dim=1, n=4, kernels=[{"family": "wendland1"}], level=6
+            tmp_path, dim=1, n=4, kernels=[{"family": "wendland1"}]
         )
         main(["mean", "--config", cfg_path])
         lines = (tmp_path / "out" / "weights.csv").read_text().splitlines()
@@ -125,7 +124,7 @@ class TestMean:
         points = halton_points(cfg.domain, 4)
         spec = setting.spec(1)
         gram = assemble_gram(spec, points)
-        b = kernel_moments(spec, points, cc_rule(cfg.domain, 6))
+        b = kernel_moments(spec, points, cfg.domain)
         weights = moment_weights(gram, setting.regularization, b)
         for i, line in enumerate(lines[1:]):
             idx, y, w = line.split(",")
@@ -135,12 +134,12 @@ class TestMean:
 
     def test_writes_what_estimate_computes(self, tmp_path):
         cfg_path = gfunction_cfg(
-            tmp_path, dim=2, n=40, kernels=[{"family": "wendland2", "tsvd_tol": 1e-9}], level=5
+            tmp_path, dim=2, n=40, kernels=[{"family": "wendland2", "tsvd_tol": 1e-9}]
         )
         assert main(["mean", "--config", cfg_path]) == EXIT_OK
         cfg = load_config(cfg_path)
         setting = cfg.first_kernel()
-        result = estimate(cfg.model, cfg.domain, {setting: (40,)}, level=5)
+        result = estimate(cfg.model, cfg.domain, {setting: (40,)})
         assert np.array_equal(read_qoi(tmp_path / "out" / "mean.bin"), result.means[setting, 40])
         rows = (tmp_path / "out" / "weights.csv").read_text().splitlines()[1:]
         omega = [float(row.split(",")[-1]) for row in rows]
@@ -278,22 +277,22 @@ class TestStudy:
         cfg = gfunction_cfg(tmp_path, dim=3, kernels=[{"family": "wendland0"}], schedule=[4, 8], level=10)
         assert main(["study", "--config", cfg, "--dry-run"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "kernel moments: radial reduction with 33-node Gauss-Legendre segments at any level\n" in out
+        assert "kernel moments: radial reduction with 33-node Gauss-Legendre segments\n" in out
 
     @pytest.mark.parametrize(
         "config,expected",
         [
-            ("gfunction_external.json", ["gaussian kernel moments: erf products, exact at any level"]),
+            ("gfunction_external.json", ["gaussian kernel moments: erf products, exact in any dimension"]),
             (
                 "poisson_tikhonov.json",
-                ["wendland3 kernel moments: radial reduction, exact in one dimension at any level"],
+                ["wendland3 kernel moments: radial reduction, exact in one dimension"],
             ),
             (
                 "gfunction_kernels.json",
                 [
-                    "gaussian, matern32 kernel moments: erf products, exact at any level",
+                    "gaussian, matern32 kernel moments: erf products, exact in any dimension",
                     "wendland0, wendland1, wendland2, wendland3 kernel moments: "
-                    "radial reduction with 33-node Gauss-Legendre segments at any level",
+                    "radial reduction with 33-node Gauss-Legendre segments",
                 ],
             ),
         ],
@@ -423,7 +422,7 @@ class TestReference:
         assert main(["reference", "--config", cfg_path]) == EXIT_OK
         cfg = load_config(cfg_path)
         ref = cfg.reference
-        expected = estimate(cfg.model, cfg.domain, {ref.kernel: (48,)}, level=5).means[ref.kernel, 48]
+        expected = estimate(cfg.model, cfg.domain, {ref.kernel: (48,)}).means[ref.kernel, 48]
         assert expected.shape == (9,)
         assert np.array_equal(read_qoi(tmp_path / "out" / "reference.bin"), expected)
 
@@ -517,6 +516,34 @@ class TestValidate:
         cfg = gfunction_cfg(tmp_path, level=13)
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         assert "got 13" in capsys.readouterr().err
+
+
+class TestWendlandMomentsAboveThreeDimensions:
+    """A D = 5 config with a Wendland kernel is refused at load, before any directory."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["study"], ["study", "--dry-run"], ["mean"], ["mean", "--dry-run"], ["reference"],
+         ["reference", "--dry-run"], ["validate-config"]],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("where", ["kernels[1].family", "reference.kernel.family"])
+    def test_exits_2_naming_matern32(self, tmp_path, capsys, where, command):
+        column = {"family": "wendland3"} if where.startswith("kernels") else {"family": "matern32"}
+        reference = {"family": "wendland1"} if where.startswith("reference") else {"family": "gaussian"}
+        cfg = gfunction_cfg(
+            tmp_path,
+            dim=5,
+            n=8,
+            kernels=[{"family": "gaussian"}, column],
+            schedule=[4, 8],
+            reference={"kind": "kernel", "n_max": 8, "kernel": reference},
+        )
+        assert main([*command, "--config", cfg]) == EXIT_CONFIG
+        family = (column if where.startswith("kernels") else reference)["family"]
+        expected = f"{where}: {family} kernel moments are computed only up to 3 dimensions, not 5; use matern32"
+        assert expected in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestExitCodes:

@@ -328,6 +328,23 @@ OWNED_RULES = {
     "reference kind": (minimal(reference={"kind": "fine"}), "reference", lambda: ReferenceSpec("fine")),
     "schedule": (minimal(schedule=[0, 8]), "config.schedule", lambda: study(schedule=(0, 8))),
     "level": (minimal(level=13), "config.level", lambda: study(level=13)),
+    "wendland moments": (
+        minimal(domain={"kind": "unit", "dim": 4}, kernels=[{"family": "gaussian"}, {"family": "wendland2"}]),
+        "kernels[1].family",
+        lambda: study(model=GFunction(dim=4), domain=ParameterDomain.unit(4), kernels=(KernelSetting("wendland2"),)),
+    ),
+    "reference wendland moments": (
+        minimal(
+            domain={"kind": "unit", "dim": 4},
+            reference={"kind": "kernel", "n_max": 8, "kernel": {"family": "wendland0"}},
+        ),
+        "reference.kernel.family",
+        lambda: study(
+            model=GFunction(dim=4),
+            domain=ParameterDomain.unit(4),
+            reference=ReferenceSpec.kernel_at(8, KernelSetting("wendland0")),
+        ),
+    ),
     "fit_window": (minimal(fit_window=1), "config.fit_window", lambda: study(fit_window=1)),
     "command": (
         minimal(model=external(command="  ")),

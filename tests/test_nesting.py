@@ -21,16 +21,13 @@ from rbfuq import (
     ParameterDomain,
     Tikhonov,
     assemble_gram,
-    cc_rule,
     estimate,
     halton_points,
     kernel_moments,
 )
 
-# D = 3 at level 7 moves 80 centres per moment batch, so prefixes of up
-# to 256 points end inside and across batches
+# Prefixes of up to 256 points
 MAX_N = 256
-LEVEL = 7
 
 
 @settings(max_examples=20, deadline=None)
@@ -56,11 +53,10 @@ def test_prefix_gram_and_moments_are_the_leading_block(family, dim, data):
     domain = ParameterDomain.symmetric(1.5, dim)
     spec = KernelSpec(family, dim, epsilon=1.5)
     points = halton_points(domain, n_full)
-    rule = cc_rule(domain, LEVEL)
     gram = assemble_gram(spec, points).values
-    moments = kernel_moments(spec, points, rule)
+    moments = kernel_moments(spec, points, domain)
     assert np.array_equal(assemble_gram(spec, points.prefix(n)).values, gram[:n, :n])
-    assert np.array_equal(kernel_moments(spec, points.prefix(n), rule), moments[:n])
+    assert np.array_equal(kernel_moments(spec, points.prefix(n), domain), moments[:n])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -74,7 +70,7 @@ def test_nested_factor_weights_are_backward_stable(family, data):
     domain = ParameterDomain.unit(dim)
     setting = KernelSetting(family, epsilon=1.5, regularization=Tikhonov(eps))
     # the weights at n come from the factor of the N x N block
-    weights = estimate(GFunction(dim), domain, {setting: (n, n_full)}, level=3).weights[setting, n]
+    weights = estimate(GFunction(dim), domain, {setting: (n, n_full)}).weights[setting, n]
     shifted = assemble_gram(setting.spec(dim), halton_points(domain, n)).values + eps * np.eye(n)
     residual = shifted @ weights.omega - weights.moments
     scale = np.linalg.norm(shifted, 2) * np.linalg.norm(weights.omega)

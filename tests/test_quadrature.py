@@ -22,9 +22,10 @@ from rbfuq import (
     halton_points,
     kernel_moments,
     moment_weights,
+    solve,
 )
 from rbfuq import quadrature
-from rbfuq.quadrature import MAX_LEVEL, _gaussian_terms, _level_nodes, _moment_resolution
+from rbfuq.quadrature import _gaussian_terms, _level_nodes
 
 
 class TestUnivariateRule:
@@ -110,11 +111,7 @@ class TestTensorRule:
         with pytest.raises(ValueError, match=f"between 1 and 12, got {level}"):
             _level_nodes(level)
         with pytest.raises(ValueError, match=f"got {level}"):
-            cc_rule(ParameterDomain.unit(1), level, max_points=None)
-
-    def test_no_point_cap(self):
-        rule = cc_rule(ParameterDomain.unit(3), 10, max_points=None)
-        assert [x.size for x in rule.nodes] == [513, 513, 513]
+            cc_rule(ParameterDomain.unit(1), level)
 
 
 def _oracle_profile(lib, family, dim, r):
@@ -272,10 +269,10 @@ ORACLE_CASES_2D = {
 }
 
 
-def _engine_moment(family, bounds, center, zeta, level, epsilon=1.0):
+def _engine_moment(family, bounds, center, zeta, epsilon=1.0):
     dom = ParameterDomain(*np.transpose(bounds))
     spec = KernelSpec(family, len(bounds), epsilon=epsilon, zeta=zeta)
-    return kernel_moments(spec, np.array([center], dtype=float), cc_rule(dom, level))[0]
+    return kernel_moments(spec, np.array([center], dtype=float), dom)[0]
 
 
 class TestMomentOracles:
@@ -288,7 +285,7 @@ class TestMomentOracles:
         bounds, center, zeta = ORACLE_CASES_1D[case]
         with mpmath.workdps(30):
             exact = _oracle_moment(mpmath.mp, family, bounds, center, zeta)
-        b = _engine_moment(family, bounds, center, zeta, level=1)
+        b = _engine_moment(family, bounds, center, zeta)
         assert abs(b - exact) <= 1e-13, f"{family} {case}: {b!r} vs {exact!r}"
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES_2D))
@@ -297,7 +294,7 @@ class TestMomentOracles:
         mpmath = pytest.importorskip("mpmath")
         bounds, center, zeta = ORACLE_CASES_2D[case]
         exact = _oracle_moment(mpmath.fp, family, bounds, center, zeta)
-        b = _engine_moment(family, bounds, center, zeta, level=7)
+        b = _engine_moment(family, bounds, center, zeta)
         assert abs(b - exact) <= 1e-13, f"{family} {case}: {b!r} vs {exact!r}"
 
     def test_gaussian_three_dimensions_is_erf_product(self):
@@ -347,7 +344,7 @@ class TestMomentOracles:
 
         bottom = -min(height, top)
         exact = fp.quad(slab, sorted({bottom, 0.0, top, *tail}))
-        b = _engine_moment(family, [(0.0, 1.0)] * 3, (height, 0.5, 0.5), zeta, level=7)
+        b = _engine_moment(family, [(0.0, 1.0)] * 3, (height, 0.5, 0.5), zeta)
         assert abs(b - exact) <= 1e-13 * exact, f"{family} at {height}: {b!r} vs {exact!r}"
 
     @pytest.mark.parametrize("family", ORACLE_FAMILIES[1:])
@@ -373,27 +370,18 @@ class TestMomentOracles:
                 ref = [_mixture_oracle(mpmath, family, bounds, c, (1.0,) * 3) for c in centers.points[:4]]
         assert np.max(np.abs(b5 - ref)) <= 1e-13
 
-    @pytest.mark.parametrize("family", ["wendland0", "wendland3"])
-    def test_four_dimensions_ball_inside_box(self, family):
-        mpmath = pytest.importorskip("mpmath")
-        zeta = 4.0
-        radial = mpmath.quad(lambda s: s ** 3 * _oracle_profile(mpmath.mp, family, 4, s), [0, 1])
-        exact = 2.0 * math.pi ** 2 * float(radial) / zeta ** 4
-        b = _engine_moment(family, [(0.0, 1.0)] * 4, (0.5,) * 4, zeta, level=5)
-        assert abs(b - exact) <= 1e-12 * exact
-
     def test_level_sets_resolution(self):
-        # only the D >= 4 face rules follow the level; D <= 3 segments do not
-        levels = range(1, MAX_LEVEL + 1)
-        orders = {_moment_resolution(dim, lv)[0] for dim in (2, 3) for lv in levels}
-        assert orders == {quadrature._SEGMENT_NODES}
-        dom = ParameterDomain.unit(4)
-        spec = KernelSpec("wendland0", 4)
-        centers = halton_points(dom, 5)
-        coarse, finer = (
-            kernel_moments(spec, centers, cc_rule(dom, lv, max_points=None)) for lv in (4, 5)
-        )
-        assert np.max(np.abs(coarse - finer)) > 0.0
+        # the level sets the nodes of a tensor rule, and nothing of the moments
+        # that take the rule as their box
+        dom = ParameterDomain.unit(2)
+        centres = halton_points(dom, 5)
+        rules = [cc_rule(dom, lv) for lv in range(1, 8)]
+        assert [rule.nodes[0].size for rule in rules] == [_level_nodes(lv) for lv in range(1, 8)]
+        for family in FAMILIES:
+            spec = KernelSpec(family, 2)
+            box = kernel_moments(spec, centres, dom)
+            for rule in rules:
+                assert np.array_equal(kernel_moments(spec, centres, rule), box)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("family", WENDLAND)
@@ -401,11 +389,9 @@ class TestMomentOracles:
         dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
         spec = KernelSpec(family, dim)
         centres = halton_points(dom, 64)
-        coarse, fine = (
-            kernel_moments(spec, centres, cc_rule(dom, lv, max_points=None))
-            for lv in (1, MAX_LEVEL)
-        )
-        assert np.array_equal(coarse, fine)
+        box = kernel_moments(spec, centres, dom)
+        for level in (1, 7):
+            assert np.array_equal(kernel_moments(spec, centres, cc_rule(dom, level)), box)
 
     @pytest.mark.parametrize("box", ["unit", "symmetric"])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -441,22 +427,21 @@ class TestMomentOracles:
         def outer(leg, lo, hi):
             return m1(1.0) * quadrature._atan_span(leg, lo, hi)[None]
 
-        q = quadrature._SEGMENT_NODES
-        batch = quadrature._edge_integral(x, y, 1.0, inner, outer, q)[0]
+        batch = quadrature._edge_integral(x, y, 1.0, inner, outer)[0]
         assert np.array_equal(seen[0], [0, 1, 4])  # GL nodes on the inner segments only
         assert batch[3] == 0.0
-        assert np.array_equal(batch, quadrature._edge_term(("wendland2",), x, y, q)[0])
+        assert np.array_equal(batch, quadrature._edge_term(("wendland2",), x, y)[0])
         # a row in a batch of one adds its terms as it does in any batch
         for i in range(x.size):
-            alone = quadrature._edge_integral(x[i : i + 1], y[i : i + 1], 1.0, inner, outer, q)[0]
+            alone = quadrature._edge_integral(x[i : i + 1], y[i : i + 1], 1.0, inner, outer)[0]
             assert np.array_equal(alone, batch[i : i + 1])
         # in D = 3 the foot triangles gather each live row's height
         a = np.array(
             [[0.5, 0.5, 0.5], [0.2, 0.9, 0.9], [0.95, 0.6, 0.7], [0.0, 0.3, 0.4], [1.0, 1.0, 0.1]]
         )
-        batch = quadrature._orthant_integrals(("wendland2",), a, q)
+        batch = quadrature._orthant_integrals(("wendland2",), a)
         for i in range(a.shape[0]):
-            alone = quadrature._orthant_integrals(("wendland2",), a[i : i + 1], q)
+            alone = quadrature._orthant_integrals(("wendland2",), a[i : i + 1])
             assert np.array_equal(alone, batch[:, i : i + 1])
 
 
@@ -560,7 +545,7 @@ class TestScaleMixtures:
         for c in (0.0, 0.3, 1.0, 1.4):
             with mpmath.workdps(40):
                 exact = _oracle_moment(mpmath.mp, family, bounds, (c,), zeta=1e-30)
-            b = _engine_moment(family, bounds, (c,), 1e-30, level=1)
+            b = _engine_moment(family, bounds, (c,), 1e-30)
             assert abs(b - exact) <= 1e-15, f"centre {c}: {b!r} vs {exact!r}"
 
     @pytest.mark.parametrize("dim", [1, 3, 5])
@@ -619,10 +604,9 @@ class TestScaleMixtures:
         dom = ParameterDomain.unit(4)
         spec = KernelSpec(family, 4)
         centres = halton_points(dom, 5)
-        coarse, fine = (
-            kernel_moments(spec, centres, cc_rule(dom, lv, max_points=None)) for lv in (1, 9)
-        )
-        assert np.array_equal(coarse, fine)
+        box = kernel_moments(spec, centres, dom)
+        for level in (1, 4):
+            assert np.array_equal(kernel_moments(spec, centres, cc_rule(dom, level)), box)
 
 
 class TestMemoryBound:
@@ -631,22 +615,22 @@ class TestMemoryBound:
     @pytest.mark.parametrize("family", ["matern32", "wendland0", "wendland3"])
     @pytest.mark.parametrize("dim,level", [(4, 7), (5, 6)])
     def test_one_centre_peak(self, family, dim, level):
+        # at every level, as moments read only the box; a Wendland kernel in
+        # D >= 4 is refused before any temporary is made
         dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
-        rule = cc_rule(dom, level, max_points=None)
         centre = halton_points(dom, 1)
         tracemalloc.start()
         try:
-            b = kernel_moments(KernelSpec(family, dim), centre, rule)
+            if family.startswith("wendland"):
+                with pytest.raises(ValueError, match="use matern32"):
+                    kernel_moments(KernelSpec(family, dim), centre, dom)
+            else:
+                b = kernel_moments(KernelSpec(family, dim), centre, dom)
+                assert b[0] > 0.0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert b[0] > 0.0
         assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
-
-    @pytest.mark.parametrize("dim", [4, 5, 6])
-    def test_face_order_within_max_level_nodes(self, dim):
-        # building a q-node GL rule takes O(q^2) memory, which MAX_LEVEL bounds
-        assert _moment_resolution(dim, MAX_LEVEL)[0] <= _level_nodes(MAX_LEVEL) == 2049
 
     @pytest.mark.parametrize("entries", [1, 100, 10 ** 4])
     @pytest.mark.parametrize("dim,level", [(1, 5), (2, 5), (3, 4), (4, 4), (5, 4)])
@@ -654,15 +638,37 @@ class TestMemoryBound:
         dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
         rule = cc_rule(dom, level)
         centres = halton_points(dom, 3)
-        specs = [KernelSpec(f, dim) for f in ("wendland3", "wendland0", "matern12")]
+        families = ("wendland3", "wendland0", "matern12") if dim <= 3 else ("matern12", "matern32")
+        specs = [KernelSpec(f, dim) for f in families]
         default = [kernel_moments(spec, centres, rule) for spec in specs]
         monkeypatch.setattr(quadrature, "_BATCH_ENTRIES", entries)
         for spec, expect in zip(specs, default):
-            b = kernel_moments(spec, centres, rule)
-            if dim <= 3:
-                assert np.array_equal(b, expect)
-            else:  # the face grid is split, so only the summation order changes
-                assert np.max(np.abs(b - expect) / np.abs(expect)) <= 1e-14
+            assert np.array_equal(kernel_moments(spec, centres, rule), expect)
+
+
+class TestWendlandAboveThreeDimensions:
+    """Wendland moments are refused in D >= 4; the rest of the method is not."""
+
+    @pytest.mark.parametrize("dim", [4, 5, 8])
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_moments_refused_naming_matern32(self, family, dim):
+        dom = ParameterDomain.symmetric(math.sqrt(3.0), dim)
+        pts = halton_points(dom, 3)
+        refusal = f"{family} kernel moments are computed only up to 3 dimensions, not {dim}; use matern32"
+        with pytest.raises(ValueError, match=refusal):
+            kernel_moments(KernelSpec(family, dim), pts, dom)
+        with pytest.raises(ValueError, match="use matern32"):  # in a shared pass, over a rule
+            kernel_moments(KernelSpec("wendland0", dim), pts, cc_rule(dom, 1), more=(KernelSpec(family, dim),))
+
+    @pytest.mark.parametrize("family", WENDLAND)
+    def test_gram_and_interpolant_still_work(self, family):
+        dom = ParameterDomain.symmetric(math.sqrt(3.0), 5)
+        pts = halton_points(dom, 32)
+        gram = assemble_gram(KernelSpec(family, 5), pts)
+        assert np.array_equal(np.diag(gram.values), np.ones(32))
+        data = np.sin(pts.points.sum(axis=1))
+        fit = solve(gram, data, None)
+        assert np.max(np.abs(fit.eval_many(pts.points)[:, 0] - data)) <= 1e-10
 
 
 class TestSharedPass:
@@ -672,7 +678,7 @@ class TestSharedPass:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_rows_are_the_one_family_vectors(self, data):
-        dim = data.draw(st.sampled_from([1, 2, 3, 4]), label="D")
+        dim = data.draw(st.sampled_from([1, 2, 3]), label="D")
         families = data.draw(st.permutations(WENDLAND), label="order")
         families = families[: data.draw(st.integers(1, len(WENDLAND)), label="count")]
         zeta = data.draw(st.sampled_from([1e-4, 0.3, 1.0, 3.0, 1e4]), label="zeta")
@@ -690,13 +696,12 @@ class TestSharedPass:
         if outside:
             pts = np.vstack([pts, outside])
         pts = pts[data.draw(st.permutations(range(len(pts))), label="centre order")]
-        rule = cc_rule(dom, 3 if dim == 4 else 2, max_points=None)
         specs = [KernelSpec(family, dim, zeta=zeta) for family in families]
-        rows = kernel_moments(specs[0], pts, rule, more=tuple(specs[1:]))
+        rows = kernel_moments(specs[0], pts, dom, more=tuple(specs[1:]))
         assert rows.shape == (len(specs), len(pts))
         for spec, row in zip(specs, rows):
             top = data.draw(st.integers(1, len(pts)), label=f"{spec.family} top")
-            assert np.array_equal(row[:top], kernel_moments(spec, pts[:top], rule))
+            assert np.array_equal(row[:top], kernel_moments(spec, pts[:top], dom))
 
     def test_one_row_for_an_empty_tuple(self):
         dom = ParameterDomain.unit(2)
@@ -930,8 +935,7 @@ class TestClosedFormSegments:
     def test_foot_triangle_against_mpmath(self, family, case):
         mpmath = pytest.importorskip("mpmath")
         h, x, y = TRIANGLES[case]
-        q = quadrature._SEGMENT_NODES
-        got = quadrature._foot_triangle((family,), *np.array([[h], [x], [y]]), q)[0, 0]
+        got = quadrature._foot_triangle((family,), *np.array([[h], [x], [y]]))[0, 0]
         with mpmath.workdps(30):
             exact = float(_triangle_oracle(mpmath.mp, family, h, x, y))
         assert abs(got - exact) <= 1e-15, f"{family} {case}: {got!r} vs {exact!r}"
@@ -941,14 +945,13 @@ class TestClosedFormSegments:
     def test_edge_term_against_mpmath(self, family, case):
         mpmath = pytest.importorskip("mpmath")
         x, y = EDGES[case]
-        q = quadrature._SEGMENT_NODES
-        got = quadrature._edge_term((family,), np.array([x]), np.array([y]), q)[0, 0]
+        got = quadrature._edge_term((family,), np.array([x]), np.array([y]))[0, 0]
         with mpmath.workdps(30):
             exact = float(_edge_oracle(mpmath.mp, family, x, y))
         assert abs(got - exact) <= 1e-15, f"{family} {case}: {got!r} vs {exact!r}"
 
     def test_zero_distance_is_empty(self):
-        got = quadrature._edge_term(("wendland0",), np.zeros(2), np.array([0.5, 1.0]), 33)[0]
+        got = quadrature._edge_term(("wendland0",), np.zeros(2), np.array([0.5, 1.0]))[0]
         assert np.array_equal(got, np.zeros(2))
 
     @settings(max_examples=60, deadline=None)
@@ -959,8 +962,7 @@ class TestClosedFormSegments:
         y=st.floats(0.0, 1.0),
     )
     def test_against_gl_on_both_segments(self, family, h, x, y):
-        q = quadrature._SEGMENT_NODES
-        got = quadrature._foot_triangle((family,), *np.array([[h], [x], [y]]), q)[0, 0]
+        got = quadrature._foot_triangle((family,), *np.array([[h], [x], [y]]))[0, 0]
         k_h = _k_everywhere(family, np.array(h))
 
         def radial(rho):
@@ -969,7 +971,7 @@ class TestClosedFormSegments:
         ref = _segments_reference(radial, x, y, 1.0 - h * h)
         assert abs(got - ref) <= 1e-15, f"triangle: {got!r} vs {ref!r}"
         m1 = quadrature._wendland_moment(family, 2, 1)
-        got = quadrature._edge_term((family,), np.array([x]), np.array([y]), q)[0, 0]
+        got = quadrature._edge_term((family,), np.array([x]), np.array([y]))[0, 0]
         ref = _segments_reference(
             lambda rho: np.where(rho < 1.0, m1(np.minimum(rho, 1.0)), m1(1.0)), x, y, 1.0
         )
@@ -1022,12 +1024,26 @@ class TestMomentWeights:
             estimate_mean(weights, np.ones((5, 2)))
 
 
+def _refused(family, dim) -> bool:
+    """Whether ``family``'s moments are refused in ``dim`` dimensions, as they
+    are for a Wendland family in D >= 4; that refusal is checked to warn of nothing."""
+    if not (family.startswith("wendland") and dim >= 4):
+        return False
+    dom = ParameterDomain.unit(dim)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="use matern32"):
+        warnings.simplefilter("error")
+        kernel_moments(KernelSpec(family, dim), halton_points(dom, 2), dom)
+    return True
+
+
 class TestExtremeScale:
     """Moments at huge zeta: finite, warning-free, and 0 where they underflow."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_finite_without_warnings(self, family, dim):
+        if _refused(family, dim):
+            return
         for dom in (ParameterDomain.unit(dim), ParameterDomain.symmetric(math.sqrt(3.0), dim)):
             face = dom.lower + 0.3 * dom.lengths
             face[0] = dom.lower[0]
@@ -1036,7 +1052,7 @@ class TestExtremeScale:
                 spec = KernelSpec(family, dim, zeta=zeta)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    b = kernel_moments(spec, centres, cc_rule(dom, 4, max_points=None))
+                    b = kernel_moments(spec, centres, dom)
                 # the whole-space integral of every profile is below 4 / zeta in D = 1
                 assert np.all((b >= 0.0) & (b <= 4.0 / zeta)), (dom, zeta, b)
 
@@ -1044,6 +1060,8 @@ class TestExtremeScale:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_centre_a_hair_off_a_face(self, family, dim):
         # a face at distance 1e-300 or a subnormal one is the face itself
+        if _refused(family, dim):
+            return
         dom = ParameterDomain.unit(dim)
         on_face = dom.lower + 0.3 * dom.lengths
         on_face[-1] = 0.0
@@ -1052,7 +1070,7 @@ class TestExtremeScale:
         for zeta in (1e-4, 1.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                b = kernel_moments(KernelSpec(family, dim, zeta=zeta), centres, cc_rule(dom, 3, max_points=None))
+                b = kernel_moments(KernelSpec(family, dim, zeta=zeta), centres, dom)
             assert np.all(np.abs(b - b[0]) <= 1e-15 * b[0]), (zeta, b)
 
     def test_matern12_closed_form_at_zeta_1e300(self):

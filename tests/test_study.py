@@ -208,9 +208,8 @@ class TestStudyConfigValidation:
 class CountingModel:
     """Scalar model that counts how often it is evaluated."""
 
-    dim = 1
-
-    def __init__(self):
+    def __init__(self, dim=1):
+        self.dim = dim
         self.calls = 0
 
     def evaluate(self, y):
@@ -346,7 +345,7 @@ class TestModelDimension:
     def test_estimate_refuses_a_model_of_another_dimension(self, model, domain):
         match = f"model of dimension {model.dim} on a domain of dimension {domain.dim}"
         with pytest.raises(ValueError, match=match):
-            estimate(model, domain, {KernelSetting(family="gaussian"): (4,)}, level=3)
+            estimate(model, domain, {KernelSetting(family="gaussian"): (4,)})
 
 
 LOGGING_STUB = """\
@@ -361,35 +360,51 @@ with open(pathlib.Path(sys.argv[1]) / "qoi.bin", "wb") as fh:
 class TestRefusedBeforeEvaluation:
     """A refused ``estimate`` call evaluates nothing and launches no solver."""
 
-    # requests, level, and the refusal each raises
+    # requests, the dimension of the box, and the refusal each raises
     BAD = {
-        "level 13": ({KernelSetting("wendland3"): (8,)}, 13, "level must be between 1 and 12, got 13"),
-        "count 0": ({KernelSetting("wendland3"): (0, 8)}, 3, r"positive sample counts, got \[0, 8\]"),
-        "no requests": ({}, 3, "at least one kernel setting; requests is empty"),
+        "wendland3 in D = 5": (
+            {KernelSetting("gaussian"): (4,), KernelSetting("wendland3"): (8,)},
+            5,
+            "wendland3 kernel moments are computed only up to 3 dimensions, not 5; use matern32",
+        ),
+        "count 0": ({KernelSetting("wendland3"): (0, 8)}, 1, r"positive sample counts, got \[0, 8\]"),
+        "no requests": ({}, 1, "at least one kernel setting; requests is empty"),
     }
 
     @pytest.mark.parametrize("case", BAD)
     def test_in_process_model_is_not_evaluated(self, case):
-        requests, level, refusal = self.BAD[case]
-        model = CountingModel()
+        requests, dim, refusal = self.BAD[case]
+        model = CountingModel(dim)
         with pytest.raises(ValueError, match=refusal):
-            estimate(model, ParameterDomain.symmetric(math.sqrt(3.0), 1), requests, level=level)
+            estimate(model, ParameterDomain.symmetric(math.sqrt(3.0), dim), requests)
         assert model.calls == 0
 
     @pytest.mark.parametrize("case", BAD)
     def test_external_solver_is_not_launched(self, tmp_path, case):
-        requests, level, refusal = self.BAD[case]
+        requests, dim, refusal = self.BAD[case]
         stub, log = tmp_path / "stub.py", tmp_path / "launches.log"
         stub.write_text(LOGGING_STUB)
         model = External(command=f"{sys.executable} {stub} {{dir}} {log}", root=str(tmp_path / "runs"))
-        domain = ParameterDomain.unit(1)
-        estimate(model, domain, {KernelSetting("wendland3"): (2,)}, level=3)
+        estimate(model, ParameterDomain.unit(1), {KernelSetting("wendland3"): (2,)})
         assert len(log.read_text().splitlines()) == 2  # the stub logs each launch
         log.unlink()
         with pytest.raises(ValueError, match=refusal):
-            estimate(dataclasses.replace(model, root=str(tmp_path / "fresh")), domain, requests, level=level)
+            estimate(dataclasses.replace(model, root=str(tmp_path / "fresh")), ParameterDomain.unit(dim), requests)
         assert not log.exists()
         assert not (tmp_path / "fresh").exists()
+
+
+    @pytest.mark.parametrize("where", ["column", "reference"])
+    def test_study_config_refuses_wendland_moments_in_five_dimensions(self, where):
+        wendland, gaussian = KernelSetting("wendland3"), KernelSetting("gaussian")
+        with pytest.raises(ValueError, match="not 5; use matern32"):
+            StudyConfig(
+                model=CountingModel(5),
+                domain=ParameterDomain.symmetric(math.sqrt(3.0), 5),
+                kernels=(gaussian, wendland) if where == "column" else (gaussian,),
+                schedule=(8, 16),
+                reference=ReferenceSpec.kernel_at(16, wendland if where == "reference" else gaussian),
+            )
 
 
 class TestSharedKernel:
@@ -464,10 +479,10 @@ class TestSharedKernel:
             KernelSetting("matern32"): (16, 32),
         }
         domain = ParameterDomain.unit(3)
-        shared = estimate(GFunction(3), domain, requests, level=3).weights
+        shared = estimate(GFunction(3), domain, requests).weights
         assert calls == {"assemble_gram": 6, "kernel_moments": 3}
         for setting, ns in requests.items():
-            alone = estimate(GFunction(3), domain, {setting: ns}, level=3).weights
+            alone = estimate(GFunction(3), domain, {setting: ns}).weights
             for n in ns:
                 assert np.array_equal(shared[setting, n].moments, alone[setting, n].moments)
                 assert np.array_equal(shared[setting, n].omega, alone[setting, n].omega)
@@ -480,7 +495,7 @@ class TestSharedKernel:
             KernelSetting("wendland1", zeta=2.0): (8,),
             KernelSetting("wendland2"): (8,),
         }
-        estimate(GFunction(3), ParameterDomain.unit(3), requests, level=3)
+        estimate(GFunction(3), ParameterDomain.unit(3), requests)
         assert calls == {"assemble_gram": 4, "kernel_moments": 2}
 
     def test_epsilon_splits_only_the_gaussian(self, monkeypatch):
@@ -490,9 +505,9 @@ class TestSharedKernel:
         assert calls == {"assemble_gram": 1, "kernel_moments": 1}
         assert [k["epsilon"] for k in report.config_echo["kernels"]] == [1.0, 2.0]
         domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
-        shared = estimate(PoissonExact(), domain, {s: (8, 32) for s in wendland}, level=5).weights
+        shared = estimate(PoissonExact(), domain, {s: (8, 32) for s in wendland}).weights
         for setting in wendland:  # each as its own group, as when epsilon split them
-            alone = estimate(PoissonExact(), domain, {setting: (8, 32)}, level=5).weights
+            alone = estimate(PoissonExact(), domain, {setting: (8, 32)}).weights
             for n in (8, 32):
                 assert np.array_equal(shared[setting, n].omega, alone[setting, n].omega)
         calls.update(assemble_gram=0, kernel_moments=0)
@@ -537,10 +552,10 @@ class TestSharedKernel:
         # the 1-D Gaussian's condition is 2.3e18 at N = 64; N = 16 still solves
         setting = KernelSetting(family="gaussian", regularization=None)
         domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
-        weights = estimate(PoissonExact(), domain, {setting: (16,)}, level=5).weights[setting, 16]
+        weights = estimate(PoissonExact(), domain, {setting: (16,)}).weights[setting, 16]
         assert np.all(np.isfinite(weights.omega))
         with pytest.raises(StudyError, match="leading minor") as info:
-            estimate(PoissonExact(), domain, {setting: (16, 64)}, level=5)
+            estimate(PoissonExact(), domain, {setting: (16, 64)})
         assert info.value.n == 64
 
     def test_reference_named_like_a_column_keeps_its_own_estimate(self):
@@ -551,7 +566,7 @@ class TestSharedKernel:
             self.config([column]), reference=ReferenceSpec.kernel_at(128, reference)
         )
         report = run_study(config)
-        result = estimate(config.model, config.domain, {column: config.schedule, reference: (128,)}, level=5)
+        result = estimate(config.model, config.domain, {column: config.schedule, reference: (128,)})
         ref = result.means[reference, 128]
         expected = tuple(_norm_values(result.means[column, n], ref, "abs_l2") for n in config.schedule)
         assert report.errors["matern32"] == expected
@@ -575,12 +590,12 @@ class TestKernelReference:
         model = PoissonExact()
         setting = KernelSetting(family="gaussian", regularization=Tikhonov(1e-14))
         domain = ParameterDomain.symmetric(math.sqrt(3.0), 1)
-        ref = estimate(model, domain, {setting: (512,)}, level=7).means[setting, 512]
+        ref = estimate(model, domain, {setting: (512,)}).means[setting, 512]
         assert _norm_values(ref, model.exact_mean().values, "abs_l2") < 1e-9
 
     def test_gfunction_reference_close_to_exact(self):
         setting = KernelSetting(family="gaussian", epsilon=2.0, regularization=Tikhonov(1e-8))
-        ref = estimate(GFunction(3), ParameterDomain.unit(3), {setting: (512,)}, level=5).means[setting, 512]
+        ref = estimate(GFunction(3), ParameterDomain.unit(3), {setting: (512,)}).means[setting, 512]
         assert abs(ref[0] - 1.0) < 1e-2
 
 
