@@ -34,6 +34,7 @@ from scipy.linalg import LinAlgWarning, cho_solve, eigh, lu_factor, lu_solve
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpocon, dpotrf
 
+from ._checks import _real
 from .kernels import KernelSpec, kernel_matrix
 from .param_space import CollocationSet
 
@@ -53,8 +54,7 @@ class Tikhonov:
     eps_reg: float
 
     def __post_init__(self):
-        if not self.eps_reg > 0:
-            raise ValueError(f"eps_reg must be positive, got {self.eps_reg}")
+        object.__setattr__(self, "eps_reg", _real(self.eps_reg, "eps_reg", positive=True))
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class TSVD:
     drop_tol: float
 
     def __post_init__(self):
-        if not self.drop_tol > 0:
-            raise ValueError(f"drop_tol must be positive, got {self.drop_tol}")
+        object.__setattr__(self, "drop_tol", _real(self.drop_tol, "drop_tol", positive=True))
 
 
 # A regularization is None (plain solve), Tikhonov, or TSVD.

@@ -1,41 +1,34 @@
-"""JSON run configuration: the shape of the file, and its defaults.
+"""JSON run configuration: one builder for the input file and the study sidecar.
 
-This module owns the JSON shape only: value types and finiteness, and
-unknown, missing or conflicting keys.  Every value rule belongs to the
-object that the value configures; the parser builds that object and
-turns its ValueError into a ConfigError that names the key, so a key, a
-CLI flag and a Python constructor refuse the same values.  Defaults
-(zeta = 1, epsilon = 1, eps_reg = 1e-12, level = 7) are applied here.
+Each value rule, type and finiteness included, belongs to the object the
+value configures.  ``_build``, the inverse of ``study.config_echo``,
+builds each ``{"type": ...}`` object as its class in ``_TYPES`` and names
+the key path of the constructor's refusal, so a key, a CLI flag and a
+constructor refuse alike.  A sidecar's ``config`` is built as written, its
+``root`` too; the input file's shorthand (``kind``, ``grid_points``,
+``eps_reg``, ``"none"``, a relative ``root``, ...) is translated into those
+objects, each shorthand sub-object built at its own key.
 """
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from ._checks import _integer, _string
+from .collocation import TSVD, Tikhonov
 from .models import External, GFunction, GridSpec, KLField, PoissonExact
 from .models.external import _check_jobs
 from .param_space import ParameterDomain, _halton_bases
 from .quadrature import _check_moments, _level_nodes
-from .study import (
-    KernelSetting,
-    ReferenceSpec,
-    StudyConfig,
-    _check_columns,
-    _check_fit_window,
-    _check_model_dim,
-    _check_norm,
-    _check_schedule,
-)
-from .collocation import Tikhonov, TSVD
+from .study import KernelSetting, ReferenceSpec, StudyConfig, _check_columns, _check_fit_window, _check_model, _check_norm, _check_schedule
 
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
 
 
-def _check_keys(obj: dict, allowed: tuple, where: str) -> None:
+def _check_keys(obj: dict, allowed, where: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {where}")
@@ -47,21 +40,6 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite")
-    return value
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def _owned(where: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, the owner's ValueError raised as a ConfigError naming ``where``."""
     try:
@@ -70,119 +48,103 @@ def _owned(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _string(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where} must be a non-empty string")
-    return value
+# Each dataclass that config_echo writes for a study, under the type name it writes.
+_TYPES = {cls.__name__.lower(): cls for cls in (StudyConfig, ParameterDomain, GridSpec, PoissonExact, GFunction,
+                                                KLField, External, KernelSetting, Tikhonov, TSVD, ReferenceSpec)}
 
 
-def _parse_domain(obj, where: str = "domain") -> ParameterDomain:
+def _build(value, where: str):
+    """A ``{"type": ...}`` object built as its class (``_object``), a list as the
+    tuple of its entries built in turn, any other value as it is."""
+    if isinstance(value, list):
+        return tuple(_build(v, f"{where}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        return value
+    name = value.get("type")
+    if not (isinstance(name, str) and name in _TYPES):
+        raise ConfigError(f"{where}: unknown type {name!r}; expected one of {', '.join(_TYPES)}")
+    return _object(_TYPES[name], {k: v for k, v in value.items() if k != "type"}, where)
+
+
+def _object(cls, obj: dict, where: str):
+    """``cls`` built from ``obj``, whose keys are init fields of ``cls`` and whose values ``_build`` builds."""
+    init = [f for f in fields(cls) if f.init]
+    _check_keys(obj, [f.name for f in init], where)
+    for f in init:
+        if f.default is MISSING and f.default_factory is MISSING:
+            _require(obj, f.name, where)
+    return _owned(where, cls, **{key: _build(value, f"{where}.{key}") for key, value in obj.items()})
+
+
+def _domain(obj) -> ParameterDomain:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    if "kind" in obj:
-        kind = _string(obj["kind"], f"{where}.kind")
-        if kind not in ("unit", "symmetric"):
-            raise ConfigError(f"{where}.kind must be 'unit' or 'symmetric', got '{kind}'")
-        _check_keys(obj, ("kind", "dim", "half_width") if kind == "symmetric" else ("kind", "dim"), where)
-        dim = _integer(_require(obj, "dim", where), f"{where}.dim")
-        _owned(where, _halton_bases, dim)  # before the box, 16 bytes per dimension, is allocated
-        if kind == "unit":
-            return _owned(where, ParameterDomain.unit, dim)
-        half = _number(_require(obj, "half_width", where), f"{where}.half_width")
-        return _owned(where, ParameterDomain.symmetric, half, dim)
-    _check_keys(obj, ("lower", "upper"), where)
-    lower = _require(obj, "lower", where)
-    upper = _require(obj, "upper", where)
-    for name, arr in (("lower", lower), ("upper", upper)):
-        if not isinstance(arr, list) or not arr:
-            raise ConfigError(f"{where}.{name} must be a non-empty list")
-        for v in arr:
-            _number(v, f"{where}.{name} entries")
-    _owned(where, _halton_bases, len(lower))
-    return _owned(where, ParameterDomain, lower, upper)
+        raise ConfigError("domain must be an object")
+    if "kind" not in obj:
+        return _object(ParameterDomain, obj, "domain")
+    kind = obj["kind"]
+    if kind not in ("unit", "symmetric"):
+        raise ConfigError(f"domain.kind must be 'unit' or 'symmetric', got {kind!r}")
+    _check_keys(obj, ("kind", "dim", "half_width") if kind == "symmetric" else ("kind", "dim"), "domain")
+    dim = _require(obj, "dim", "domain")
+    _owned("domain", _halton_bases, dim)  # before the box, 16 bytes per dimension, is allocated
+    if kind == "unit":
+        return _owned("domain", ParameterDomain.unit, dim)
+    return _owned("domain", ParameterDomain.symmetric, _require(obj, "half_width", "domain"), dim)
 
 
-def _parse_model(obj, dim: int, base_dir: Path, where: str = "model"):
+# The keys of each model kind besides "kind".
+_MODEL_KEYS = {"poisson": ("grid_points",), "gfunction": (), "kl": ("correlation_length", "x2_points"),
+               "external": ("command", "root", "timeout", "expected_m")}
+
+
+def _model(obj, dim: int, base_dir: Path):
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = _string(_require(obj, "kind", where), f"{where}.kind")
+        raise ConfigError("model must be an object")
+    kind = _require(obj, "kind", "model")
+    if not (isinstance(kind, str) and kind in _MODEL_KEYS):
+        raise ConfigError(f"model.kind must be one of {', '.join(_MODEL_KEYS)}; got {kind!r}")
+    given = {key: value for key, value in obj.items() if key != "kind"}
+    _check_keys(given, _MODEL_KEYS[kind], "model")
     if kind == "poisson":
-        _check_keys(obj, ("kind", "grid_points"), where)
-        n = _integer(obj.get("grid_points", 33), f"{where}.grid_points")
-        grid = _owned(f"{where}.grid_points", GridSpec, extents=((-0.5, 0.5), (-0.5, 0.5)), counts=(n, n))
-        return _owned(f"{where}.grid_points", PoissonExact, grid=grid)
-    if kind == "gfunction":
-        _check_keys(obj, ("kind",), where)
-        return GFunction(dim=dim)
-    if kind == "kl":
-        _check_keys(obj, ("kind", "correlation_length", "x2_points"), where)
-        lc = _number(obj.get("correlation_length", 2.0), f"{where}.correlation_length")
-        n = _integer(obj.get("x2_points", 33), f"{where}.x2_points")
-        grid = _owned(f"{where}.x2_points", GridSpec, extents=((0.0, 1.0),), counts=(n,))
-        return _owned(where, KLField, dim=dim, correlation_length=lc, grid=grid)
+        n = given.get("grid_points", 33)
+        grid = _object(GridSpec, {"extents": ((-0.5, 0.5), (-0.5, 0.5)), "counts": (n, n)}, "model.grid_points")
+        return _object(PoissonExact, {"grid": grid}, "model.grid_points")
     if kind == "external":
-        _check_keys(obj, ("kind", "command", "root", "timeout", "expected_m"), where)
-        command = _string(_require(obj, "command", where), f"{where}.command")
-        root = _string(_require(obj, "root", where), f"{where}.root")
-        root_path = Path(root)
-        if not root_path.is_absolute():
-            root_path = base_dir / root_path
-        timeout = _number(obj.get("timeout", 60.0), f"{where}.timeout")
-        expected_m = obj.get("expected_m")
-        if expected_m is not None:
-            expected_m = _integer(expected_m, f"{where}.expected_m")
-        return _owned(where, External, command, str(root_path), timeout, expected_m)
-    raise ConfigError(
-        f"{where}.kind must be one of poisson, gfunction, kl, external; got '{kind}'"
-    )
+        if isinstance(given.get("root"), str) and given["root"]:
+            given["root"] = str(base_dir / given["root"])  # an absolute root stays as it is
+        return _object(External, given, "model")
+    if kind == "kl":
+        n = given.pop("x2_points", 33)
+        given["grid"] = _object(GridSpec, {"extents": ((0.0, 1.0),), "counts": (n,)}, "model.x2_points")
+    return _object(KLField if kind == "kl" else GFunction, {**given, "dim": dim}, "model")
 
 
-_KERNEL_KEYS = ("family", "zeta", "epsilon", "eps_reg", "tsvd_tol", "regularization", "label")
-
-
-def _parse_kernel(obj, where: str, dim: int) -> KernelSetting:
+def _kernel(obj, where: str) -> KernelSetting:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    _check_keys(obj, _KERNEL_KEYS, where)
-    family = _string(_require(obj, "family", where), f"{where}.family")
-    zeta = _number(obj.get("zeta", 1.0), f"{where}.zeta")
-    epsilon = _number(obj.get("epsilon", 1.0), f"{where}.epsilon")
-    reg_keys = [k for k in ("eps_reg", "tsvd_tol", "regularization") if k in obj]
+    regularizations = ("eps_reg", "tsvd_tol", "regularization")
+    _check_keys(obj, ("family", "zeta", "epsilon", "label", *regularizations), where)
+    reg_keys = [key for key in regularizations if key in obj]
     if len(reg_keys) > 1:
-        raise ConfigError(
-            f"{where}: keys {reg_keys} conflict; give at most one regularization"
-        )
-    if "tsvd_tol" in obj:
-        reg = _owned(f"{where}.tsvd_tol", TSVD, _number(obj["tsvd_tol"], f"{where}.tsvd_tol"))
+        raise ConfigError(f"{where}: keys {reg_keys} conflict; give at most one regularization")
+    given = {key: value for key, value in obj.items() if key not in regularizations}
+    if "eps_reg" in obj:
+        given["regularization"] = _object(Tikhonov, {"eps_reg": obj["eps_reg"]}, f"{where}.eps_reg")
+    elif "tsvd_tol" in obj:
+        given["regularization"] = _object(TSVD, {"drop_tol": obj["tsvd_tol"]}, f"{where}.tsvd_tol")
     elif "regularization" in obj:
-        word = _string(obj["regularization"], f"{where}.regularization")
-        if word != "none":
-            raise ConfigError(
-                f"{where}.regularization accepts only 'none' "
-                "(use eps_reg or tsvd_tol otherwise)"
-            )
-        reg = None
-    else:
-        reg = _owned(f"{where}.eps_reg", Tikhonov, _number(obj.get("eps_reg", 1e-12), f"{where}.eps_reg"))
-    setting = _owned(
-        where, KernelSetting, family=family, zeta=zeta, epsilon=epsilon, regularization=reg, label=obj.get("label")
-    )
-    _owned(f"{where}.family", _check_moments, family, dim)
-    return setting
+        if obj["regularization"] != "none":
+            raise ConfigError(f"{where}.regularization accepts only 'none' (use eps_reg or tsvd_tol otherwise)")
+        given["regularization"] = None
+    return _object(KernelSetting, given, where)
 
 
-def _parse_reference(obj, dim: int, where: str = "reference") -> ReferenceSpec:
+def _reference(obj) -> ReferenceSpec:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = _string(_require(obj, "kind", where), f"{where}.kind")
-    if kind == "kernel":
-        _check_keys(obj, ("kind", "n_max", "kernel"), where)
-        n_max = _integer(_require(obj, "n_max", where), f"{where}.n_max")
-        kernel = _parse_kernel(_require(obj, "kernel", where), f"{where}.kernel", dim)
-        return _owned(where, ReferenceSpec.kernel_at, n_max, kernel)
-    reference = _owned(where, ReferenceSpec, kind)  # refuses a kind other than exact or kernel
-    _check_keys(obj, ("kind",), where)
-    return reference
+        raise ConfigError("reference must be an object")
+    if obj.get("kind") == "kernel" and "kernel" in obj:
+        obj = {**obj, "kernel": _kernel(obj["kernel"], "reference.kernel")}
+    return _object(ReferenceSpec, obj, "reference")
 
 
 _TOP_KEYS = ("domain", "model", "kernels", "schedule", "level", "norm", "reference", "n", "jobs", "out", "csv", "fit_window")
@@ -190,29 +152,38 @@ _TOP_KEYS = ("domain", "model", "kernels", "schedule", "level", "norm", "referen
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; study-only fields may be absent.
-
-    ``n``, ``jobs`` and ``out_dir``, which CLI flags override, are checked at construction.
-    """
+    """Validated run configuration, study-only fields optional; each value, one
+    that a CLI flag overrides too, is checked at construction by its owner's rule."""
 
     domain: ParameterDomain
     model: object
-    kernels: tuple
-    schedule: tuple
-    level: int
-    norm: str
-    reference: ReferenceSpec
-    n: int
-    jobs: int
-    out_dir: str
-    csv_name: str
-    fit_window: int
+    kernels: tuple = ()
+    schedule: tuple | None = None
+    level: int = 7
+    norm: str = "abs_l2"
+    reference: ReferenceSpec = field(default_factory=ReferenceSpec.exact)
+    n: int | None = None
+    jobs: int = 1
+    out_dir: str = "."
+    csv_name: str = "study.csv"
+    fit_window: int = 4
 
     def __post_init__(self):
-        if self.n is not None and _integer(self.n, "config.n") < 0:
+        _owned("domain", _halton_bases, self.domain.dim)
+        _owned("model", _check_model, self.model, self.domain)
+        _owned("config.kernels", _check_columns, self.kernels)
+        for i, kernel in enumerate(self.kernels):
+            _owned(f"kernels[{i}].family", _check_moments, kernel.family, self.domain.dim)
+        if self.reference.kind == "kernel":
+            _owned("reference.kernel.family", _check_moments, self.reference.kernel.family, self.domain.dim)
+        if self.schedule is not None:
+            object.__setattr__(self, "schedule", _owned("config.schedule", _check_schedule, self.schedule))
+        for key, rule in (("level", _level_nodes), ("norm", _check_norm), ("fit_window", _check_fit_window), ("jobs", _check_jobs)):
+            _owned(f"config.{key}", rule, getattr(self, key))
+        if self.n is not None and _owned("config.n", _integer, self.n, "n") < 0:
             raise ConfigError(f"config.n must be >= 0, got {self.n}")
-        _owned("config.jobs", _check_jobs, _integer(self.jobs, "config.jobs"))
-        _string(self.out_dir, "config.out")
+        _owned("config.out", _string, self.out_dir, "out")
+        _owned("config.csv", _string, self.csv_name, "csv")
 
     def first_kernel(self) -> KernelSetting:
         if not self.kernels:
@@ -233,65 +204,36 @@ class RunConfig:
 
 
 def parse_config(data, base_dir=".") -> RunConfig:
-    """Validate a decoded JSON object into a RunConfig."""
+    """Validate a decoded JSON object, an input file or a study sidecar, into a
+    RunConfig; an input file's relative External ``root`` resolves against ``base_dir``."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
+    if "config" in data:  # a study sidecar
+        _check_keys(data, ("config", "orders", "fit_points", "wall_time_s"), "sidecar")
+        study = _build(data["config"], "config")
+        if not isinstance(study, StudyConfig):
+            raise ConfigError(f"config: a sidecar's config must be a studyconfig, got {study!r}")
+        return RunConfig(**{f.name: getattr(study, f.name) for f in fields(StudyConfig)})
     _check_keys(data, _TOP_KEYS, "config")
-    base_dir = Path(base_dir)
-    domain = _parse_domain(_require(data, "domain", "config"))
-    model = _parse_model(_require(data, "model", "config"), domain.dim, base_dir)
-    _owned("model", _check_model_dim, model, domain)
-    kernels = ()
+    given = {{"out": "out_dir", "csv": "csv_name"}.get(key, key): value for key, value in data.items()}
+    given["domain"] = _domain(_require(data, "domain", "config"))
+    given["model"] = _model(_require(data, "model", "config"), given["domain"].dim, Path(base_dir))
     if "kernels" in data:
-        raw = data["kernels"]
-        if not isinstance(raw, list) or not raw:
+        if not isinstance(data["kernels"], list) or not data["kernels"]:
             raise ConfigError("config.kernels must be a non-empty list")
-        kernels = tuple(
-            _parse_kernel(obj, f"kernels[{i}]", domain.dim) for i, obj in enumerate(raw)
-        )
-        _owned("config.kernels", _check_columns, kernels)
-    schedule = None
-    if "schedule" in data:
-        raw = data["schedule"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("config.schedule must be a non-empty list")
-        schedule = tuple(_integer(v, f"schedule[{i}]") for i, v in enumerate(raw))
-        _owned("config.schedule", _check_schedule, schedule)
-    level = _integer(data.get("level", 7), "config.level")
-    _owned("config.level", _level_nodes, level)
-    norm = data.get("norm", "abs_l2")
-    _owned("config.norm", _check_norm, norm)
-    reference = (
-        _parse_reference(data["reference"], domain.dim) if "reference" in data else ReferenceSpec.exact()
-    )
-    csv_name = _string(data["csv"], "config.csv") if "csv" in data else "study.csv"
-    fit_window = _integer(data.get("fit_window", 4), "config.fit_window")
-    _owned("config.fit_window", _check_fit_window, fit_window)
-    return RunConfig(
-        domain=domain,
-        model=model,
-        kernels=kernels,
-        schedule=schedule,
-        level=level,
-        norm=norm,
-        reference=reference,
-        n=data.get("n"),
-        jobs=data.get("jobs", 1),
-        out_dir=data.get("out", "."),
-        csv_name=csv_name,
-        fit_window=fit_window,
-    )
+        given["kernels"] = tuple(_kernel(obj, f"kernels[{i}]") for i, obj in enumerate(data["kernels"]))
+    if "reference" in data:
+        given["reference"] = _reference(data["reference"])
+    return RunConfig(**given)
 
 
 def load_config(path) -> RunConfig:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file or a study sidecar (``parse_config``)."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or text that is not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data, base_dir=path.parent)

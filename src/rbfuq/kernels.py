@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._checks import _integer, _real, _string
+
 # Entries per block of rows that the profile is applied to in place.
 _PROFILE_BLOCK_ENTRIES = 2 ** 15
 
@@ -49,16 +51,14 @@ class KernelSpec:
     zeta: float = 1.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if _string(self.family, "family") not in FAMILIES:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {', '.join(FAMILIES)}"
             )
-        if self.dim < 1:
+        if _integer(self.dim, "kernel dimension") < 1:
             raise ValueError(f"kernel dimension must be >= 1, got {self.dim}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.zeta > 0:
-            raise ValueError(f"norm scale zeta must be positive, got {self.zeta}")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", positive=True))
+        object.__setattr__(self, "zeta", _real(self.zeta, "norm scale zeta", positive=True))
 
     def profile(self, d) -> np.ndarray:
         """Kernel value as a function of the unscaled distance d.

@@ -11,6 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .._checks import _integer, _real
 from ..param_space import ParameterDomain
 from .grid import GridField, GridSpec
 
@@ -73,6 +74,11 @@ def _kl_coefficients(dim: int, x2, correlation_length: float) -> list:
     return coeffs
 
 
+def _check_dim(dim) -> None:
+    if _integer(dim, "dim") < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+
+
 @dataclass(frozen=True)
 class PoissonExact:
     """1-parameter diffusion benchmark sampled from its exact solution.
@@ -85,6 +91,8 @@ class PoissonExact:
     )
 
     def __post_init__(self):
+        if not isinstance(self.grid, GridSpec):
+            raise ValueError(f"grid must be a GridSpec, got {self.grid!r}")
         if min(self.grid.counts) < 2:
             raise ValueError(f"the Poisson grid needs at least 2 points per axis, got {self.grid.counts}")
 
@@ -127,6 +135,9 @@ class GFunction:
 
     dim: int
 
+    def __post_init__(self):
+        _check_dim(self.dim)
+
     @property
     def grid(self) -> GridSpec:
         return GridSpec.single()
@@ -154,8 +165,10 @@ class KLField:
     )
 
     def __post_init__(self):
-        if not self.correlation_length > 0:
-            raise ValueError(f"correlation_length must be positive, got {self.correlation_length}")
+        _check_dim(self.dim)
+        object.__setattr__(self, "correlation_length", _real(self.correlation_length, "correlation_length", positive=True))
+        if not isinstance(self.grid, GridSpec):
+            raise ValueError(f"grid must be a GridSpec, got {self.grid!r}")
 
     @cached_property  # built once per model, not once per sample
     def _coefficients(self) -> list:

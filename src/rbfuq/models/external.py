@@ -39,6 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .._checks import _integer, _real, _string
+
 # Table entries per row block of the finiteness pass, so its masks stay small.
 _FINITE_BLOCK = 1 << 16
 
@@ -86,11 +88,11 @@ class External:
     expected_m: int | None = None
 
     def __post_init__(self):
-        if not _argv(self.command, self.samples_dir / "0", 0):  # an unbalanced quote raises here too
+        _string(self.root, "root")
+        if not _argv(_string(self.command, "command"), self.samples_dir / "0", 0):  # an unbalanced quote raises here too
             raise ValueError(f"command {self.command!r} names no program")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.expected_m is not None and self.expected_m < 1:
+        object.__setattr__(self, "timeout", _real(self.timeout, "timeout", positive=True))
+        if self.expected_m is not None and _integer(self.expected_m, "expected_m") < 1:
             raise ValueError(f"expected_m must be >= 1, got {self.expected_m}")
 
     @cached_property  # built once: every cached sample's path starts with it
@@ -175,7 +177,7 @@ def _argv(command: str, sample_dir: Path, index: int) -> list:
     for token in shlex.split(command):
         try:
             argv.append(token.format(**fields))
-        except (LookupError, ValueError, AttributeError) as exc:
+        except (LookupError, ValueError, AttributeError, TypeError) as exc:
             raise ValueError(f"command token {token!r} takes only {{params}}, {{dir}} and {{index}}: {exc!r}") from exc
     return argv
 
@@ -312,7 +314,7 @@ class CampaignResult:
 
 def _check_jobs(jobs) -> None:
     """The one rule on the number of concurrent solves."""
-    if jobs < 1:
+    if _integer(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 

@@ -7,6 +7,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
+from .._checks import _integer, _items, _real
+
 
 class NonFiniteFieldError(ValueError):
     """A field, such as a model output, holds NaN or infinite values."""
@@ -24,14 +26,17 @@ class GridSpec:
     counts: tuple
 
     def __post_init__(self):
-        extents = tuple((float(lo), float(hi)) for lo, hi in self.extents)
-        counts = tuple(int(c) for c in self.counts)
-        if len(extents) != len(counts) or not counts:
+        extents = tuple(
+            tuple(_real(v, f"extents[{d}]") for v in _items(pair, f"extents[{d}]"))
+            for d, pair in enumerate(_items(self.extents, "extents"))
+        )
+        counts = tuple(_integer(c, f"counts[{d}]") for d, c in enumerate(_items(self.counts, "counts")))
+        if len(extents) != len(counts) or not counts or any(len(pair) != 2 for pair in extents):
             raise ValueError("extents and counts must align, one pair per axis")
         for d, ((lo, hi), c) in enumerate(zip(extents, counts)):
             if c < 1:
                 raise ValueError(f"axis {d} has count {c}")
-            if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
+            if hi < lo:
                 raise ValueError(f"axis {d} has bad extent ({lo}, {hi})")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "counts", counts)

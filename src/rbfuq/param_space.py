@@ -7,9 +7,12 @@ the box.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import _integer, _items, _real
 
 # First 64 primes; one base per dimension.
 _PRIME_BASES = (
@@ -25,7 +28,7 @@ MAX_DIM = len(_PRIME_BASES)
 
 def _halton_bases(dim: int) -> tuple:
     """The prime bases of a dim-dimensional Halton sequence; the one place that refuses dim > MAX_DIM."""
-    if dim > MAX_DIM:
+    if _integer(dim, "dim") > MAX_DIM:
         raise ValueError(f"domain dimension {dim} exceeds the {MAX_DIM} available prime bases")
     return _PRIME_BASES[:dim]
 
@@ -79,40 +82,33 @@ class ParameterDomain:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.ndim != 1 or lo.shape != hi.shape:
+        lo, hi = (
+            [_real(v, f"{name}[{i}]") for i, v in enumerate(_items(bounds, name))]
+            for name, bounds in (("lower", self.lower), ("upper", self.upper))
+        )
+        if len(lo) != len(hi):
             raise ValueError("lower and upper must be 1-d arrays of equal length")
-        if lo.size < 1:
+        if not lo:
             raise ValueError("domain needs at least one dimension")
-        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-            raise ValueError("domain bounds must be finite")
-        if not np.all(lo < hi):
-            bad = int(np.argmin(lo < hi))  # the first; a width hi - lo can overflow
-            raise ValueError(
-                f"dimension {bad} has empty interval [{lo[bad]}, {hi[bad]}]"
-            )
-        with np.errstate(over="ignore"):
-            wide = np.isinf(hi - lo)
-        if np.any(wide):
-            bad = int(np.argmax(wide))
-            raise ValueError(
-                f"dimension {bad} has interval [{lo[bad]}, {hi[bad]}], "
-                "whose width overflows the float range"
-            )
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        for d, (a, b) in enumerate(zip(lo, hi)):
+            if not a < b:  # before the width, which overflows to -inf for some such
+                raise ValueError(f"dimension {d} has empty interval [{a}, {b}]")
+            if math.isinf(b - a):
+                raise ValueError(f"dimension {d} has interval [{a}, {b}], whose width overflows the float range")
+        object.__setattr__(self, "lower", np.array(lo))
+        object.__setattr__(self, "upper", np.array(hi))
 
     @classmethod
     def unit(cls, dim: int) -> "ParameterDomain":
         """The unit box [0, 1]^dim."""
-        dim = max(dim, 0)  # a negative dim is refused as 0 is, by __post_init__
+        dim = max(_integer(dim, "dim"), 0)  # a negative dim is refused as 0 is, by __post_init__
         return cls(np.zeros(dim), np.ones(dim))
 
     @classmethod
     def symmetric(cls, half_width: float, dim: int) -> "ParameterDomain":
         """The box [-half_width, half_width]^dim."""
-        dim = max(dim, 0)  # a negative dim is refused as 0 is, by __post_init__
+        half_width = _real(half_width, "half_width")
+        dim = max(_integer(dim, "dim"), 0)  # a negative dim is refused as 0 is, by __post_init__
         return cls(np.full(dim, -half_width), np.full(dim, half_width))
 
     @property

@@ -65,6 +65,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.special import erf, erfc
 
+from ._checks import _integer
 from .collocation import GramMatrix, Regularization, _factorize
 from .kernels import KernelSpec, _point_rows
 from .param_space import CollocationSet, ParameterDomain
@@ -122,7 +123,7 @@ def cc_nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _level_nodes(level: int) -> int:
     """Nodes per axis at a level; the one place that accepts or refuses a level."""
-    if not 1 <= level <= MAX_LEVEL:
+    if not 1 <= _integer(level, "quadrature level") <= MAX_LEVEL:
         raise ValueError(f"quadrature level must be between 1 and {MAX_LEVEL}, got {level}")
     # 2^(l-1) + 1 would give 2 at l = 1 only with the endpoint convention.
     return 2 if level == 1 else 2 ** (level - 1) + 1

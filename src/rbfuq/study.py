@@ -1,24 +1,13 @@
 """Convergence-study harness: mean estimation across kernel/N sweeps.
 
 ``estimate`` is the one pipeline behind ``run_study`` and the CLI's
-``mean`` and ``reference``.  It evaluates the model once on
-the longest Halton prefix asked for, then for every (setting, N) pair
-reuses the first N samples.  Each kernel number is computed once.
-Settings that share a kernel (a kernel reference included; ``epsilon``
-counts for the Gaussian only, the one family that reads it) get one Gram
-matrix, each of whose pairs is evaluated once, and one moment vector on
-their longest prefix, and each N solves on the leading N x N block (the
-low-discrepancy sequence is nested, so prefixes are valid sample sets).
-The Wendland kernels of one norm scale share one moment pass, which
-builds the radial reduction's geometry once for all of them.
-Plain and Tikhonov settings share one Cholesky factor per shift, whose
-leading blocks factor every prefix, and the TSVD settings at one N share
-that block's eigenpairs: from 1024 points on only the leading ones, by
-Lanczos iteration, unless the spectrum is too flat for that.  Errors
-against the reference are reported per (kernel, N), with a least-squares
-order fitted on the tail of each log-log curve.  The JSON sidecar beside
-the error table echoes the config by one rule (``config_echo``): each
-config object as its type and its fields by name.
+``mean`` and ``reference``: it evaluates the model once on the longest
+Halton prefix asked for, and computes each kernel number once (its
+docstring says how).  Errors against the reference are reported per
+(kernel, N), with a least-squares order fitted on the tail of each
+log-log curve.  The JSON sidecar beside the error table echoes the
+config by one rule (``config_echo``): each config object as its type and
+its fields by name, which ``config`` builds back into the same config.
 """
 from __future__ import annotations
 
@@ -29,6 +18,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
+from ._checks import _integer, _items, _string
 from .collocation import Regularization, SingularGramError, Tikhonov, TSVD, assemble_gram
 from .kernels import KernelSpec
 from .models import External, run_campaign
@@ -63,11 +53,13 @@ class KernelSetting:
     label: str | None = None
 
     def __post_init__(self):
-        self.spec(1)  # the kernel refuses a bad family, zeta or epsilon
+        spec = self.spec(1)  # the kernel refuses a bad family, zeta or epsilon
+        object.__setattr__(self, "zeta", spec.zeta)
+        object.__setattr__(self, "epsilon", spec.epsilon)
         if not isinstance(self.regularization, Regularization):
             raise ValueError(f"regularization must be Tikhonov, TSVD or None, got {self.regularization!r}")
-        if self.label is not None and not (isinstance(self.label, str) and self.label):
-            raise ValueError(f"label must be a non-empty string, got {self.label!r}")
+        if self.label is not None:
+            _string(self.label, "label")
 
     @property
     def column(self) -> str:
@@ -91,13 +83,15 @@ class ReferenceSpec:
     kernel: KernelSetting | None = None
 
     def __post_init__(self):
-        if self.kind not in ("exact", "kernel"):
+        if _string(self.kind, "reference kind") not in ("exact", "kernel"):
             raise ValueError(f"reference kind must be 'exact' or 'kernel', got '{self.kind}'")
-        if self.kind == "kernel":
-            if self.n_max is None or self.n_max < 1:
-                raise ValueError("kernel reference needs a positive n_max")
-            if self.kernel is None:
-                raise ValueError("kernel reference needs a kernel setting")
+        if self.kind == "exact":
+            if self.n_max is not None or self.kernel is not None:
+                raise ValueError("an exact reference takes no n_max or kernel")
+        elif self.n_max is None or _integer(self.n_max, "n_max") < 1:
+            raise ValueError("kernel reference needs a positive n_max")
+        elif not isinstance(self.kernel, KernelSetting):
+            raise ValueError(f"kernel reference needs a kernel setting, got {self.kernel!r}")
 
     @classmethod
     def exact(cls) -> "ReferenceSpec":
@@ -121,9 +115,13 @@ class StudyConfig:
     fit_window: int = 4
 
     def __post_init__(self):
-        kernels = tuple(self.kernels)
+        kernels = _items(self.kernels, "kernels")
         if not kernels:
             raise ValueError("study needs at least one kernel")
+        typed = [("each kernel", k, KernelSetting) for k in kernels]
+        for name, value, cls in (*typed, ("domain", self.domain, ParameterDomain), ("reference", self.reference, ReferenceSpec)):
+            if not isinstance(value, cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
         schedule = _check_schedule(self.schedule)
         _level_nodes(self.level)  # the level is checked as a config value; no study number reads it
         _check_norm(self.norm)
@@ -147,9 +145,9 @@ class StudyConfig:
         return requests
 
 
-# One function per rule, shared by StudyConfig, estimate, config.parse_config and the CLI.
+# One function per rule, shared by StudyConfig, estimate, config.RunConfig and the CLI.
 def _check_schedule(schedule) -> tuple:
-    schedule = tuple(int(n) for n in schedule)
+    schedule = tuple(_integer(n, f"schedule[{i}]") for i, n in enumerate(_items(schedule, "schedule")))
     if not schedule or any(n < 1 for n in schedule):
         raise ValueError(f"schedule must hold positive sample counts, got {list(schedule)}")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -164,21 +162,21 @@ def _check_columns(kernels) -> None:
 
 
 def _check_norm(tag) -> None:
-    if tag not in NORM_TAGS:
+    if _string(tag, "norm") not in NORM_TAGS:
         raise ValueError(f"unknown norm tag {tag!r}; expected one of {NORM_TAGS}")
 
 
 def _check_fit_window(window) -> None:
-    if window < 2:
+    if _integer(window, "fit_window") < 2:
         raise ValueError(f"fit_window must be >= 2, got {window}")
 
 
 def _check_reference(reference: ReferenceSpec, model, domain: ParameterDomain) -> None:
     """An exact reference needs a model with ``exact_mean`` and, if the
     model states the box of that mean (``mean_box``), this very box.  The
-    dimension rule runs first, so a model of another dimension is refused
+    model rule runs first, so a model of another dimension is refused
     with its own message."""
-    _check_model_dim(model, domain)
+    _check_model(model, domain)
     if reference.kind != "exact":
         return
     if not hasattr(model, "exact_mean"):
@@ -197,8 +195,10 @@ def _box_text(domain: ParameterDomain) -> str:
     return " x ".join(f"[{lo:.17g}, {hi:.17g}]" for lo, hi in zip(domain.lower, domain.upper))
 
 
-def _check_model_dim(model, domain: ParameterDomain) -> None:
-    """A model with a ``dim`` must match the domain's; one without, such as ``External``, takes any."""
+def _check_model(model, domain: ParameterDomain) -> None:
+    """A model is ``External`` or has ``evaluate``, and one with a ``dim`` matches the domain's."""
+    if not isinstance(model, External) and not callable(getattr(model, "evaluate", None)):
+        raise ValueError(f"model must be External or have an evaluate method, got {model!r}")
     if getattr(model, "dim", domain.dim) != domain.dim:
         raise ValueError(
             f"model of dimension {model.dim} on a domain of dimension {domain.dim}"
@@ -338,9 +338,9 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
     """
     if not requests:
         raise ValueError("estimate needs at least one kernel setting; requests is empty")
-    _check_model_dim(model, domain)
+    _check_model(model, domain)
     _check_jobs(jobs)
-    counts = {setting: _check_schedule(sorted({int(n) for n in ns})) for setting, ns in requests.items()}
+    counts = {setting: _check_schedule(sorted({_integer(n, "sample count") for n in ns})) for setting, ns in requests.items()}
     for setting in counts:
         _check_moments(setting.family, domain.dim)
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))

@@ -24,6 +24,7 @@ from rbfuq import (
     read_qoi,
 )
 from rbfuq.cli import EXIT_CONFIG, EXIT_EXTERNAL, EXIT_NUMERICAL, EXIT_OK, main
+from rbfuq.study import config_echo
 
 PY = sys.executable
 STUBS = Path(__file__).resolve().parent.parent / "stubs"
@@ -494,6 +495,39 @@ def test_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch, command
     assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
 
+IN_PROCESS = ["poisson_kernels", "poisson_tikhonov", "poisson_tsvd", "poisson_zeta", "gfunction_kernels", "kl_field"]
+
+
+class TestSidecarRerun:
+    """A study's sidecar is a config: ``study --config <sidecar>`` reruns the study."""
+
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    def test_rerun_from_the_sidecar_writes_the_same_csv(self, tmp_path, capsys, name):
+        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        data["schedule"] = data["schedule"][:3]
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert main(["study", "--config", write_cfg(tmp_path, data), "--out", str(first)]) == EXIT_OK
+        sidecar = str(first / f"{name}.json")
+        assert main(["validate-config", "--config", sidecar]) == EXIT_OK
+        assert main(["study", "--dry-run", "--config", sidecar, "--out", str(rerun)]) == EXIT_OK
+        assert not rerun.exists()
+        assert main(["study", "--config", sidecar, "--out", str(rerun)]) == EXIT_OK
+        assert (rerun / "study.csv").read_bytes() == (first / f"{name}.csv").read_bytes()
+        echoes = [json.loads((out / f"{csv}.json").read_text())["config"] for out, csv in ((first, name), (rerun, "study"))]
+        assert echoes[0] == echoes[1]
+
+    def test_unregistered_model_type_exits_2_and_names_its_path(self, tmp_path, capsys):
+        sidecar = {"config": config_echo(load_config(CONFIGS / "poisson_kernels.json").study())}
+        sidecar["config"]["model"] = {"type": "mymodel"}
+        out = tmp_path / "out"
+        for command in (["study"], ["study", "--dry-run"], ["validate-config"]):
+            argv = [*command, "--config", write_cfg(tmp_path, sidecar, "study.json")]
+            argv += ["--out", str(out)] * (command[0] == "study")
+            assert main(argv) == EXIT_CONFIG
+            assert "config error: config.model: unknown type 'mymodel'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidate:
     def test_valid_config(self, tmp_path, capsys):
         cfg = gfunction_cfg(tmp_path, kernels=[{"family": "gaussian"}], schedule=[4, 8])
@@ -616,7 +650,7 @@ class TestExitCodes:
         assert main(["mean", "--config", write_cfg(tmp_path, data)]) == EXIT_EXTERNAL
         assert "sample 0: params.txt reads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token", ["{foo}", "{0}", "{"])
+    @pytest.mark.parametrize("token", ["{foo}", "{0}", "{", "{dir[x]}"])
     def test_unfillable_command_template_is_refused_before_any_launch(self, tmp_path, capsys, token):
         command = f"{PY} {STUBS / 'constant_stub.py'} {{params}} {token}"
         message = f"command token {re.escape(repr(token))} takes only"

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbfuq import (
+    FAMILIES,
     MAX_DIM,
+    NORM_TAGS,
     ConfigError,
     External,
     GFunction,
@@ -27,6 +29,8 @@ from rbfuq import (
     load_config,
     parse_config,
 )
+from rbfuq.config import _build
+from rbfuq.study import config_echo
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -371,6 +375,63 @@ OWNED_RULES = {
         "model.x2_points",
         lambda: GridSpec(extents=((0.0, 1.0),), counts=(0,)),
     ),
+    # type and finiteness rules, owned by the constructors too (json.loads reads
+    # Infinity as math.inf); a float count used to be truncated in silence
+    "zeta true": (
+        minimal(kernels=[{"family": "gaussian", "zeta": True}]),
+        "kernels[0]",
+        lambda: KernelSetting("gaussian", zeta=True),
+    ),
+    "zeta Infinity": (
+        minimal(kernels=[{"family": "gaussian", "zeta": math.inf}]),
+        "kernels[0]",
+        lambda: KernelSetting("gaussian", zeta=math.inf),
+    ),
+    "eps_reg Infinity": (
+        minimal(kernels=[{"family": "gaussian", "eps_reg": math.inf}]),
+        "kernels[0].eps_reg",
+        lambda: Tikhonov(math.inf),
+    ),
+    "tsvd_tol Infinity": (
+        minimal(kernels=[{"family": "gaussian", "tsvd_tol": math.inf}]),
+        "kernels[0].tsvd_tol",
+        lambda: TSVD(math.inf),
+    ),
+    "timeout Infinity": (
+        minimal(model=external(timeout=math.inf)),
+        "model",
+        lambda: External("solver {params}", "runs", timeout=math.inf),
+    ),
+    "correlation_length Infinity": (
+        minimal(model={"kind": "kl", "correlation_length": math.inf}),
+        "model",
+        lambda: KLField(2, correlation_length=math.inf),
+    ),
+    "schedule entry 4.5": (minimal(schedule=[4.5, 8]), "config.schedule", lambda: study(schedule=(4.5, 8))),
+    "fit_window 4.5": (minimal(fit_window=4.5), "config.fit_window", lambda: study(fit_window=4.5)),
+    "n_max 4.5": (
+        minimal(reference={"kind": "kernel", "n_max": 4.5, "kernel": {"family": "gaussian"}}),
+        "reference",
+        lambda: ReferenceSpec.kernel_at(4.5, KernelSetting("gaussian")),
+    ),
+    "expected_m 4.5": (
+        minimal(model=external(expected_m=4.5)),
+        "model",
+        lambda: External("solver {params}", "runs", expected_m=4.5),
+    ),
+    "grid_points 4.5": (
+        minimal(
+            domain={"kind": "symmetric", "half_width": math.sqrt(3.0), "dim": 1},
+            model={"kind": "poisson", "grid_points": 4.5},
+        ),
+        "model.grid_points",
+        lambda: GridSpec(extents=((-0.5, 0.5), (-0.5, 0.5)), counts=(4.5, 4.5)),
+    ),
+    "lower '0'": (
+        minimal(domain={"lower": ["0", 0.0], "upper": [1.0, 1.0]}),
+        "domain",
+        lambda: ParameterDomain(["0", 0.0], [1.0, 1.0]),
+    ),
 }
 
 
@@ -423,6 +484,12 @@ class TestLoadConfig:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
@@ -483,15 +550,117 @@ JSON_VALUES = st.recursive(
 @given(case=st.sampled_from(KEY_PATHS), value=JSON_VALUES)
 def test_any_json_value_at_any_key_path_parses_or_is_a_config_error(case, value):
     name, path = case
-    data = copy.deepcopy(BUNDLED[name])
-    if path:
-        parent = data
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        data = value
     try:
-        parse_config(data, base_dir=CONFIGS)
+        parse_config(_substituted(BUNDLED[name], path, value), base_dir=CONFIGS)
+    except ConfigError:
+        pass
+
+
+def _substituted(doc, path, value):
+    """A copy of ``doc`` with ``value`` at key ``path`` (the empty path: ``value`` itself)."""
+    if not path:
+        return value
+    data = copy.deepcopy(doc)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+def _sidecar(name):
+    """The sidecar document of a bundled config's study, as ``write_report`` lays it out."""
+    echo = config_echo(load_config(CONFIGS / name).study())
+    return json.loads(json.dumps({"config": echo, "orders": {}, "fit_points": {}, "wall_time_s": 0.0}))
+
+
+SIDECARS = {name: _sidecar(name) for name in BUNDLED}
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("name", sorted(SIDECARS))
+    def test_builder_inverts_the_echo(self, name):
+        # echoes, not objects: ParameterDomain's array fields make == ambiguous
+        echo = SIDECARS[name]["config"]
+        assert config_echo(_build(echo, "config")) == echo
+        assert config_echo(parse_config(SIDECARS[name]).study()) == echo
+
+    def test_sidecar_takes_the_run_defaults(self, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(SIDECARS["gfunction_external.json"]))
+        cfg = load_config(path)
+        assert (cfg.n, cfg.out_dir, cfg.csv_name, cfg.jobs) == (None, ".", "study.csv", 2)
+        # resolved against configs/ when the input file was loaded, and kept as written
+        assert cfg.model.root == str(CONFIGS / "../runs/gfunction")
+
+    def test_model_that_echoes_as_its_type_alone_is_refused(self):
+        class Custom:
+            def evaluate(self, y):
+                raise AssertionError("never evaluated")
+
+        data = copy.deepcopy(SIDECARS["kl_field.json"])
+        data["config"]["model"] = config_echo(Custom())
+        with pytest.raises(ConfigError, match=r"^config\.model: unknown type 'custom'; expected one of studyconfig, "):
+            parse_config(data)
+
+    def test_registered_type_that_is_no_model_is_refused(self):
+        # a kernel reference needs no exact mean, so only the model rule stands in the way
+        data = copy.deepcopy(SIDECARS["smooth_external.json"])
+        data["config"]["model"] = config_echo(Tikhonov(1e-8))
+        with pytest.raises(ConfigError, match="^config: model must be External or have an evaluate method, got Tikhonov"):
+            parse_config(data)
+
+    def test_sidecar_config_must_be_a_study(self):
+        data = {"config": config_echo(Tikhonov(1e-8))}
+        with pytest.raises(ConfigError, match="^config: a sidecar's config must be a studyconfig"):
+            parse_config(data)
+
+    def test_unknown_sidecar_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'n' in sidecar"):
+            parse_config({**SIDECARS["kl_field.json"], "n": 4})
+
+
+@st.composite
+def study_configs(draw):
+    """A StudyConfig of in-process or external model, each value drawn from its valid range."""
+    dim = draw(st.integers(1, 3))  # Wendland moments exist in every drawn dimension
+    reals = st.floats(1e-6, 1e6)
+    schedule = draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4, unique=True).map(sorted))
+    labels = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
+    regularizations = st.none() | reals.map(Tikhonov) | reals.map(TSVD)
+    kernels = tuple(
+        KernelSetting(draw(st.sampled_from(FAMILIES)), draw(reals), draw(reals), draw(regularizations), label)
+        for label in labels
+    )
+    if draw(st.booleans()):
+        model, domain, reference = GFunction(dim), ParameterDomain.unit(dim), ReferenceSpec.exact()
+    else:
+        model = External("solver {params} {dir}", draw(st.text(min_size=1)), draw(reals), draw(st.none() | st.integers(1, 99)))
+        lower = draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+        domain = ParameterDomain(lower, [lo + draw(st.floats(1e-3, 1e3)) for lo in lower])
+        reference = ReferenceSpec.kernel_at(schedule[-1] + draw(st.integers(0, 99)), draw(st.sampled_from(kernels)))
+    return StudyConfig(
+        model, domain, kernels, tuple(schedule), draw(st.integers(1, 12)), draw(st.sampled_from(NORM_TAGS)),
+        reference, draw(st.integers(1, 8)), draw(st.integers(2, 6)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=study_configs())
+def test_builder_inverts_the_echo_of_any_study(config):
+    echo = json.loads(json.dumps(config_echo(config)))
+    assert config_echo(_build(echo, "config")) == echo
+    assert config_echo(parse_config({"config": echo}).study()) == echo
+
+
+SIDECAR_KEY_PATHS = [(name, path) for name, doc in SIDECARS.items() for path in _key_paths(doc)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(SIDECAR_KEY_PATHS), value=JSON_VALUES)
+def test_any_json_value_at_any_sidecar_key_path_builds_or_is_a_config_error(case, value):
+    name, path = case
+    try:
+        parse_config(_substituted(SIDECARS[name], path, value))
     except ConfigError:
         pass

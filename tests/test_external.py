@@ -1,4 +1,5 @@
 import builtins
+import json
 import shutil
 import struct
 import sys
@@ -17,10 +18,13 @@ from rbfuq import (
     OutputFormatError,
     OutputValueError,
     StaleSampleError,
+    halton_points,
+    load_config,
     read_qoi,
     run_campaign,
     write_qoi,
 )
+from rbfuq.cli import EXIT_OK, main
 from rbfuq.models import external
 
 PY = sys.executable
@@ -235,6 +239,28 @@ class TestCampaign:
         assert again.launched == 0
         assert again.cached == 3
         assert np.array_equal(again.table, pts)
+
+    def test_study_sidecar_reruns_from_the_cache(self, tmp_path, monkeypatch):
+        # the sidecar echoes the root as the first run resolved it, so the
+        # rerun from the same working directory reads every sample back
+        stub = make_stub(tmp_path, ECHO_STUB)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "domain": {"kind": "unit", "dim": 1},
+            "model": {"kind": "external", "command": f"{PY} {stub} {{params}} {{dir}}", "root": "runs"},
+            "kernels": [{"family": "gaussian"}],
+            "schedule": [4, 8],
+            "norm": "rel_scalar",
+            "reference": {"kind": "kernel", "n_max": 12, "kernel": {"family": "gaussian"}},
+            "jobs": 2,
+            "csv": "ext.csv",
+        }))
+        assert main(["study", "--config", "cfg.json", "--out", "first"]) == EXIT_OK
+        cfg = load_config("first/ext.json")
+        assert cfg.model.root == "runs"
+        assert run_campaign(cfg.model, halton_points(cfg.domain, 12)).launched == 0
+        assert main(["study", "--config", "first/ext.json", "--out", "rerun"]) == EXIT_OK
+        assert (tmp_path / "rerun" / "study.csv").read_bytes() == (tmp_path / "first" / "ext.csv").read_bytes()
 
     def test_cached_sample_at_another_point_is_refused(self, tmp_path):
         spec = echo_spec(tmp_path)

@@ -45,6 +45,10 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(extents=((0.0, 1.0),), counts=(0,))
 
+    def test_rejects_a_float_count_instead_of_truncating_it(self):
+        with pytest.raises(ValueError, match=r"^counts\[0\] must be an integer, got 2.7$"):
+            GridSpec(extents=((0.0, 1.0),), counts=(2.7,))
+
     def test_rejects_mismatched_metadata(self):
         with pytest.raises(ValueError):
             GridSpec(extents=((0.0, 1.0),), counts=(3, 3))
@@ -165,6 +169,12 @@ class TestGFunction:
         model = GFunction(3)
         assert model.evaluate([0.0, 0.0, 0.0]).values[0] == g_function([0.0, 0.0, 0.0])
         assert model.exact_mean().values[0] == 1.0
+
+    @pytest.mark.parametrize("build", [GFunction, KLField])
+    @pytest.mark.parametrize("dim, refusal", [(2.0, "dim must be an integer, got 2.0"), (0, "dim must be >= 1, got 0")])
+    def test_dimension_is_a_positive_integer(self, build, dim, refusal):
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            build(dim=dim)
 
     def test_samples_share_one_scalar_grid(self):
         model = GFunction(3)

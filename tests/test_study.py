@@ -369,6 +369,8 @@ class TestRefusedBeforeEvaluation:
         ),
         "count 0": ({KernelSetting("wendland3"): (0, 8)}, 1, r"positive sample counts, got \[0, 8\]"),
         "no requests": ({}, 1, "at least one kernel setting; requests is empty"),
+        # refused, no longer truncated to N = 4
+        "count 4.9": ({KernelSetting("wendland3"): (4.9,)}, 1, "sample count must be an integer, got 4.9"),
     }
 
     @pytest.mark.parametrize("case", BAD)
