@@ -7,7 +7,9 @@ the key path of the constructor's refusal, so a key, a CLI flag and a
 constructor refuse alike.  A sidecar's ``config`` is built as written, its
 ``root`` too; the input file's shorthand (``kind``, ``grid_points``,
 ``eps_reg``, ``"none"``, a relative ``root``, ...) is translated into those
-objects, each shorthand sub-object built at its own key.
+objects, each shorthand sub-object built at its own key.  A relative
+``root`` becomes an absolute path against the config file's directory, so
+the sidecar echoes a root that reads the same cache from any directory.
 """
 from __future__ import annotations
 
@@ -111,7 +113,9 @@ def _model(obj, dim: int, base_dir: Path):
         return _object(PoissonExact, {"grid": grid}, "model.grid_points")
     if kind == "external":
         if isinstance(given.get("root"), str) and given["root"]:
-            given["root"] = str(base_dir / given["root"])  # an absolute root stays as it is
+            # absolute, so the sidecar's echo names the same root from any working directory;
+            # an absolute root stays as it is, and ".." is kept, as a symlink may precede it
+            given["root"] = str(base_dir.absolute() / given["root"])
         return _object(External, given, "model")
     if kind == "kl":
         n = given.pop("x2_points", 33)
@@ -205,7 +209,8 @@ class RunConfig:
 
 def parse_config(data, base_dir=".") -> RunConfig:
     """Validate a decoded JSON object, an input file or a study sidecar, into a
-    RunConfig; an input file's relative External ``root`` resolves against ``base_dir``."""
+    RunConfig; an input file's relative External ``root`` resolves against ``base_dir``,
+    to an absolute path."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
     if "config" in data:  # a study sidecar

@@ -1,8 +1,11 @@
 """Convergence-study harness: mean estimation across kernel/N sweeps.
 
 ``estimate`` is the one pipeline behind ``run_study`` and the CLI's
-``mean`` and ``reference``: it evaluates the model once on the longest
-Halton prefix asked for, and computes each kernel number once (its
+``mean`` and ``reference``: weights before samples.  It solves every
+system on the longest Halton prefix asked for, computing each kernel
+number once, before the model first runs; then it evaluates the model
+once per point and streams the samples through one contraction with the
+stacked weights, so an in-process model's table is never held (its
 docstring says how).  Errors against the reference are reported per
 (kernel, N), with a least-squares order fitted on the tail of each
 log-log curve.  The JSON sidecar beside the error table echoes the
@@ -17,6 +20,7 @@ import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from ._checks import _integer, _items, _string
 from .collocation import Regularization, SingularGramError, Tikhonov, TSVD, assemble_gram
@@ -24,7 +28,7 @@ from .kernels import KernelSpec
 from .models import External, run_campaign
 from .models.external import _check_jobs, _write_atomic
 from .param_space import CollocationSet, ParameterDomain, halton_points
-from .quadrature import _check_moments, _level_nodes, estimate_mean, kernel_moments, moment_weights
+from .quadrature import _check_moments, _level_nodes, kernel_moments, moment_weights
 
 NORM_TAGS = ("abs_l2", "rel_l2", "abs_scalar", "rel_scalar")
 
@@ -218,12 +222,23 @@ class StudyReport:
     wall_time: float
 
 
-def evaluate_samples(model, points: CollocationSet, jobs: int = 1) -> np.ndarray:
-    """Model outputs for every collocation point, one row per sample."""
+def evaluate_samples(model, points: CollocationSet, jobs: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """Model outputs for every collocation point, one row per sample.
+
+    An in-process model's rows are written into ``out`` when it is given,
+    an ``(N, M)`` array, else into one table allocated at the first
+    sample's width M; a sample of another width is refused.
+    """
     if isinstance(model, External):
         return run_campaign(model, points, jobs=jobs).table
-    rows = [model.evaluate(y).values for y in points.points]
-    return np.vstack(rows)
+    for i, y in enumerate(points.points):
+        values = model.evaluate(y).values
+        if out is None:
+            out = np.empty((len(points), values.size))
+        if values.size != out.shape[1]:
+            raise ValueError(f"the model returned {values.size} values at y = {y.tolist()}, but {out.shape[1]} at the first sample")
+        out[i] = values
+    return out
 
 
 def _norm_values(estimate: np.ndarray, reference: np.ndarray, tag: str) -> float:
@@ -306,22 +321,27 @@ def _group_moments(tops: dict, points: CollocationSet, domain: ParameterDomain) 
 
 @dataclass(frozen=True)
 class Estimates:
-    """Points and sample table, and per ``(setting, n)`` the weights and mean."""
+    """Points, and per ``(setting, n)`` the weights and mean."""
 
     points: CollocationSet
-    table: np.ndarray
     weights: dict
     means: dict
+
+
+BLOCK_ENTRIES = 1 << 19  # values per sample block of an in-process model: 4 MiB of float64
 
 
 def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> Estimates:
     """Mean estimates of every ``KernelSetting`` in ``requests`` at each of its N.
 
-    The model runs once, on the longest Halton prefix asked for.  Settings
-    that share a kernel (``_kernel_groups``: the same family, zeta, and
-    for the Gaussian epsilon) share one Gram matrix and one moment vector
-    on their longest prefix; each N solves on the leading N x N block, a
-    view.  The moments of all Wendland kernels of one zeta come from one
+    Weights come before samples: every system is solved on the longest
+    Halton prefix asked for before the model first runs, so a failed
+    solve raises ``StudyError``, naming the setting's column and N, with
+    nothing evaluated or launched.  Settings that share a kernel
+    (``_kernel_groups``: the same family, zeta, and for the Gaussian
+    epsilon) share one Gram matrix and one moment vector on their longest
+    prefix; each N solves on the leading N x N block, a view.  The
+    moments of all Wendland kernels of one zeta come from one
     ``kernel_moments`` pass on the longest prefix any of them needs, of
     which each takes its leading entries, bitwise its own vector.  Plain
     and Tikhonov settings share one Cholesky factor per shift, taken on
@@ -329,12 +349,21 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
     time; the TSVD settings at one N share the block's eigenpairs, from
     ``LANCZOS_MIN_N`` points on only those of largest modulus
     (``GramMatrix.tsvd_eigenpairs``), so a setting's weights do not
-    depend on the settings beside it.  A failed solve
-    raises ``StudyError`` naming the setting's column and N.  Every input
-    is checked before the model runs: that some setting is requested, the
-    model's and the domain's dimension, ``jobs``, each sample count, and
-    that each setting's kernel moments exist in this dimension (no
-    Wendland kernel in D >= 4), so a refused call evaluates nothing.
+    depend on the settings beside it.
+
+    The weights then stack into one matrix W, a zero-padded row per
+    ``(setting, n)``, and the samples U are contracted in index order
+    (``_contract``): an in-process model is evaluated a block of about
+    ``BLOCK_ENTRIES`` values at a time, ``means += W[:, block] @
+    U[block]``, so its whole table is never held; an ``External`` model's
+    campaign table is contracted in one product.  Only the summation
+    order differs from ``omega @ U[:n]``, by at most (n + 1) * eps *
+    sum_i |omega_i u_i| per channel.
+
+    Every input is checked before anything is computed: that some
+    setting is requested, the model's and the domain's dimension,
+    ``jobs``, each sample count, and that each setting's kernel moments
+    exist in this dimension (no Wendland kernel in D >= 4).
     """
     if not requests:
         raise ValueError("estimate needs at least one kernel setting; requests is empty")
@@ -344,7 +373,6 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
     for setting in counts:
         _check_moments(setting.family, domain.dim)
     points = halton_points(domain, max(ns[-1] for ns in counts.values()))
-    table = evaluate_samples(model, points, jobs=jobs)
     groups = _kernel_groups(counts, domain.dim)
     tops = {spec: max(counts[setting][-1] for setting in settings) for spec, settings in groups.items()}
     moments = _group_moments(tops, points, domain)
@@ -360,8 +388,47 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
             del factored  # its factor is freed before the next factor or eigendecomposition is taken
         _solve_prefixes(weights, gram_full, b_full, tsvd, counts)
         del gram_full  # free this kernel's matrix before the next is assembled
-    means = {(setting, n): estimate_mean(w, table[:n]) for (setting, n), w in weights.items()}
-    return Estimates(points=points, table=table, weights=weights, means=means)
+    stacked = np.zeros((len(weights), len(points)))
+    for row, w in zip(stacked, weights.values()):
+        row[: w.omega.size] = w.omega
+    sums = _contract(model, points, stacked, jobs)
+    return Estimates(points=points, weights=weights, means=dict(zip(weights, sums)))
+
+
+def _contract(model, points: CollocationSet, stacked: np.ndarray, jobs: int) -> np.ndarray:
+    """``stacked @ U`` for the model's samples U at ``points``, in sample order.
+
+    An ``External`` model runs one campaign and its table is contracted
+    in one product.  An in-process model is evaluated by
+    ``evaluate_samples`` into one reused block of ``BLOCK_ENTRIES // M``
+    rows (at least one), M being the width of sample 0, which is
+    evaluated first on its own.  The first block is contracted as
+    ``stacked[:, :rows] @ block``, and each later one is added by one
+    GEMM in place.  Every block multiplies all rows of ``stacked``, those
+    past their N too (they add exact zeros), so the BLAS calls that sum a
+    row do not change with the N of the rows beside it.
+    """
+    if isinstance(model, External):
+        return stacked @ evaluate_samples(model, points, jobs=jobs)
+    first = evaluate_samples(model, points.prefix(1))
+    n, m = len(points), first.shape[1]
+    rows = min(n, max(1, BLOCK_ENTRIES // m))
+    block = np.empty((rows, m))
+    block[0] = first[0]
+    if rows > 1:
+        evaluate_samples(model, _rows(points, 1, rows), out=block[1:])
+    sums = stacked[:, :rows] @ block
+    for start in range(rows, n, rows):
+        stop = min(start + rows, n)
+        part = evaluate_samples(model, _rows(points, start, stop), out=block[: stop - start])
+        # sums += stacked[:, start:stop] @ part with no temporary: a C-ordered array is its
+        # transpose in Fortran order, so GEMM adds into sums.T in place
+        sums = dgemm(1.0, part.T, stacked[:, start:stop].T, beta=1.0, c=sums.T, overwrite_c=True).T
+    return sums
+
+
+def _rows(points: CollocationSet, start: int, stop: int) -> CollocationSet:
+    return CollocationSet(points.points[start:stop], points.source)
 
 
 def _solve_prefixes(weights: dict, gram_full, b_full, settings, counts: dict) -> None:

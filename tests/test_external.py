@@ -1,5 +1,6 @@
 import builtins
 import json
+import os
 import shutil
 import struct
 import sys
@@ -18,7 +19,6 @@ from rbfuq import (
     OutputFormatError,
     OutputValueError,
     StaleSampleError,
-    halton_points,
     load_config,
     read_qoi,
     run_campaign,
@@ -37,6 +37,13 @@ with open(out_dir / "qoi.bin", "wb") as fh:
     fh.write(struct.pack("<Q", len(vals)))
     for v in vals:
         fh.write(struct.pack("<d", v))
+"""
+
+
+# argv: params dir log; appends the sample directory to ``log``, then echoes the point
+LOGGING_ECHO_STUB = ECHO_STUB + """\
+with open(sys.argv[3], "a") as log:
+    log.write(sys.argv[2] + "\\n")
 """
 
 
@@ -240,14 +247,17 @@ class TestCampaign:
         assert again.cached == 3
         assert np.array_equal(again.table, pts)
 
-    def test_study_sidecar_reruns_from_the_cache(self, tmp_path, monkeypatch):
-        # the sidecar echoes the root as the first run resolved it, so the
-        # rerun from the same working directory reads every sample back
-        stub = make_stub(tmp_path, ECHO_STUB)
+    @pytest.mark.parametrize("where,sidecar", [(".", "first/ext.json"), ("sub", "../first/ext.json")])
+    def test_study_sidecar_reruns_from_the_cache(self, tmp_path, monkeypatch, where, sidecar):
+        # the sidecar echoes the root as an absolute path, so a rerun from
+        # any working directory reads every sample back and launches none
+        stub = make_stub(tmp_path, LOGGING_ECHO_STUB)
+        log = tmp_path / "launches.log"
         monkeypatch.chdir(tmp_path)
+        first_cwd = os.getcwd()
         (tmp_path / "cfg.json").write_text(json.dumps({
             "domain": {"kind": "unit", "dim": 1},
-            "model": {"kind": "external", "command": f"{PY} {stub} {{params}} {{dir}}", "root": "runs"},
+            "model": {"kind": "external", "command": f"{PY} {stub} {{params}} {{dir}} {log}", "root": "runs"},
             "kernels": [{"family": "gaussian"}],
             "schedule": [4, 8],
             "norm": "rel_scalar",
@@ -256,11 +266,13 @@ class TestCampaign:
             "csv": "ext.csv",
         }))
         assert main(["study", "--config", "cfg.json", "--out", "first"]) == EXIT_OK
-        cfg = load_config("first/ext.json")
-        assert cfg.model.root == "runs"
-        assert run_campaign(cfg.model, halton_points(cfg.domain, 12)).launched == 0
-        assert main(["study", "--config", "first/ext.json", "--out", "rerun"]) == EXIT_OK
-        assert (tmp_path / "rerun" / "study.csv").read_bytes() == (tmp_path / "first" / "ext.csv").read_bytes()
+        assert len(log.read_text().splitlines()) == 12
+        (tmp_path / where).mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / where)
+        assert main(["study", "--config", sidecar, "--out", "rerun"]) == EXIT_OK
+        assert len(log.read_text().splitlines()) == 12
+        assert (tmp_path / where / "rerun" / "study.csv").read_bytes() == (tmp_path / "first" / "ext.csv").read_bytes()
+        assert load_config(sidecar).model.root == os.path.join(first_cwd, "runs")
 
     def test_cached_sample_at_another_point_is_refused(self, tmp_path):
         spec = echo_spec(tmp_path)

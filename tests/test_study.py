@@ -2,15 +2,20 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbfuq import (
     External,
     GFunction,
     GridField,
+    GridSpec,
     KLField,
     KernelSetting,
     ParameterDomain,
@@ -27,6 +32,7 @@ from rbfuq import (
     run_study,
     write_report,
 )
+from rbfuq import study
 from rbfuq.study import _check_norm, _fit_tail, _norm_values, config_echo
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -583,6 +589,129 @@ class TestEvaluateSamples:
         assert table.shape == (3, 1089)
         for row, y in zip(table, points.points):
             assert np.array_equal(row, model.evaluate(y).values)
+
+
+class FieldModel:
+    """A smooth field of ``m`` values on the box, counting its evaluations."""
+
+    def __init__(self, dim, m):
+        self.dim = dim
+        self.grid = GridSpec(extents=((0.0, 1.0),), counts=(m,))
+        self.calls = 0
+
+    def evaluate(self, y):
+        self.calls += 1
+        x = self.grid.points()[:, 0]
+        return GridField(grid=self.grid, values=np.cos(3.0 * x + float(np.sum(y))))
+
+
+# argv: params dir log m; logs each launch and writes m values of a field of the point
+FIELD_STUB = """\
+import math, struct, sys
+params, out_dir, log, m = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+with open(log, "a") as fh:
+    fh.write(out_dir + "\\n")
+with open(params) as fh:
+    s = sum(float(t) for t in fh.read().split())
+vals = [math.cos(3.0 * k / max(m - 1, 1) + s) for k in range(m)]
+with open(out_dir + "/qoi.bin", "wb") as fh:
+    fh.write(struct.pack("<Q%dd" % m, m, *vals))
+"""
+
+
+def field_external(tmp_path, m):
+    stub, log = tmp_path / "field_stub.py", tmp_path / "launches.log"
+    stub.write_text(FIELD_STUB)
+    return External(command=f"{sys.executable} {stub} {{params}} {{dir}} {log} {m}", root=str(tmp_path / "runs")), log
+
+
+def launches(log):
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+class TestWeightsBeforeSamples:
+    """``estimate`` solves every system before the first model run or launch."""
+
+    # an unregularized flat Gaussian: its Gram matrix at N = 64 is numerically singular
+    SINGULAR = {KernelSetting("matern32"): (64, 256), KernelSetting("gaussian", epsilon=0.05, regularization=None): (64, 256)}
+
+    def test_failed_solve_evaluates_nothing(self):
+        model = CountingModel(3)
+        with pytest.raises(StudyError) as info:
+            estimate(model, ParameterDomain.symmetric(math.sqrt(3.0), 3), self.SINGULAR)
+        assert (info.value.kernel, info.value.n) == ("gaussian", 64)
+        assert model.calls == 0
+
+    def test_failed_solve_launches_nothing(self, tmp_path):
+        model, log = field_external(tmp_path, 1)
+        with pytest.raises(StudyError) as info:
+            estimate(model, ParameterDomain.unit(3), self.SINGULAR, jobs=2)
+        assert (info.value.kernel, info.value.n) == ("gaussian", 64)
+        assert launches(log) == 0
+        assert not (tmp_path / "runs").exists()
+
+    @staticmethod
+    def assert_streamed(result, table):
+        """Each mean is omega @ table[:n] up to its summation order: (n + 1) eps sum_i |omega_i u_i|."""
+        for (setting, n), w in result.weights.items():
+            exact = w.omega @ table[:n]
+            bound = (n + 1) * np.finfo(float).eps * (np.abs(w.omega) @ np.abs(table[:n]))
+            assert np.all(np.abs(result.means[setting, n] - exact) <= bound), (setting.column, n)
+
+    REQUESTS = {
+        KernelSetting("matern32"): (5, 16, 33),
+        KernelSetting("wendland2", zeta=2.0, regularization=TSVD(1e-10)): (16, 40),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 12), block_entries=st.integers(1, 600), one_row=st.booleans())
+    def test_streamed_means_match_the_table(self, m, block_entries, one_row):
+        model, domain = FieldModel(2, m), ParameterDomain.unit(2)
+        requests = {KernelSetting("matern32"): (40,)} if one_row else self.REQUESTS
+        with mock.patch.object(study, "BLOCK_ENTRIES", block_entries):
+            result = estimate(model, domain, requests)
+        assert model.calls == 40  # each sample once, however the blocks fall
+        self.assert_streamed(result, evaluate_samples(model, result.points))
+
+    @settings(max_examples=4, deadline=None)
+    @given(m=st.integers(1, 5), jobs=st.integers(1, 3))
+    def test_streamed_means_match_the_campaign_table(self, tmp_path_factory, m, jobs):
+        tmp = tmp_path_factory.mktemp("field")
+        model, log = field_external(tmp, m)
+        requests = {KernelSetting("matern32"): (4, 12)}
+        result = estimate(model, ParameterDomain.unit(2), requests, jobs=jobs)
+        assert launches(log) == 12
+        self.assert_streamed(result, evaluate_samples(model, result.points))  # read back from the cache
+
+    def test_a_sample_of_another_width_is_refused(self):
+        class Widening(FieldModel):
+            def evaluate(self, y):
+                field = super().evaluate(y)
+                if self.calls < 3:
+                    return field
+                return GridField(grid=GridSpec(extents=((0.0, 1.0),), counts=(5,)), values=np.zeros(5))
+
+        refusal = "returned 5 values at y = .*, but 4 at the first sample"
+        with pytest.raises(ValueError, match=refusal):
+            evaluate_samples(Widening(1, 4), halton_points(ParameterDomain.unit(1), 8))
+        for block_entries in (4, 1 << 20):  # blocks of one sample, and one block of all
+            with mock.patch.object(study, "BLOCK_ENTRIES", block_entries), pytest.raises(ValueError, match=refusal):
+                estimate(Widening(1, 4), ParameterDomain.unit(1), {KernelSetting("matern32"): (8,)})
+
+    def test_peak_memory_is_a_small_part_of_the_table(self):
+        # M = 2^15 values per sample, N = 256: the table would take 64 MiB
+        model, domain = FieldModel(3, 1 << 15), ParameterDomain.unit(3)
+        requests = {KernelSetting("matern32"): (64, 256), KernelSetting("gaussian", epsilon=2.0, regularization=Tikhonov(1e-8)): (256,)}
+        tracemalloc.start()
+        try:
+            result = estimate(model, domain, requests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 256 * (1 << 15) * 8
+        assert peak < 0.15 * table, f"peak {peak / 2**20:.1f} MiB"
+        assert model.calls == 256
+        self.assert_streamed(result, evaluate_samples(model, result.points))
 
 
 class TestKernelReference:
