@@ -5,8 +5,8 @@
 system on the longest Halton prefix asked for, computing each kernel
 number once, before the model first runs; then it evaluates the model
 once per point and streams the samples through one contraction with the
-stacked weights, so an in-process model's table is never held (its
-docstring says how).  Errors against the reference are reported per
+stacked weights, so no model's table is ever held (its docstring says
+how).  Errors against the reference are reported per
 (kernel, N), with a least-squares order fitted on the tail of each
 log-log curve.  The JSON sidecar beside the error table echoes the
 config by one rule (``config_echo``): each config object as its type and
@@ -26,7 +26,7 @@ from ._checks import _integer, _items, _string
 from .collocation import Regularization, SingularGramError, Tikhonov, TSVD, assemble_gram
 from .kernels import KernelSpec
 from .models import External, run_campaign
-from .models.external import _check_jobs, _write_atomic
+from .models.external import _Table, _check_jobs, _write_atomic
 from .param_space import CollocationSet, ParameterDomain, halton_points
 from .quadrature import _check_moments, _level_nodes, kernel_moments, moment_weights
 
@@ -222,23 +222,25 @@ class StudyReport:
     wall_time: float
 
 
-def evaluate_samples(model, points: CollocationSet, jobs: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Model outputs for every collocation point, one row per sample.
+def evaluate_samples(model, points: CollocationSet, jobs: int = 1, into=None) -> np.ndarray | None:
+    """Model outputs for every collocation point, each handed to
+    ``into(index, values)`` in sample order.
 
-    An in-process model's rows are written into ``out`` when it is given,
-    an ``(N, M)`` array, else into one table allocated at the first
-    sample's width M; a sample of another width is refused.
+    Without ``into`` they fill one ``(N, M)`` table, which is returned.  An
+    ``External`` model runs one campaign (``run_campaign``); an in-process
+    model refuses a sample whose width differs from the first sample's.
     """
     if isinstance(model, External):
-        return run_campaign(model, points, jobs=jobs).table
+        return run_campaign(model, points, jobs=jobs, into=into).table
+    fill = _Table(len(points)) if into is None else into
     for i, y in enumerate(points.points):
         values = model.evaluate(y).values
-        if out is None:
-            out = np.empty((len(points), values.size))
-        if values.size != out.shape[1]:
-            raise ValueError(f"the model returned {values.size} values at y = {y.tolist()}, but {out.shape[1]} at the first sample")
-        out[i] = values
-    return out
+        if i == 0:
+            m = values.size
+        elif values.size != m:
+            raise ValueError(f"the model returned {values.size} values at y = {y.tolist()}, but {m} at the first sample")
+        fill(i, values)
+    return fill.rows if into is None else None
 
 
 def _norm_values(estimate: np.ndarray, reference: np.ndarray, tag: str) -> float:
@@ -328,7 +330,7 @@ class Estimates:
     means: dict
 
 
-BLOCK_ENTRIES = 1 << 19  # values per sample block of an in-process model: 4 MiB of float64
+BLOCK_ENTRIES = 1 << 19  # values per sample block of the contraction: 4 MiB of float64
 
 
 def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> Estimates:
@@ -353,10 +355,9 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
 
     The weights then stack into one matrix W, a zero-padded row per
     ``(setting, n)``, and the samples U are contracted in index order
-    (``_contract``): an in-process model is evaluated a block of about
-    ``BLOCK_ENTRIES`` values at a time, ``means += W[:, block] @
-    U[block]``, so its whole table is never held; an ``External`` model's
-    campaign table is contracted in one product.  Only the summation
+    (``_contract``): the samples of either kind of model stream into a
+    block of about ``BLOCK_ENTRIES`` values, ``means += W[:, block] @
+    U[block]``, so the whole table is never held.  Only the summation
     order differs from ``omega @ U[:n]``, by at most (n + 1) * eps *
     sum_i |omega_i u_i| per channel.
 
@@ -398,37 +399,39 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
 def _contract(model, points: CollocationSet, stacked: np.ndarray, jobs: int) -> np.ndarray:
     """``stacked @ U`` for the model's samples U at ``points``, in sample order.
 
-    An ``External`` model runs one campaign and its table is contracted
-    in one product.  An in-process model is evaluated by
-    ``evaluate_samples`` into one reused block of ``BLOCK_ENTRIES // M``
-    rows (at least one), M being the width of sample 0, which is
-    evaluated first on its own.  The first block is contracted as
-    ``stacked[:, :rows] @ block``, and each later one is added by one
-    GEMM in place.  Every block multiplies all rows of ``stacked``, those
-    past their N too (they add exact zeros), so the BLAS calls that sum a
-    row do not change with the N of the rows beside it.
+    One ``evaluate_samples`` call hands each sample to a block of
+    ``BLOCK_ENTRIES // M`` rows (at least one), M being the width of
+    sample 0, where the block is allocated; the campaign of an
+    ``External`` model streams through it as an in-process model does.
+    The first full block is contracted as ``stacked[:, :rows] @ block``,
+    and each later one is added by one GEMM in place.  Every block
+    multiplies all rows of ``stacked``, those past their N too (they add
+    exact zeros), so the BLAS calls that sum a row do not change with the
+    N of the rows beside it.
     """
-    if isinstance(model, External):
-        return stacked @ evaluate_samples(model, points, jobs=jobs)
-    first = evaluate_samples(model, points.prefix(1))
-    n, m = len(points), first.shape[1]
-    rows = min(n, max(1, BLOCK_ENTRIES // m))
-    block = np.empty((rows, m))
-    block[0] = first[0]
-    if rows > 1:
-        evaluate_samples(model, _rows(points, 1, rows), out=block[1:])
-    sums = stacked[:, :rows] @ block
-    for start in range(rows, n, rows):
-        stop = min(start + rows, n)
-        part = evaluate_samples(model, _rows(points, start, stop), out=block[: stop - start])
-        # sums += stacked[:, start:stop] @ part with no temporary: a C-ordered array is its
-        # transpose in Fortran order, so GEMM adds into sums.T in place
-        sums = dgemm(1.0, part.T, stacked[:, start:stop].T, beta=1.0, c=sums.T, overwrite_c=True).T
+    n = len(points)
+    block = sums = None
+    start = stop = 0  # the samples the block holds next
+
+    def take(i, values):
+        nonlocal block, sums, start, stop
+        if block is None:
+            block = np.empty((min(n, max(1, BLOCK_ENTRIES // max(1, values.size))), values.size))
+            stop = len(block)
+        block[i - start] = values
+        if i + 1 < stop:
+            return
+        if sums is None:
+            sums = stacked[:, :stop] @ block
+        else:
+            # sums += stacked[:, start:stop] @ part with no temporary: a C-ordered array is its
+            # transpose in Fortran order, so GEMM adds into sums.T in place
+            part = block[: stop - start]
+            sums = dgemm(1.0, part.T, stacked[:, start:stop].T, beta=1.0, c=sums.T, overwrite_c=True).T
+        start, stop = stop, min(stop + len(block), n)
+
+    evaluate_samples(model, points, jobs=jobs, into=take)
     return sums
-
-
-def _rows(points: CollocationSet, start: int, stop: int) -> CollocationSet:
-    return CollocationSet(points.points[start:stop], points.source)
 
 
 def _solve_prefixes(weights: dict, gram_full, b_full, settings, counts: dict) -> None:

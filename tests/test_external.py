@@ -509,12 +509,12 @@ class TestCachedReads:
         assert info.value.sample_index == 0
         assert not log.exists()
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 4, 1 << 16])
-    def test_finiteness_blocks_blame_the_lowest_sample(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(external, "_FINITE_BLOCK", block)
+    @pytest.mark.parametrize("cached", [8, 7], ids=["all cached", "sample 7 launches"])
+    def test_the_lowest_non_finite_sample_is_refused(self, tmp_path, cached):
+        # with a sample to launch, the check pass refuses sample 3 before the pool starts
         spec, log = logging_spec(tmp_path)
         points = np.linspace(0.1, 0.8, 16).reshape(-1, 2)
-        dirs = [fill_sample(spec, i, y, y) for i, y in enumerate(points)]
+        dirs = [fill_sample(spec, i, y, y) for i, y in enumerate(points[:cached])]
         for i in (6, 3, 5):
             _non_finite(dirs[i], points[i])
         with pytest.raises(OutputValueError) as info:
@@ -532,6 +532,30 @@ class TestCachedReads:
         assert info.value.sample_index == 3
         assert str(info.value) == "sample 3: sample has 2 values, sample 1 has 1"
         assert not log.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_a_launched_row_of_another_count_is_refused_at_its_turn(self, tmp_path, jobs):
+        # samples 2 and 4 write two values; sample 3 runs long enough for the refusal
+        # of sample 2 to cancel the launches still queued behind it
+        body = (
+            "import struct, sys, time\n"
+            "out, index, log = sys.argv[2], int(sys.argv[3]), sys.argv[4]\n"
+            "with open(log, 'a') as fh:\n"
+            "    fh.write(str(index) + '\\n')\n"
+            "if index == 3:\n"
+            "    time.sleep(1.0)\n"
+            "n = 2 if index in (2, 4) else 1\n"
+            "with open(out + '/qoi.bin', 'wb') as fh:\n"
+            "    fh.write(struct.pack('<Q%dd' % n, n, *[0.5] * n))\n"
+        )
+        stub = make_stub(tmp_path, body)
+        log = tmp_path / "launches.log"
+        spec = External(command=f"{PY} {stub} {{params}} {{dir}} {{index}} {log}", root=str(tmp_path / "runs"))
+        with pytest.raises(OutputFormatError) as info:
+            run_campaign(spec, np.linspace(0.1, 0.6, 6).reshape(-1, 1), jobs=jobs)
+        assert str(info.value) == "sample 2: sample has 2 values, sample 0 has 1"
+        if jobs == 1:
+            assert sorted(log.read_text().split()) == ["0", "1", "2", "3"]
 
     def test_launched_rows_join_the_cached_table(self, tmp_path):
         spec, log = logging_spec(tmp_path, expected_m=2)

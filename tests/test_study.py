@@ -30,6 +30,7 @@ from rbfuq import (
     halton_points,
     load_config,
     run_study,
+    write_qoi,
     write_report,
 )
 from rbfuq import study
@@ -712,6 +713,28 @@ class TestWeightsBeforeSamples:
         assert peak < 0.15 * table, f"peak {peak / 2**20:.1f} MiB"
         assert model.calls == 256
         self.assert_streamed(result, evaluate_samples(model, result.points))
+
+    def test_a_cached_campaign_streams_in_a_small_part_of_its_table(self, tmp_path):
+        # 64 cached samples of M = 2^16 values: the campaign's table would take 32 MiB
+        domain, m = ParameterDomain.unit(2), 1 << 16
+        model = External(command="false", root=str(tmp_path / "runs"))
+        points = halton_points(domain, 64).points
+        table = np.random.default_rng(3).standard_normal((64, m))
+        for i, (y, row) in enumerate(zip(points, table)):
+            sample_dir = model.samples_dir / str(i)
+            sample_dir.mkdir(parents=True)
+            (sample_dir / "params.txt").write_text(" ".join(format(float(v), ".17g") for v in y) + "\n")
+            write_qoi(sample_dir / "qoi.bin", row)
+            (sample_dir / "done").touch()
+        tracemalloc.start()
+        try:
+            result = estimate(model, domain, {KernelSetting("matern32"): (16, 64)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * table.nbytes, f"peak {peak / 2**20:.1f} MiB"
+        assert np.array_equal(result.points.points, points)
+        self.assert_streamed(result, table)
 
 
 class TestKernelReference:
