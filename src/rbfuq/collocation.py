@@ -22,6 +22,11 @@ every TSVD tolerance solved on it shares them.  Multi-channel data is
 solved channel by channel against one shared factorization, which makes
 the result for each channel independent of how many other channels are
 solved alongside it, down to the last bit.
+
+A caller's Gram matrix is never written: its factors are taken in
+private copies.  ``estimate`` lends each Gram matrix it assembles to its
+factors (``GramMatrix.factored`` with ``in_place``), which write over its
+lower triangle, so a solve holds one dense N x N array.
 """
 from __future__ import annotations
 
@@ -97,7 +102,9 @@ class GramMatrix:
     matrix over a nested point set; such a block keeps ``cholesky``, the
     factor of the larger one (``factored``), which its plain or Tikhonov
     solves with that factor's regularization use.  The eigenpairs its
-    TSVD solves use are computed once and kept.
+    TSVD solves use are computed once and kept.  Both eigensolvers read
+    the lower triangle, which a factor taken ``in_place`` overwrites, so
+    the owner of such a matrix runs its TSVD solves first.
     """
 
     values: np.ndarray
@@ -116,13 +123,17 @@ class GramMatrix:
         """The Gram matrix of the first n points, a view of the leading block, with this one's factor."""
         return GramMatrix(self.values[:n, :n], self.spec, self.points.prefix(n), self.cholesky)
 
-    def factored(self, reg: Tikhonov | None) -> GramMatrix:
+    def factored(self, reg: Tikhonov | None, in_place: _InPlace | None = None) -> GramMatrix:
         """This Gram matrix carrying one Cholesky factor of A + eps_reg I for it and its leading blocks.
 
         The factor is taken by the first plain or Tikhonov solve with ``reg``
-        and is freed with the last Gram matrix that carries it.
+        and is freed with the last Gram matrix that carries it.  It is taken
+        in a private copy, unless ``in_place`` lends the array of this
+        matrix (or of the larger one it leads): then a factor of that whole
+        array is written over its lower triangle (``_CholFactor``), after
+        which ``values`` reads as A only in its strictly upper triangle.
         """
-        return GramMatrix(self.values, self.spec, self.points, _CholFactor(self, reg))
+        return GramMatrix(self.values, self.spec, self.points, _CholFactor(self, reg, in_place))
 
     def tsvd_eigenpairs(self, drop_tol: float) -> tuple:
         """(eigenvalues, eigenvectors) holding every pair with |lambda| >= drop_tol * max |lambda|.
@@ -222,6 +233,20 @@ def assemble_gram(spec: KernelSpec, points: CollocationSet) -> GramMatrix:
     return GramMatrix(values=values, spec=spec, points=points)
 
 
+class _InPlace:
+    """The array of a Gram matrix whose owner lets its Cholesky factors overwrite it.
+
+    A factor of the whole matrix is written into the triangle on and below
+    the diagonal, the only one dpotrf reads and writes; the strictly upper
+    triangle keeps A, and A's diagonal is saved here before any factor.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.diagonal = values.diagonal().copy()
+        self.written = False  # the lower triangle holds a factor, not A
+
+
 class _CholFactor:
     """One Cholesky factorization of A + shift I, and the solves of A's leading blocks.
 
@@ -230,18 +255,43 @@ class _CholFactor:
     object lives.  dpotrf's ``info`` = m > 0 says the leading minor of
     order m is not positive; blocks n < m still solve on the factor, and
     from m on a plain solve is singular and a shifted one is solved by LU.
+
+    Where the factor lives is the one difference between a caller's Gram
+    matrix and one lent ``in_place`` by its owner.  A caller's is never
+    written: its factor is taken in a private copy (``_restored``).  A
+    lent one's factor of the whole matrix is written over its lower
+    triangle: the triangle is refilled from the upper one first if an
+    earlier factor wrote it, and the diagonal is set to the saved one
+    plus the shift, so dpotrf gets bitwise the copy's input.  A strict
+    leading block of a lent matrix is not contiguous, so its factor is
+    taken in a private copy too, and the lent array is not written.
+    Every reader of A after the factor (the 1-norm of a plain solve's
+    condition check, the LU fallback and the singular report) rebuilds
+    it from the strictly upper triangle and the diagonal, which no
+    factor writes.
     """
 
-    def __init__(self, gram: GramMatrix, reg: Tikhonov | None):
+    def __init__(self, gram: GramMatrix, reg: Tikhonov | None, in_place: _InPlace | None = None):
         self.reg = reg
         self.shift = 0.0 if reg is None else reg.eps_reg
         kind = "unregularized solve" if reg is None else f"Tikhonov(eps_reg={self.shift:g})"
         self.context = f"{gram.spec.family} {kind}"
         self._values = gram.values
+        self._in_place = in_place
+        self._diagonal = gram.values.diagonal() if in_place is None else in_place.diagonal[: gram.n]
 
     @cached_property
     def _factor(self) -> tuple:
-        factor, info = dpotrf(_shifted(self._values, self.shift), lower=0, clean=0, overwrite_a=1)
+        lent = self._in_place
+        if lent is not None and self._values.shape == lent.values.shape:
+            if lent.written:
+                _mirror_upper(self._values)
+            np.fill_diagonal(self._values, self._diagonal + self.shift)
+            lent.written = True
+            matrix = self._values.T  # F-contiguous, so dpotrf writes the factor in place
+        else:  # a caller's matrix, or a strict leading block, which is not contiguous
+            matrix = self._restored(len(self._values))
+        factor, info = dpotrf(matrix, lower=0, clean=0, overwrite_a=1)
         if info > 0 and self.reg is not None:
             warnings.warn(
                 f"{self.context}: A + {self.shift:g} I is not positive definite "
@@ -257,38 +307,72 @@ class _CholFactor:
         if info == 0 or n < info:
             block = np.asfortranarray(factor[:n, :n])  # no copy when n is the full size
             if self.reg is None:
-                rcond, _ = dpocon(block, np.linalg.norm(gram.values, 1))
+                rcond, _ = dpocon(block, _norm1(self._values[:n, :n], self._diagonal[:n]))
                 if rcond < np.finfo(float).eps:
-                    self._singular(gram, f"reciprocal condition estimate {rcond:.3e}")
+                    self._singular(n, f"reciprocal condition estimate {rcond:.3e}")
             return lambda rhs: cho_solve((block, False), rhs, check_finite=False)
         if self.reg is None:
-            self._singular(gram, f"Cholesky breaks down at leading minor {info}")
+            self._singular(n, f"Cholesky breaks down at leading minor {info}")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", LinAlgWarning)
-            lu = lu_factor(_shifted(gram.values, self.shift), overwrite_a=True)
+            lu = lu_factor(self._restored(n), overwrite_a=True)
         if any(issubclass(w.category, LinAlgWarning) for w in caught):
-            self._singular(gram, "zero pivot in LU")
+            self._singular(n, "zero pivot in LU")
         return lambda rhs: lu_solve(lu, rhs)
 
-    def _singular(self, gram: GramMatrix, why: str):
-        cond = _singular_extremes(_shifted(gram.values, self.shift))[2]  # error path only
+    def _restored(self, n: int) -> np.ndarray:
+        """A + shift I on the first n points in a private copy, for LAPACK to overwrite.
+
+        It is rebuilt from the strictly upper triangle and the diagonal, and
+        given in Fortran order as its transpose: A is bitwise symmetric, so
+        that is bitwise A + shift I.
+        """
+        matrix = np.array(self._values[:n, :n])
+        _mirror_upper(matrix)
+        np.fill_diagonal(matrix, self._diagonal[:n] + self.shift)
+        return matrix.T
+
+    def _singular(self, n: int, why: str):
+        cond = _singular_extremes(self._restored(n))[2]  # error path only
         raise SingularGramError(
-            f"{self.context} at N={gram.n}: Gram matrix is numerically singular "
+            f"{self.context} at N={n}: Gram matrix is numerically singular "
             f"({why}, condition {cond:.3e}); add regularization or remove "
             "duplicate points",
             condition=cond,
         )
 
 
-def _shifted(values: np.ndarray, shift: float) -> np.ndarray:
-    """A + shift I in a private Fortran-ordered copy, for LAPACK to overwrite.
+def _row_blocks(n: int):
+    """(start, stop) of blocks of rows of an n x n matrix, about ``_GRAM_BLOCK_ENTRIES`` entries each."""
+    rows = max(1, _GRAM_BLOCK_ENTRIES // n)
+    for s in range(0, n, rows):
+        yield s, min(n, s + rows)
 
-    A is bitwise symmetric, so the copy of A^T is bitwise A, and a plain
-    memory copy when A is C-contiguous.
+
+def _mirror_upper(matrix: np.ndarray) -> None:
+    """Overwrite the strictly lower triangle with the transposed strictly upper one.
+
+    As in ``assemble_gram``, each block of rows [s, e) goes in transposed
+    below its diagonal block, and each diagonal block is mirrored in
+    itself: 3.4 ms at N = 2048, where one masked copy per block of rows
+    took 13-15 ms and a full copy of the matrix 5-7 ms (2 CPUs).
     """
-    matrix = np.array(values.T, order="F")
-    matrix[np.diag_indices_from(matrix)] += shift
-    return matrix
+    for s, e in _row_blocks(len(matrix)):
+        matrix[e:, s:e] = matrix[s:e, e:].T
+        corner = matrix[s:e, s:e]
+        np.copyto(corner, corner.T, where=np.tri(e - s, e - s, -1, dtype=bool))
+
+
+def _norm1(values: np.ndarray, diagonal: np.ndarray) -> float:
+    """The 1-norm of the symmetric matrix with ``values``' strictly upper triangle
+    and ``diagonal``: its largest absolute column sum, by blocks of rows."""
+    n = len(diagonal)
+    sums = np.abs(diagonal)
+    for s, e in _row_blocks(n):
+        upper = np.abs(np.triu(values[s:e, s:], 1))
+        sums[s:e] += upper.sum(axis=1)
+        sums[s:] += upper.sum(axis=0)
+    return float(sums.max())
 
 
 def _lanczos(values: np.ndarray, k: int) -> tuple | None:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from ._checks import _integer, _items, _string
-from .collocation import Regularization, SingularGramError, Tikhonov, TSVD, assemble_gram
+from .collocation import Regularization, SingularGramError, Tikhonov, TSVD, _InPlace, assemble_gram
 from .kernels import KernelSpec
 from .models import External, run_campaign
 from .models.external import _Table, _check_jobs, _write_atomic
@@ -345,13 +345,20 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
     prefix; each N solves on the leading N x N block, a view.  The
     moments of all Wendland kernels of one zeta come from one
     ``kernel_moments`` pass on the longest prefix any of them needs, of
-    which each takes its leading entries, bitwise its own vector.  Plain
-    and Tikhonov settings share one Cholesky factor per shift, taken on
-    the longest prefix that shift asks for, and one factor is alive at a
-    time; the TSVD settings at one N share the block's eigenpairs, from
+    which each takes its leading entries, bitwise its own vector.  The
+    TSVD settings at one N share the block's eigenpairs, from
     ``LANCZOS_MIN_N`` points on only those of largest modulus
     (``GramMatrix.tsvd_eigenpairs``), so a setting's weights do not
-    depend on the settings beside it.
+    depend on the settings beside it.  Plain and Tikhonov settings share
+    one Cholesky factor per shift, taken on the longest prefix that shift
+    asks for, one at a time.  ``estimate`` owns each Gram matrix, so a
+    factor of the whole matrix is written over its lower triangle
+    (``GramMatrix.factored`` with ``in_place``), and solving holds one
+    dense N x N array per kernel; only a shift whose longest prefix is a
+    strict leading block takes its factor in a private copy.  The TSVD
+    settings are solved before the first factor, as their eigensolvers
+    read the lower triangle; the weights keep their order, each kernel's
+    plain and Tikhonov settings before its TSVD ones.
 
     The weights then stack into one matrix W, a zero-padded row per
     ``(setting, n)``, and the samples U are contracted in index order
@@ -382,13 +389,16 @@ def estimate(model, domain: ParameterDomain, requests: dict, jobs: int = 1) -> E
         gram_full = assemble_gram(spec, points.prefix(tops[spec]))
         b_full = moments[spec]
         tsvd = [s for s in settings if isinstance(s.regularization, TSVD)]
+        truncated = {}  # solved first: eigh and Lanczos read the lower triangle, which the factors overwrite
+        _solve_prefixes(truncated, gram_full, b_full, tsvd, counts)
+        in_place = _InPlace(gram_full.values)
         for reg in dict.fromkeys(s.regularization for s in settings if s not in tsvd):
             group = [s for s in settings if s.regularization == reg]
-            factored = gram_full.leading(max(counts[s][-1] for s in group)).factored(reg)
+            factored = gram_full.leading(max(counts[s][-1] for s in group)).factored(reg, in_place)
             _solve_prefixes(weights, factored, b_full, group, counts)
-            del factored  # its factor is freed before the next factor or eigendecomposition is taken
-        _solve_prefixes(weights, gram_full, b_full, tsvd, counts)
-        del gram_full  # free this kernel's matrix before the next is assembled
+            del factored  # its factor is freed before the next factor is taken
+        weights.update(truncated)  # the rows of W keep the order of plain and Tikhonov settings, then TSVD
+        del gram_full, in_place  # free this kernel's matrix before the next is assembled
     stacked = np.zeros((len(weights), len(points)))
     for row, w in zip(stacked, weights.values()):
         row[: w.omega.size] = w.omega

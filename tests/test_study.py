@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -21,15 +22,20 @@ from rbfuq import (
     ParameterDomain,
     PoissonExact,
     ReferenceSpec,
+    SingularGramError,
     StudyConfig,
     StudyError,
     Tikhonov,
     TSVD,
+    assemble_gram,
+    condition_report,
     estimate,
     evaluate_samples,
     halton_points,
     load_config,
+    moment_weights,
     run_study,
+    solve,
     write_qoi,
     write_report,
 )
@@ -735,6 +741,123 @@ class TestWeightsBeforeSamples:
         assert peak < 0.25 * table.nbytes, f"peak {peak / 2**20:.1f} MiB"
         assert np.array_equal(result.points.points, points)
         self.assert_streamed(result, table)
+
+
+class TestFactorInPlace:
+    """``estimate`` writes each Cholesky factor over its own Gram matrix's lower triangle."""
+
+    DOMAIN = ParameterDomain.symmetric(math.sqrt(3.0), 1)
+
+    def estimate_and_warnings(self, requests):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = estimate(PoissonExact(), self.DOMAIN, requests)
+        return result, [str(w.message) for w in caught]
+
+    def assert_fresh_weights(self, requests):
+        """Every weight is bitwise a caller's solve: a fresh Gram matrix on the
+        longest prefix of the setting's regularization, factored, then led."""
+        result, warned = self.estimate_and_warnings(requests)
+        fresh_warned = []
+        for (setting, n), w in result.weights.items():
+            reg = setting.regularization
+            top = max(ns[-1] for s, ns in requests.items() if s.regularization == reg)
+            fresh = assemble_gram(setting.spec(1), result.points.prefix(top))
+            before = fresh.values.copy()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                gram = fresh if isinstance(reg, TSVD) else fresh.factored(reg)
+                omega = moment_weights(gram.leading(n), reg, w.moments).omega
+            fresh_warned += [str(c.message) for c in caught if str(c.message) not in fresh_warned]
+            assert np.array_equal(w.omega, omega), (setting.column, n)
+            assert np.array_equal(fresh.values, before)  # a caller's Gram matrix is never written
+        assert warned == fresh_warned
+
+    def test_weights_match_fresh_gram_solves(self):
+        # the plain column and two shifts are factored over the triangle that 1e-8 wrote
+        regs = [Tikhonov(1e-8), None, Tikhonov(1e-4), TSVD(1e-3), Tikhonov(1e-2)]
+        self.assert_fresh_weights({
+            KernelSetting("matern32", regularization=r, label=f"c{i}"): (16, 32, 64)
+            for i, r in enumerate(regs)
+        })
+
+    def test_a_breakdown_is_solved_by_lu_from_the_restored_matrix(self):
+        # A + 1e-18 I of the 1-D Gaussian breaks down at minor 19, after 1e-6 wrote the triangle
+        self.assert_fresh_weights({
+            KernelSetting("gaussian", regularization=Tikhonov(1e-6), label="shifted"): (16, 64),
+            KernelSetting("gaussian", regularization=Tikhonov(1e-18), label="breaks"): (16, 32, 64),
+            KernelSetting("gaussian", regularization=TSVD(1e-10), label="tsvd"): (32,),
+        })
+
+    @pytest.mark.parametrize("top", [17, 64], ids=["condition-check", "breakdown"])
+    def test_a_singular_plain_column_reports_the_fresh_condition(self, top):
+        requests = {
+            KernelSetting("gaussian", regularization=Tikhonov(1e-6), label="shifted"): (top,),
+            KernelSetting("gaussian", regularization=None, label="plain"): (16, top),
+        }
+        with pytest.raises(StudyError) as info:
+            estimate(PoissonExact(), self.DOMAIN, requests)
+        assert (info.value.kernel, info.value.n) == ("plain", top)
+        fresh = assemble_gram(KernelSetting("gaussian").spec(1), halton_points(self.DOMAIN, top))
+        with pytest.raises(SingularGramError) as alone:
+            solve(fresh, np.ones(top))
+        assert str(info.value.__cause__) == str(alone.value)
+        assert info.value.__cause__.condition == condition_report(fresh).condition
+
+    @pytest.mark.parametrize("tops", [(64, 128), (128, 64)], ids=["leading-first", "leading-second"])
+    def test_a_strict_leading_block_is_factored_in_a_copy(self, monkeypatch, tops):
+        from rbfuq import collocation
+
+        grams, calls = [], []
+        original_assemble, original_dpotrf = study.assemble_gram, collocation.dpotrf
+
+        def assemble(*args):
+            grams.append(original_assemble(*args))
+            return grams[-1]
+
+        def snapshot():
+            values = grams[0].values
+            return values.diagonal().copy(), np.triu(values, 1)
+
+        def dpotrf(a, **kwargs):
+            calls.append((np.shares_memory(a, grams[0].values), snapshot()))
+            result = original_dpotrf(a, **kwargs)
+            calls.append((None, snapshot()))
+            return result
+
+        monkeypatch.setattr(study, "assemble_gram", assemble)
+        monkeypatch.setattr(collocation, "dpotrf", dpotrf)
+        requests = {
+            KernelSetting("wendland3", regularization=Tikhonov(eps), label=f"t{top}"): (32, top)
+            for eps, top in zip((1e-8, 1e-4), tops)
+        }
+        self.assert_fresh_weights(requests)
+        assembled = original_assemble(KernelSetting("wendland3").spec(1), halton_points(self.DOMAIN, 128)).values
+        assert [shared for shared, _ in calls[:4:2]] == [top == 128 for top in tops]  # then the fresh solves
+        before = (assembled.diagonal(), np.triu(assembled, 1))
+        for i, (shared, (diagonal, upper)) in enumerate(calls[:4]):
+            assert np.array_equal(upper, before[1])  # no factor writes the upper triangle
+            if i % 2 == 0 and not shared:
+                # the strict leading block leaves the diagonal as the last factor left it
+                assert np.array_equal(diagonal, before[0] if i == 0 else calls[i - 1][1][0])
+                assert np.array_equal(calls[i + 1][1][0], diagonal)
+
+    def test_a_sweep_holds_one_gram_matrix(self):
+        import scipy.sparse.linalg  # noqa: F401  (the eigensolver's import is not the study's memory)
+
+        regs = [Tikhonov(e) for e in (1e-8, 1e-6, 1e-4, 1e-2)] + [TSVD(1e-3), TSVD(1e-1)]
+        requests = {
+            KernelSetting("wendland3", regularization=r, label=f"c{i}"): (64, 128, 256, 512, 1024, 2048)
+            for i, r in enumerate(regs)
+        }
+        tracemalloc.start()
+        try:
+            estimate(PoissonExact(), self.DOMAIN, requests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = 8 * 2048 * 2048
+        assert peak < 1.5 * gram, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestKernelReference:
